@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInterval, NoConvergence
-from .kernels import GridStencil, ValidatedKernel, grid_stencil
+from .kernels import GridStencil, ValidatedKernel, grid_convolve, grid_stencil
 
 DENSE_THRESHOLD = 600
 RQ_TOL = 1e-10
@@ -84,10 +84,9 @@ def _matvec_factory(n: int, h: float, d1: float, st: GridStencil):
     lo_len = min(half, n - 1)  # offsets i = 0..lo_len reach column 0
     c_first = corr[half : half + lo_len + 1]
     c_last = corr[half - lo_len : half + 1]
-    scaled = d1 * st.masses
 
     def matvec(phi: np.ndarray) -> np.ndarray:
-        out = np.convolve(phi, scaled, mode="same")
+        out = d1 * grid_convolve(phi, st)
         out[: lo_len + 1] += c_first * phi[0]
         out[n - 1 - lo_len :] += c_last * phi[-1]
         return out

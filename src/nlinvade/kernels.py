@@ -43,6 +43,15 @@ SYMMETRY_TOL = 1e-12
 
 CLOSED_FORMS = ("uniform", "triangular", "truncated_gaussian")
 
+# Stencils with at most this many taps are convolved directly, longer ones
+# by overlap-add FFT.  Direct convolution costs n*m multiply-adds, overlap-add
+# about n*log(m) plus a fixed overhead.  On a 2-vCPU x86-64 VM the crossover
+# was near 160 taps at n = 20 000, 400-500 at n = 2 881 and above 2 000 at
+# n = 300 (timings in CHANGES.md).  500 is the crossover for windows of a
+# few thousand nodes, the size long spreading runs reach.  Both call sites
+# consult it: `grid_convolve` and the v convolution of `simulator.step`.
+DIRECT_MAX_TAPS = 500
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -323,10 +332,17 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
 
 
 def grid_convolve(values: np.ndarray, stencil: GridStencil) -> np.ndarray:
-    """Same-length discrete convolution of cell-weighted samples with a stencil."""
-    if values.size * stencil.masses.size > 200_000:
-        return oaconvolve(values, stencil.masses, mode="same")
-    return np.convolve(values, stencil.masses, mode="same")
+    """Same-length discrete convolution of cell-weighted samples with a stencil.
+
+    Output j is centred on input j, also when the stencil is longer than
+    the field.
+    """
+    masses = stencil.masses
+    if masses.size > DIRECT_MAX_TAPS:
+        return oaconvolve(values, masses, mode="same")
+    if values.size < masses.size:  # np.convolve's "same" keeps the longer length
+        return np.convolve(values, masses, mode="full")[stencil.half : stencil.half + values.size]
+    return np.convolve(values, masses, mode="same")
 
 
 def convolve(

@@ -62,7 +62,7 @@ class RunOutcome:
     result: object = None  # RunResult when the simulation completed
 
 
-def _simulate(cfg: ScenarioConfig):
+def _simulate(cfg: ScenarioConfig, dt: float):
     ku = validate_kernel(cfg.kernel_u, cfg.numerics.dx)
     kv = validate_kernel(cfg.kernel_v, cfg.numerics.dx)
     state = init_state(
@@ -73,7 +73,7 @@ def _simulate(cfg: ScenarioConfig):
     result = run(
         state,
         cfg.numerics.T,
-        cfg.numerics.dt,
+        dt,
         cfg.numerics.snapshot_every,
         metrics_L=cfg.diagnostics.L_dev,
         profile_every=cfg.numerics.profile_every or None,
@@ -106,7 +106,7 @@ def run_scenario(
     }
 
     try:
-        ku, kv, v0_max, result = _simulate(cfg)
+        ku, kv, v0_max, result = _simulate(cfg, cfg.numerics.dt)
     except NlinvadeError as exc:
         report["regime"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -204,19 +204,7 @@ def run_scenario(
     )
 
     if cfg.diagnostics.dt_halving:
-        ku2 = validate_kernel(cfg.kernel_u, cfg.numerics.dx)
-        kv2 = validate_kernel(cfg.kernel_v, cfg.numerics.dx)
-        state2 = init_state(
-            cfg.params, ku2, kv2, cfg.u_profile, cfg.v_profile,
-            cfg.numerics.dx, cfg.numerics.window_pad,
-        )
-        half = run(
-            state2,
-            cfg.numerics.T,
-            cfg.numerics.dt / 2.0,
-            cfg.numerics.snapshot_every,
-            metrics_L=cfg.diagnostics.L_dev,
-        ).final_state
+        half = _simulate(cfg, cfg.numerics.dt / 2.0)[3].final_state
         rel = max(
             abs(final.h_front - half.h_front) / abs(half.h_front),
             abs(final.g_front - half.g_front) / abs(half.g_front),

@@ -18,6 +18,17 @@ dispersal influx alone.  The nonlocal operator is bounded, so the step
 restriction is grid independent; `stability_bound` gives the conservative
 dt cap used by scenario validation.
 
+Support invariant: u vanishes at every node outside (g_front, h_front).
+It holds for the initial profile, and each step restores it by masking the
+updated u to the new open interval.  In the u update and the front flux, u
+enters only weighted by the cell coverage of [g, h] or masked to
+(g_new, h_new), so `step` does that work on the band of nodes whose cells
+meet either interval, widened by one u-stencil radius, and leaves the rest
+of the new u zero.  The widening makes the convolution sum at every node
+between the fronts the same full-stencil sum the whole window would give.
+The v update runs on the whole window; the u it reads there is zero
+outside the band by the invariant.
+
 The same stepping core also runs the un-reduced parameterisation
 (arbitrary linear reaction coefficients); `reduce_general` maps such a
 parameter set to the reduced one together with the exact field/time
@@ -41,7 +52,14 @@ from .errors import (
     StabilityViolated,
     WindowTooSmall,
 )
-from .kernels import GridStencil, ValidatedKernel, cell_weights, grid_convolve, grid_stencil
+from .kernels import (
+    DIRECT_MAX_TAPS,
+    GridStencil,
+    ValidatedKernel,
+    cell_weights,
+    grid_convolve,
+    grid_stencil,
+)
 
 GROSS_CLAMP = -1e-12   # undershoots below this are clamped and counted
 FIELD_CAP = 10.0       # fields beyond this mean the step blew up
@@ -101,23 +119,30 @@ def reduce_general(general: GeneralParams) -> tuple[ModelParams, ScalingTransfor
     return params, transform
 
 
-def _reaction_coefficients(params) -> tuple[tuple, tuple, float, float, float]:
-    """(u-reaction, v-reaction, D1, D2, front mu) for either parameter kind."""
-    if isinstance(params, GeneralParams):
-        return (
-            (params.a1, params.b1, params.c1),
-            (params.a2, params.b2, params.c2),
-            params.D1,
-            params.D2,
-            params.mu_hat,
+def _coefficients(params) -> GeneralParams:
+    """Validate either parameter kind and resolve it to the general form.
+
+    The stepping core reads only this record: the reduced system is the
+    general one with a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h.
+    """
+    if isinstance(params, ModelParams):
+        validate_params(params)
+        return GeneralParams(
+            D1=params.d1,
+            D2=params.d2,
+            a1=1.0,
+            b1=1.0,
+            c1=params.k,
+            a2=params.gamma,
+            b2=params.gamma,
+            c2=params.gamma * params.h_comp,
+            mu_hat=params.mu,
+            H0=params.h0,
         )
-    return (
-        (1.0, 1.0, params.k),
-        (params.gamma, params.gamma, params.gamma * params.h_comp),
-        params.d1,
-        params.d2,
-        params.mu,
-    )
+    if isinstance(params, GeneralParams):
+        reduce_general(params)  # validates positivity
+        return params
+    raise TypeError("params must be ModelParams or GeneralParams")
 
 
 def stability_bound(params: ModelParams) -> float:
@@ -200,6 +225,7 @@ class SimState:
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
     ``clamp_count`` accumulates gross negative undershoots flushed to zero.
+    ``coef`` holds the coefficients of ``params`` in general form.
     """
 
     t: float
@@ -214,6 +240,7 @@ class SimState:
     j2: ValidatedKernel
     st1: GridStencil
     st2: GridStencil
+    coef: GeneralParams
     clamp_count: int = 0
     window_growths: int = 0
 
@@ -235,9 +262,7 @@ class SimState:
 
     @property
     def h0(self) -> float:
-        if isinstance(self.params, GeneralParams):
-            return self.params.H0
-        return self.params.h0
+        return self.coef.H0
 
 
 def init_state(
@@ -254,14 +279,8 @@ def init_state(
     The window spans at least [-h0 - window_pad, h0 + window_pad] and is
     widened immediately if that leaves a front within the expansion margin.
     """
-    if isinstance(params, ModelParams):
-        validate_params(params)
-        h0 = params.h0
-    elif isinstance(params, GeneralParams):
-        reduce_general(params)  # validates positivity
-        h0 = params.H0
-    else:
-        raise TypeError("params must be ModelParams or GeneralParams")
+    coef = _coefficients(params)
+    h0 = coef.H0
     if dx <= 0 or not np.isfinite(dx):
         raise ValueError("dx must be positive")
     if window_pad <= 0 or not np.isfinite(window_pad):
@@ -285,6 +304,7 @@ def init_state(
         j2=j2,
         st1=grid_stencil(j1, dx),
         st2=grid_stencil(j2, dx),
+        coef=coef,
     )
     return _ensure_window(state)
 
@@ -311,32 +331,50 @@ def _ensure_window(state: SimState) -> SimState:
 
 # -- dynamics --------------------------------------------------------------
 
+def _band(state: SimState, a: float, b: float) -> tuple[int, int]:
+    """Index range [lo, hi) of the nodes whose cells meet (a, b), widened by
+    one u-stencil radius (plus one node against rounding) and clipped to the
+    window."""
+    pad = state.st1.half + 1
+    lo = math.floor(a / state.dx - 0.5) - pad - state.i0
+    hi = math.ceil(b / state.dx + 0.5) + pad + 1 - state.i0
+    return max(lo, 0), min(hi, state.u.size)
+
+
 def front_speeds(state: SimState) -> tuple[float, float]:
     """(g_rate, h_rate): always g_rate <= 0 <= h_rate."""
-    _, _, _, _, mu = _reaction_coefficients(state.params)
+    mu = state.coef.mu_hat
     if mu == 0.0:
         return 0.0, 0.0
-    x, dx = state.x, state.dx
-    g, h = state.g_front, state.h_front
-    j = np.nonzero(state.u > 0.0)[0]
-    if j.size == 0:
-        return 0.0, 0.0
-    lo = max(int(j[0]) - 1, 0)
-    hi = min(int(j[-1]) + 2, x.size)
-    xs = x[lo:hi]
-    us = state.u[lo:hi]
-    w = cell_weights(xs, dx, g, h)
-    h_rate = mu * float(np.dot(w * us, np.asarray(state.j1.cdf(xs - h))))
-    g_rate = -mu * float(np.dot(w * us, np.asarray(state.j1.cdf(g - xs))))
+    dx, g, h = state.dx, state.g_front, state.h_front
+    lo, hi = _band(state, g, h)
+    xs = (state.i0 + np.arange(lo, hi)) * dx
+    wu = cell_weights(xs, dx, g, h) * state.u[lo:hi]
+    h_rate = mu * float(np.dot(wu, np.asarray(state.j1.cdf(xs - h))))
+    g_rate = -mu * float(np.dot(wu, np.asarray(state.j1.cdf(g - xs))))
     return g_rate, h_rate
+
+
+def _flush(field: np.ndarray, t: float) -> int:
+    """Raise on a blown-up field, flush its negatives to zero in place and
+    return how many fell below GROSS_CLAMP."""
+    top = field.max(initial=0.0)
+    bottom = field.min(initial=0.0)
+    if not (top <= FIELD_CAP and bottom > -np.inf):  # also catches NaN
+        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}", t=t)
+    if bottom >= 0.0:
+        return 0
+    gross = int(np.count_nonzero(field < GROSS_CLAMP))
+    np.copyto(field, 0.0, where=field < 0.0)
+    return gross
 
 
 def step(state: SimState, dt: float) -> SimState:
     """One explicit step: advance fronts, then both fields, then the window."""
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive")
-    ru, rv, D1, D2, _ = _reaction_coefficients(state.params)
-    x, dx = state.x, state.dx
+    c = state.coef
+    dx = state.dx
     u, v = state.u, state.v
     g, h = state.g_front, state.h_front
 
@@ -344,34 +382,26 @@ def step(state: SimState, dt: float) -> SimState:
     g_new = g + dt * g_rate
     h_new = h + dt * h_rate
 
-    cov = cell_weights(x, dx, g, h) / dx
-    conv_u = grid_convolve(u * cov, state.st1)
+    lo, hi = _band(state, min(g, g_new), max(h, h_new))
+    xs = (state.i0 + np.arange(lo, hi)) * dx
+    ub, vb = u[lo:hi], v[lo:hi]
+    cov = cell_weights(xs, dx, g, h) / dx
+    conv_u = grid_convolve(ub * cov, state.st1)
+    u_band = ub + dt * (c.D1 * (conv_u - ub) + ub * (c.a1 - c.b1 * ub - c.c1 * vb))
+
     half2 = state.st2.half
     v_ext = np.concatenate([np.full(half2, v[0]), v, np.full(half2, v[-1])])
-    if v_ext.size * (2 * half2 + 1) > 200_000:
+    if state.st2.masses.size > DIRECT_MAX_TAPS:
         conv_v = oaconvolve(v_ext, state.st2.masses, mode="valid")
     else:
         conv_v = np.convolve(v_ext, state.st2.masses, mode="valid")
+    v_new = v + dt * (c.D2 * (conv_v - v) + v * (c.a2 - c.b2 * v - c.c2 * u))
 
-    a1, b1, c1 = ru
-    a2, b2, c2 = rv
-    u_new = u + dt * (D1 * (conv_u - u) + u * (a1 - b1 * u - c1 * v))
-    v_new = v + dt * (D2 * (conv_v - v) + v * (a2 - b2 * v - c2 * u))
-    u_new = np.where((x > g_new) & (x < h_new), u_new, 0.0)
+    u_new = np.zeros_like(u)
+    u_new[lo:hi] = np.where((xs > g_new) & (xs < h_new), u_band, 0.0)
 
     t_new = state.t + dt
-    clamps = state.clamp_count
-    for field in (u_new, v_new):
-        top = field.max(initial=0.0)
-        if not np.isfinite(top) or top > FIELD_CAP or not np.all(np.isfinite(field)):
-            raise StabilityViolated(
-                f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t_new}", t=t_new
-            )
-        neg = field < 0.0
-        if np.any(neg):
-            clamps += int(np.count_nonzero(field < GROSS_CLAMP))
-            np.copyto(field, 0.0, where=neg)
-
+    clamps = state.clamp_count + _flush(u_new[lo:hi], t_new) + _flush(v_new, t_new)
     new_state = replace(
         state,
         t=t_new,

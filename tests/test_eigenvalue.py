@@ -27,6 +27,17 @@ class TestRankOneOracle:
         assert res.eigenfunction.max() == pytest.approx(1.0)
         assert res.eigenfunction.min() == pytest.approx(1.0, abs=1e-9)
 
+    def test_interval_shorter_than_stencil(self):
+        # At dx = 0.001 the uniform stencil has 2001 taps, more than the
+        # 801 (or 1501) nodes of the interval.
+        kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
+        d1 = 1.2
+        res = principal_eigenvalue(kernel, d1, (0.0, 0.8), 0.001)
+        assert res.nodes.size < 2001
+        assert res.lambda_p == pytest.approx(d1 * (0.8 / 2.0 - 1.0), abs=1e-10)
+        res = principal_eigenvalue(kernel, d1, (0.0, 1.5), 0.001)
+        assert res.residual <= 1e-8
+
 
 class TestLimits:
     @pytest.mark.parametrize("d1", [0.5, 1.0, 2.0])

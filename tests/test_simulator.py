@@ -12,8 +12,16 @@ from nlinvade.errors import (
     StabilityViolated,
     WindowTooSmall,
 )
-from nlinvade.kernels import KernelSpec, validate_kernel
+from nlinvade.kernels import (
+    DIRECT_MAX_TAPS,
+    KernelSpec,
+    cell_weights,
+    grid_convolve,
+    grid_stencil,
+    validate_kernel,
+)
 from nlinvade.simulator import (
+    GROSS_CLAMP,
     GeneralParams,
     Profile,
     front_speeds,
@@ -161,6 +169,123 @@ class TestStep:
             s = make_state()
             for _ in range(100):
                 s = step(s, 5.0)
+
+
+def reaction_coefficients(p):
+    """(u-reaction, v-reaction, D1, D2, front mu) of either parameter kind."""
+    if isinstance(p, GeneralParams):
+        return (p.a1, p.b1, p.c1), (p.a2, p.b2, p.c2), p.D1, p.D2, p.mu_hat
+    return (1.0, 1.0, p.k), (p.gamma, p.gamma, p.gamma * p.h_comp), p.d1, p.d2, p.mu
+
+
+def whole_window_step(s, dt):
+    """Reference step on the whole window: (g, h, u, v, gross clamps),
+    before any window growth."""
+    (a1, b1, c1), (a2, b2, c2), D1, D2, mu = reaction_coefficients(s.params)
+    x, dx, u, v, g, h = s.x, s.dx, s.u, s.v, s.g_front, s.h_front
+    w = cell_weights(x, dx, g, h)
+    g_new = g - dt * mu * float(np.dot(w * u, s.j1.cdf(g - x)))
+    h_new = h + dt * mu * float(np.dot(w * u, s.j1.cdf(x - h)))
+    st1, st2 = s.st1, s.st2
+    conv_u = np.convolve(u * (w / dx), st1.masses, mode="full")[st1.half : st1.half + u.size]
+    v_ext = np.concatenate([np.full(st2.half, v[0]), v, np.full(st2.half, v[-1])])
+    conv_v = np.convolve(v_ext, st2.masses, mode="valid")
+    u_new = u + dt * (D1 * (conv_u - u) + u * (a1 - b1 * u - c1 * v))
+    v_new = v + dt * (D2 * (conv_v - v) + v * (a2 - b2 * v - c2 * u))
+    u_new = np.where((x > g_new) & (x < h_new), u_new, 0.0)
+    clamps = 0
+    for field in (u_new, v_new):
+        clamps += int(np.count_nonzero(field < GROSS_CLAMP))
+        field[field < 0.0] = 0.0
+    return g_new, h_new, u_new, v_new, clamps
+
+
+def assert_matches_reference(s, dt):
+    g, h, u, v, clamps = whole_window_step(s, dt)
+    out = step(s, dt)
+    assert out.g_front == pytest.approx(g, rel=1e-13, abs=0.0)
+    assert out.h_front == pytest.approx(h, rel=1e-13, abs=0.0)
+    assert out.clamp_count - s.clamp_count == clamps
+    # window growth only prepends or appends: compare on the old window
+    off = s.i0 - out.i0
+    n = s.u.size
+    for new, ref in ((out.u, u), (out.v, v)):
+        assert np.max(np.abs(new[off : off + n] - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+    assert np.all(out.u[:off] == 0.0) and np.all(out.u[off + n :] == 0.0)
+    return out
+
+
+def bump_between(s, g, h):
+    """s with fronts (g, h) and a cosine bump of u between them."""
+    mid, half = 0.5 * (g + h), 0.5 * (h - g)
+    u = np.where((s.x > g) & (s.x < h), np.cos(0.5 * np.pi * (s.x - mid) / half), 0.0)
+    return replace(s, u=u, g_front=g, h_front=h)
+
+
+TABLE = np.column_stack([np.linspace(-1.0, 1.0, 41), 1.0 - np.abs(np.linspace(-1.0, 1.0, 41))])
+BAND_KERNELS = {
+    "uniform": KernelSpec.uniform(1.0),
+    "triangular": KernelSpec.triangular(1.5),
+    "gaussian": KernelSpec.truncated_gaussian(1.0, 2.0),
+    "tabulated": KernelSpec.tabulated(TABLE),
+}
+
+
+class TestBandedStep:
+    """The banded step against a whole-window reference step."""
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_kernels_over_a_run(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=5.0, h0=1.0), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        for _ in range(40):
+            s = assert_matches_reference(s, 0.02)
+
+    def test_short_interval(self):
+        s = make_state(params(mu=2.0, h0=0.4), dx=0.05)
+        assert s.h_front - s.g_front < 2.0 * UNI.support_radius
+        for _ in range(20):
+            s = assert_matches_reference(s, 0.02)
+
+    def test_front_one_stencil_from_edges(self):
+        s = make_state(params(mu=5.0), dx=0.05)
+        reach = s.st1.half * s.dx
+        s = bump_between(s, s.x_min + reach + 0.3 * s.dx, s.x_max - reach - 0.3 * s.dx)
+        out = assert_matches_reference(s, 0.02)
+        assert out.window_growths == s.window_growths + 1
+
+    def test_front_past_the_window_edge(self):
+        s = make_state(params(mu=5.0), dx=0.05)
+        s = bump_between(s, s.x_min + 0.5 * s.dx, s.x_max - 0.2 * s.dx)
+        assert_matches_reference(s, 0.02)
+
+    def test_clamps_counted_alike(self):
+        s = make_state(params(mu=5.0), dx=0.05)
+        for _ in range(3):
+            s = assert_matches_reference(s, 1.5)
+        assert s.clamp_count > 0
+
+    def test_general_params(self):
+        gp = GeneralParams(D1=2.0, D2=1.5, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.2,
+                           c2=0.4, mu_hat=3.0, H0=0.8)
+        tri = validate_kernel(BAND_KERNELS["triangular"], 0.05)
+        s = init_state(gp, tri, UNI, Profile.cosine(1.0), Profile.constant(0.9), 0.05, 3.0)
+        for _ in range(30):
+            s = assert_matches_reference(s, 0.01)
+
+
+class TestGridConvolve:
+    @pytest.mark.parametrize("half", [3, DIRECT_MAX_TAPS // 2 - 5, DIRECT_MAX_TAPS // 2 + 5])
+    @pytest.mark.parametrize("n", [5, 700])
+    def test_matches_np_convolve(self, half, n):
+        k = validate_kernel(KernelSpec.triangular(1.0), 1.0 / half)
+        st = grid_stencil(k, 1.0 / (half + 0.5))
+        assert st.masses.size == 2 * st.half + 1
+        values = np.random.default_rng(half + n).random(n)
+        ref = np.convolve(values, st.masses, mode="full")[st.half : st.half + n]
+        got = grid_convolve(values, st)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestRun:
