@@ -235,13 +235,22 @@ class ScenarioConfig:
     mapping: dict = field(repr=False, compare=False, default_factory=dict)
 
 
-def _need_positive(mapping: dict, section: str, key: str, default=None) -> float:
+def _number(mapping: dict, section: str, key: str, default=None, kind=(int, float)):
+    """The finite number (of type ``kind``) at section.key, else ConfigInvalid."""
     val = mapping.get(section, {}).get(key, default)
     if val is None:
         raise ConfigInvalid("required value missing", path=f"{section}.{key}")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigInvalid(f"expected a number, got {val!r}", path=f"{section}.{key}")
-    if not math.isfinite(val) or val <= 0:
+    if isinstance(val, bool) or not isinstance(val, kind):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigInvalid(f"expected {what}, got {val!r}", path=f"{section}.{key}")
+    if not math.isfinite(val):
+        raise ConfigInvalid(f"must be finite, got {val}", path=f"{section}.{key}")
+    return val
+
+
+def _need_positive(mapping: dict, section: str, key: str, default=None) -> float:
+    val = _number(mapping, section, key, default)
+    if val <= 0:
         raise ConfigInvalid(f"must be a positive number, got {val}", path=f"{section}.{key}")
     return float(val)
 
@@ -265,13 +274,16 @@ def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
         path = sec.get("table")
         if not isinstance(path, str):
             raise ConfigInvalid("tabulated kernel needs table = <path>", path=f"{section}.table")
-        file = (base_dir / path).resolve()
-        try:
-            table = np.loadtxt(file, dtype=float, ndmin=2)
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read kernel table: {exc}", path=f"{section}.table")
-        return KernelSpec.tabulated(table)
+        return KernelSpec.tabulated(_load_table(base_dir, path, f"{section}.table"))
     raise ConfigInvalid(f"unknown kernel form {form!r}", path=f"{section}.form")
+
+
+def _load_table(base_dir: Path, path: str, where: str) -> np.ndarray:
+    """The numeric table in the file at base_dir/path, else ConfigInvalid."""
+    try:
+        return np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read table: {exc}", path=where)
 
 
 def _profiles(mapping: dict, base_dir: Path, h0: float) -> tuple[Profile, Profile]:
@@ -283,22 +295,22 @@ def _profiles(mapping: dict, base_dir: Path, h0: float) -> tuple[Profile, Profil
         path = sec.get("u_table")
         if not isinstance(path, str):
             raise ConfigInvalid("u table profile needs u_table = <path>", path="initial.u_table")
-        u_prof = Profile.from_table(np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2))
+        u_prof = Profile.from_table(_load_table(base_dir, path, "initial.u_table"))
     else:
         raise ConfigInvalid(f"unknown u profile {u_kind!r}", path="initial.u_profile")
 
     v_kind = sec.get("v_profile", "constant")
     if v_kind == "constant":
-        value = _get(mapping, "initial", "v_value", 1.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-            raise ConfigInvalid(f"v_value must be a nonnegative number, got {value!r}",
+        value = _number(mapping, "initial", "v_value", 1.0)
+        if value < 0:
+            raise ConfigInvalid(f"v_value must be nonnegative, got {value!r}",
                                 path="initial.v_value")
         v_prof = Profile.constant(float(value))
     elif v_kind == "table":
         path = sec.get("v_table")
         if not isinstance(path, str):
             raise ConfigInvalid("v table profile needs v_table = <path>", path="initial.v_table")
-        v_prof = Profile.from_table(np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2))
+        v_prof = Profile.from_table(_load_table(base_dir, path, "initial.v_table"))
     else:
         raise ConfigInvalid(f"unknown v profile {v_kind!r}", path="initial.v_profile")
     return u_prof, v_prof
@@ -327,7 +339,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             k=_need_positive(mapping, "params", "k", 0.5),
             h_comp=_need_positive(mapping, "params", "h_comp", 0.5),
             gamma=_need_positive(mapping, "params", "gamma", 1.0),
-            mu=float(_get(mapping, "params", "mu", 1.0)),
+            mu=float(_number(mapping, "params", "mu", 1.0)),
             h0=_need_positive(mapping, "params", "h0", 1.0),
         )
         validate_params(params)
@@ -347,9 +359,9 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     dx = _need_positive(mapping, "numerics", "dx", None)
     dt = _need_positive(mapping, "numerics", "dt", None)
-    T = _get(mapping, "numerics", "T", 10.0)
-    if isinstance(T, bool) or not isinstance(T, (int, float)) or T < 0 or not math.isfinite(T):
-        raise ConfigInvalid(f"T must be a nonnegative number, got {T!r}", path="numerics.T")
+    T = _number(mapping, "numerics", "T", 10.0)
+    if T < 0:
+        raise ConfigInvalid(f"T must be nonnegative, got {T!r}", path="numerics.T")
     bound = stability_bound(params)
     if dt > bound:
         raise ConfigInvalid(
@@ -357,7 +369,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             path="numerics.dt",
         )
     snapshot_every = _need_positive(mapping, "numerics", "snapshot_every", max(float(T) / 100.0, dt) if T else 1.0)
-    profile_every = float(_get(mapping, "numerics", "profile_every", 0.0))
+    profile_every = float(_number(mapping, "numerics", "profile_every", 0.0))
     if profile_every < 0:
         raise ConfigInvalid("profile_every must be >= 0", path="numerics.profile_every")
     default_pad = max(2.5 * L0max, params.h0, 10 * dx)
@@ -396,11 +408,11 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     ):
         raise ConfigInvalid("lengths must be a list of positive numbers", path="eigen.lengths")
 
-    ode_u0 = float(_get(mapping, "ode", "u0", 0.1))
-    ode_v0 = float(_get(mapping, "ode", "v0", 0.1))
+    ode_u0 = float(_number(mapping, "ode", "u0", 0.1))
+    ode_v0 = float(_number(mapping, "ode", "v0", 0.1))
     if ode_u0 < 0 or ode_v0 < 0:
         raise ConfigInvalid("ode initial data must be nonnegative", path="ode.u0")
-    ode_T = float(_get(mapping, "ode", "T", 200.0))
+    ode_T = float(_number(mapping, "ode", "T", 200.0))
     ode_dt = _need_positive(mapping, "ode", "dt", 0.01)
 
     axes = {}
@@ -415,7 +427,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         if not isinstance(val, list) or not val:
             raise ConfigInvalid("axis values must be a nonempty list", path=f"sweep.{key}")
         axes[path] = list(val)
-    cap = int(_get(mapping, "sweep", "cap", 256))
+    cap = _number(mapping, "sweep", "cap", 256, kind=int)
 
     normalized = copy.deepcopy(mapping)
     normalized.setdefault("numerics", {}).setdefault("snapshot_every", snapshot_every)

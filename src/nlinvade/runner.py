@@ -253,7 +253,7 @@ def _sweep_cell(args):
     try:
         cfg = build_scenario(mapping, base_dir)
         outcome = run_scenario(cfg, outdir=cell_dir, check_theorems=check)
-    except NlinvadeError as exc:
+    except Exception as exc:  # any failure stays in its row; the sweep goes on
         return index, {
             "status": "error",
             "regime": "",

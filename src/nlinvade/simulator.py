@@ -19,15 +19,20 @@ restriction is grid independent; `stability_bound` gives the conservative
 dt cap used by scenario validation.
 
 Support invariant: u vanishes at every node outside (g_front, h_front).
-It holds for the initial profile, and each step restores it by masking the
-updated u to the new open interval.  In the u update and the front flux, u
-enters only weighted by the cell coverage of [g, h] or masked to
-(g_new, h_new), so `step` does that work on the band of nodes whose cells
-meet either interval, widened by one u-stencil radius, and leaves the rest
-of the new u zero.  The widening makes the convolution sum at every node
-between the fronts the same full-stencil sum the whole window would give.
-The v update runs on the whole window; the u it reads there is zero
-outside the band by the invariant.
+It holds for the initial profile, and each step writes the updated u only
+at the nodes strictly inside the new open interval.  The invariant
+licenses three shortcuts in `step`:
+
+- exact cell covers: only the first and last node strictly inside (g, h)
+  can carry u on a partly covered cell, so the cell-weighted u is u itself
+  with those two entries scaled (every other cover is exactly dx);
+- a banded u update: the weighted u is zero outside those nodes, so its
+  convolution vanishes more than one u-stencil radius beyond them, and so
+  does the new u; the update runs on that band and the rest stays zero,
+  and the c2*u term of the v update is applied on the inside nodes alone;
+- a tail-only flux: K1(x - h) is zero more than one support radius behind
+  h and u is zero ahead of it, so the h flux sums only the inside nodes
+  within that radius of h, and likewise for g.
 
 The same stepping core also runs the un-reduced parameterisation
 (arbitrary linear reaction coefficients); `reduce_general` maps such a
@@ -331,28 +336,69 @@ def _ensure_window(state: SimState) -> SimState:
 
 # -- dynamics --------------------------------------------------------------
 
-def _band(state: SimState, a: float, b: float) -> tuple[int, int]:
-    """Index range [lo, hi) of the nodes whose cells meet (a, b), widened by
-    one u-stencil radius (plus one node against rounding) and clipped to the
-    window."""
-    pad = state.st1.half + 1
-    lo = math.floor(a / state.dx - 0.5) - pad - state.i0
-    hi = math.ceil(b / state.dx + 0.5) + pad + 1 - state.i0
-    return max(lo, 0), min(hi, state.u.size)
+def _inside(state: SimState, a: float, b: float) -> tuple[int, int]:
+    """Index range [ia, ib) of the nodes strictly inside (a, b), clipped to
+    the window.
+
+    Boundary nodes are tested at (i0 + j) * dx, the expression `SimState.x`
+    uses, so the range is exactly ``np.nonzero((x > a) & (x < b))``.
+    """
+    i0, dx = state.i0, state.dx
+    top = i0 + state.u.size
+    ka = min(max(math.floor(a / dx) + 1, i0), top)
+    while ka > i0 and (ka - 1) * dx > a:
+        ka -= 1
+    while ka < top and ka * dx <= a:
+        ka += 1
+    kb = min(max(math.ceil(b / dx), ka), top)
+    while kb > ka and (kb - 1) * dx >= b:
+        kb -= 1
+    while kb < top and kb * dx < b:
+        kb += 1
+    return ka - i0, kb - i0
+
+
+def _covered_u(state: SimState, lo: int, hi: int, ia: int, ib: int) -> np.ndarray:
+    """u on nodes [lo, hi), each weighted by the fraction of its cell inside
+    [g, h]; [ia, ib) are the nodes strictly inside (g, h).
+
+    Outside [ia, ib) u is zero, and inside it only the first and last cell
+    can be partly covered, so only those two get a weight (by the
+    `cell_weights` formula); every other cover is exactly dx.
+    """
+    dx, g, h = state.dx, state.g_front, state.h_front
+    wu = state.u[lo:hi].copy()
+    for j in {ia, ib - 1} if ia < ib else ():
+        x = (state.i0 + j) * dx
+        wu[j - lo] *= max(min(x + 0.5 * dx, h) - max(x - 0.5 * dx, g), 0.0) / dx
+    return wu
+
+
+def _front_rates(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> tuple[float, float]:
+    """(g_rate, h_rate) from ``wu``, the covered u of nodes lo, lo + 1, ...
+
+    K1(x - h) vanishes more than one support radius behind h, and K1(g - x)
+    more than one radius ahead of g, so each flux sums only the nodes of
+    [ia, ib) within that reach of its front.
+    """
+    mu = state.coef.mu_hat
+    if mu == 0.0:
+        return 0.0, 0.0
+    dx, i0, cdf = state.dx, state.i0, state.j1.cdf
+    reach = math.ceil(state.j1.support_radius / dx) + 2
+    a = max(ia, ib - reach)
+    xs = np.arange(i0 + a, i0 + ib) * dx
+    h_rate = mu * dx * float(np.dot(wu[a - lo : ib - lo], cdf(xs - state.h_front)))
+    b = min(ib, ia + reach)
+    xs = np.arange(i0 + ia, i0 + b) * dx
+    g_rate = -mu * dx * float(np.dot(wu[ia - lo : b - lo], cdf(state.g_front - xs)))
+    return g_rate, h_rate
 
 
 def front_speeds(state: SimState) -> tuple[float, float]:
     """(g_rate, h_rate): always g_rate <= 0 <= h_rate."""
-    mu = state.coef.mu_hat
-    if mu == 0.0:
-        return 0.0, 0.0
-    dx, g, h = state.dx, state.g_front, state.h_front
-    lo, hi = _band(state, g, h)
-    xs = (state.i0 + np.arange(lo, hi)) * dx
-    wu = cell_weights(xs, dx, g, h) * state.u[lo:hi]
-    h_rate = mu * float(np.dot(wu, np.asarray(state.j1.cdf(xs - h))))
-    g_rate = -mu * float(np.dot(wu, np.asarray(state.j1.cdf(g - xs))))
-    return g_rate, h_rate
+    ia, ib = _inside(state, state.g_front, state.h_front)
+    return _front_rates(state, _covered_u(state, ia, ib, ia, ib), ia, ia, ib)
 
 
 def _flush(field: np.ndarray, t: float) -> int:
@@ -370,24 +416,24 @@ def _flush(field: np.ndarray, t: float) -> int:
 
 
 def step(state: SimState, dt: float) -> SimState:
-    """One explicit step: advance fronts, then both fields, then the window."""
+    """One explicit step: advance fronts, then both fields, then the window.
+
+    Each field is updated in the factored form f * (A - B*f - C*other) + E*conv
+    of f + dt * (D * (conv - f) + f * (a - b*f - c*other)).
+    """
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive")
     c = state.coef
-    dx = state.dx
     u, v = state.u, state.v
-    g, h = state.g_front, state.h_front
+    n = u.size
 
-    g_rate, h_rate = front_speeds(state)
-    g_new = g + dt * g_rate
-    h_new = h + dt * h_rate
-
-    lo, hi = _band(state, min(g, g_new), max(h, h_new))
-    xs = (state.i0 + np.arange(lo, hi)) * dx
-    ub, vb = u[lo:hi], v[lo:hi]
-    cov = cell_weights(xs, dx, g, h) / dx
-    conv_u = grid_convolve(ub * cov, state.st1)
-    u_band = ub + dt * (c.D1 * (conv_u - ub) + ub * (c.a1 - c.b1 * ub - c.c1 * vb))
+    # u is nonzero only on [ia, ib), its convolution only on [lo, hi)
+    ia, ib = _inside(state, state.g_front, state.h_front)
+    lo, hi = max(ia - state.st1.half, 0), min(ib + state.st1.half, n)
+    wu = _covered_u(state, lo, hi, ia, ib)
+    g_rate, h_rate = _front_rates(state, wu, lo, ia, ib)
+    g_new = state.g_front + dt * g_rate
+    h_new = state.h_front + dt * h_rate
 
     half2 = state.st2.half
     v_ext = np.concatenate([np.full(half2, v[0]), v, np.full(half2, v[-1])])
@@ -395,23 +441,47 @@ def step(state: SimState, dt: float) -> SimState:
         conv_v = oaconvolve(v_ext, state.st2.masses, mode="valid")
     else:
         conv_v = np.convolve(v_ext, state.st2.masses, mode="valid")
-    v_new = v + dt * (c.D2 * (conv_v - v) + v * (c.a2 - c.b2 * v - c.c2 * u))
+    v_new = v * (-dt * c.b2)
+    v_new += 1.0 + dt * (c.a2 - c.D2)
+    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
+    v_new *= v
+    conv_v *= dt * c.D2
+    v_new += conv_v
 
-    u_new = np.zeros_like(u)
-    u_new[lo:hi] = np.where((xs > g_new) & (xs < h_new), u_band, 0.0)
+    # the new u is zero outside (g_new, h_new) and, by the invariant,
+    # outside [lo, hi)
+    conv_u = grid_convolve(wu, state.st1)
+    a, b = _inside(state, g_new, h_new)
+    a, b = max(a, lo), min(b, hi)
+    u_new = np.zeros(n)
+    ub, out = u[a:b], u_new[a:b]
+    np.multiply(ub, -dt * c.b1, out=out)
+    out += 1.0 + dt * (c.a1 - c.D1)
+    out -= (dt * c.c1) * v[a:b]
+    out *= ub
+    out += (dt * c.D1) * conv_u[a - lo : b - lo]
 
     t_new = state.t + dt
-    clamps = state.clamp_count + _flush(u_new[lo:hi], t_new) + _flush(v_new, t_new)
-    new_state = replace(
-        state,
-        t=t_new,
-        g_front=g_new,
-        h_front=h_new,
-        u=u_new,
-        v=v_new,
-        clamp_count=clamps,
+    clamps = state.clamp_count + _flush(out, t_new) + _flush(v_new, t_new)
+    return _ensure_window(
+        SimState(
+            t=t_new,
+            g_front=g_new,
+            h_front=h_new,
+            u=u_new,
+            v=v_new,
+            i0=state.i0,
+            dx=state.dx,
+            params=state.params,
+            j1=state.j1,
+            j2=state.j2,
+            st1=state.st1,
+            st2=state.st2,
+            coef=c,
+            clamp_count=clamps,
+            window_growths=state.window_growths,
+        )
     )
-    return _ensure_window(new_state)
 
 
 # -- run loop ---------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from nlinvade.errors import (
     AsymmetricKernel,
@@ -133,6 +136,58 @@ class TestCdf:
         assert kernel_cdf(k, 0.0) == pytest.approx(0.5, abs=1e-12)
         assert kernel_cdf(k, k.support_radius) == 1.0
         assert kernel_cdf(k, -k.support_radius) == 0.0
+
+
+def clip_form_cdf(spec):
+    """The cdf of each kernel form written with np.clip, as a reference."""
+    L0, sig = spec.L0, spec.sigma
+    if spec.form == "uniform":
+        return lambda s: np.clip((np.asarray(s, dtype=float) + L0) / (2.0 * L0), 0.0, 1.0)
+    if spec.form == "triangular":
+        def cdf(s):
+            s = np.clip(np.asarray(s, dtype=float), -L0, L0)
+            left = (s + L0) ** 2 / (2.0 * L0 * L0)
+            right = 1.0 - (L0 - s) ** 2 / (2.0 * L0 * L0)
+            return np.where(s <= 0.0, left, right)
+        return cdf
+    if spec.form == "truncated_gaussian":
+        phi = lambda z: 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+        plo = phi(-L0 / sig)
+        span = phi(L0 / sig) - plo
+        return lambda s: np.clip(
+            (phi(np.clip(np.asarray(s, dtype=float), -L0, L0) / sig) - plo) / span, 0.0, 1.0)
+    xs, ys = spec.table[:, 0], np.maximum(spec.table[:, 1], 0.0)
+    ys = ys * (1.0 / float(np.trapezoid(ys, xs)))
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
+    cum /= cum[-1]
+    return lambda s: np.clip(np.interp(np.asarray(s, dtype=float), xs, cum, left=0.0, right=1.0),
+                             0.0, 1.0)
+
+
+CDF_SPECS = {
+    "uniform": KernelSpec.uniform(1.0),
+    "triangular": KernelSpec.triangular(1.5),
+    "gaussian": KernelSpec.truncated_gaussian(1.0, 2.0),
+    "tabulated": KernelSpec.tabulated(gaussian_table()),
+}
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+class TestCdfMatchesClipForm:
+    @pytest.mark.parametrize("form", sorted(CDF_SPECS))
+    def test_bit_identical(self, form):
+        spec = CDF_SPECS[form]
+        cdf, ref = validate_kernel(spec, DX).cdf, clip_form_cdf(spec)
+        R = validate_kernel(spec, DX).support_radius
+        arrays = [
+            np.linspace(-1.5 * R, 1.5 * R, 1001),
+            np.random.default_rng(7).normal(0.0, R, 500),
+            np.array(SPECIAL + [-R, R, 0.5 * R]),
+        ]
+        for s in [*SPECIAL, -R, R, 0.3 * R, -2.0 * R, *arrays]:
+            got, want = cdf(s), ref(s)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestSymmetry:

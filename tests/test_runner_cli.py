@@ -6,6 +6,7 @@ from nlinvade.cli import main
 from nlinvade.config import build_scenario, parse_config_text
 from nlinvade.errors import GridTooLarge
 from nlinvade.output import TIMESERIES_HEADER
+from nlinvade import runner
 from nlinvade.runner import run_scenario, sweep
 
 BASE = """
@@ -120,6 +121,21 @@ class TestSweep:
         assert rows[1][header.index("status")] == "error"
         assert "stability" in rows[1][header.index("error")]
 
+    def test_any_cell_exception_recorded_not_fatal(self, tmp_path, monkeypatch):
+        real = runner.run_scenario
+
+        def flaky(cfg, **kwargs):
+            if cfg.params.mu == 2.0:
+                raise RuntimeError("cell blew up")
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(runner, "run_scenario", flaky)
+        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0, 3.0]\n"
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+        status, error = header.index("status"), header.index("error")
+        assert [r[status] for r in rows] == ["ok", "error", "ok"]
+        assert rows[1][error] == "RuntimeError: cell blew up"
+
     def test_parallel_matches_serial(self, tmp_path):
         text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n"
         _, rows1 = sweep(scenario(text), outdir=tmp_path / "s1", check_theorems=False, jobs=1)
@@ -214,6 +230,30 @@ class TestCli:
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["initial.u_profile=table", "initial.u_table=missing.txt"],
+            ["initial.v_profile=table", "initial.v_table=missing.txt"],
+            ["initial.u_profile=table", "initial.u_table=garbled.txt"],
+            ["kernel_u.form=tabulated", "kernel_u.table=garbled.txt"],
+            ["ode.u0=abc"],
+            ["sweep.cap=x"],
+            ["numerics.profile_every=x"],
+            ["params.mu=abc"],
+        ],
+    )
+    def test_config_escapes_exit_2(self, tmp_path, capsys, overrides):
+        (tmp_path / "garbled.txt").write_text("0.0 one\n1.0 two\n")
+        cfg = config_file(tmp_path)
+        argv = ["simulate", "--config", str(cfg), "--quiet"]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
     def test_mixed_kernel_forms_end_to_end(self, tmp_path):
         import numpy as np

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from nlinvade.simulator import (
     GROSS_CLAMP,
     GeneralParams,
     Profile,
+    _inside,
     front_speeds,
     init_state,
     integrate_u,
@@ -272,6 +274,93 @@ class TestBandedStep:
         s = init_state(gp, tri, UNI, Profile.cosine(1.0), Profile.constant(0.9), 0.05, 3.0)
         for _ in range(30):
             s = assert_matches_reference(s, 0.01)
+
+
+def whole_band_flux(s):
+    """(g_rate, h_rate) summed over the whole window with `cell_weights`."""
+    mu = reaction_coefficients(s.params)[4]
+    wu = cell_weights(s.x, s.dx, s.g_front, s.h_front) * s.u
+    return (-mu * float(np.dot(wu, s.j1.cdf(s.g_front - s.x))),
+            mu * float(np.dot(wu, s.j1.cdf(s.x - s.h_front))))
+
+
+def assert_flux_matches(s):
+    for got, ref in zip(front_speeds(s), whole_band_flux(s)):
+        assert ref != 0.0
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+class TestTailFlux:
+    """The flux summed over each front's tail against the whole-window sum."""
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_kernels_over_a_run(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=5.0, h0=1.7), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        for _ in range(20):
+            assert_flux_matches(s)
+            s = step(s, 0.02)
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_interval_shorter_than_the_kernel(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=2.0, h0=0.3), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        assert s.h_front - s.g_front < k.support_radius
+        assert_flux_matches(s)
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_fronts_on_nodes(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=2.0), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        s = bump_between(s, s.x[10], s.x[-25])
+        assert s.u[10] == 0.0 and s.u[11] > 0.0
+        assert_flux_matches(s)
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_fronts_one_stencil_from_edges(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=2.0), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        reach = s.st1.half * s.dx
+        for off in (0.3 * s.dx, reach + 0.3 * s.dx):
+            assert_flux_matches(bump_between(s, s.x_min + off, s.x_max - off))
+
+
+DX_CHOICES = [0.1, 0.05, 0.025, 0.001, 1.0 / 3.0]
+node_position = st.tuples(
+    st.integers(min_value=-260, max_value=260),
+    st.sampled_from(["on", "above", "below", "between"]),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+
+
+def position(dx, k, kind, frac):
+    x = k * dx
+    if kind == "above":
+        return float(np.nextafter(x, np.inf))
+    if kind == "below":
+        return float(np.nextafter(x, -np.inf))
+    if kind == "between":
+        return (k + frac) * dx
+    return x
+
+
+class TestInsideRange:
+    @given(
+        st.sampled_from(DX_CHOICES),
+        st.integers(min_value=-200, max_value=0),
+        st.integers(min_value=1, max_value=300),
+        node_position,
+        node_position,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nonzero(self, dx, i0, n, pa, pb):
+        """Fronts on, next to and between nodes, inside or outside the window."""
+        a, b = position(dx, *pa), position(dx, *pb)
+        grid = SimpleNamespace(i0=i0, dx=dx, u=np.zeros(n))
+        x = (i0 + np.arange(n)) * dx
+        ia, ib = _inside(grid, a, b)
+        assert 0 <= ia <= ib <= n
+        assert list(range(ia, ib)) == list(np.nonzero((x > a) & (x < b))[0])
 
 
 class TestGridConvolve:
