@@ -248,6 +248,14 @@ def _number(mapping: dict, section: str, key: str, default=None, kind=(int, floa
     return val
 
 
+def _boolean(mapping: dict, section: str, key: str, default: bool) -> bool:
+    """The true/false value at section.key, else ConfigInvalid."""
+    val = mapping.get(section, {}).get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigInvalid(f"expected true or false, got {val!r}", path=f"{section}.{key}")
+    return val
+
+
 def _need_positive(mapping: dict, section: str, key: str, default=None) -> float:
     val = _number(mapping, section, key, default)
     if val <= 0:
@@ -387,7 +395,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         v_recovery_tol=_need_positive(mapping, "diagnostics", "v_recovery_tol", 5e-2),
         mass_decay_factor=_need_positive(mapping, "diagnostics", "mass_decay_factor", 100.0),
         comparison_slack=_need_positive(mapping, "diagnostics", "comparison_slack", 5e-3),
-        dt_halving=bool(_get(mapping, "diagnostics", "dt_halving", False)),
+        dt_halving=_boolean(mapping, "diagnostics", "dt_halving", False),
     )
     if diag.L_dev > params.h0 + window_pad:
         raise ConfigInvalid(

@@ -145,7 +145,7 @@ def detect_regime(
 class TheoremCheck:
     name: str
     passed: bool
-    margin: float
+    margin: float | None
     details: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:

@@ -14,6 +14,20 @@ the interval ends on nodes and stays exact for piecewise-constant
 integrands when it does not.  Discrete stencils are renormalised to exact
 unit mass so that convolving a constant field returns that constant to
 rounding accuracy.
+
+Convolution: `grid_convolve` is the one place that picks how a stencil is
+applied.  A flat stencil, whose interior taps are all equal and whose two
+end taps may be partial (the uniform kernel, or a constant tabulated one),
+is applied from one prefix sum of the extended field in O(n) instead of
+O(n*m).  A prefix sum over n values of size O(1) rounds each window sum at
+the size of the running total, so it loses about log10(n) digits against a
+direct sum: up to 6e-14 relative at 3 000 nodes and 4e-13 at 30 000
+(random values in [0.5, 1.5], 81 and 2 001 taps, against an
+extended-precision sum).  A field update multiplies the convolution by
+dt*D, which brings the per-step effect back to rounding level.  The sum
+runs over the field minus its left extension value, so a stretch equal
+to that value (a far field at rest) adds no rounding at all.  Every other stencil is convolved directly
+or by overlap-add FFT, by tap count.
 """
 
 from __future__ import annotations
@@ -43,14 +57,22 @@ SYMMETRY_TOL = 1e-12
 
 CLOSED_FORMS = ("uniform", "triangular", "truncated_gaussian")
 
-# Stencils with at most this many taps are convolved directly, longer ones
-# by overlap-add FFT.  Direct convolution costs n*m multiply-adds, overlap-add
-# about n*log(m) plus a fixed overhead.  On a 2-vCPU x86-64 VM the crossover
-# was near 160 taps at n = 20 000, 400-500 at n = 2 881 and above 2 000 at
-# n = 300 (timings in CHANGES.md).  500 is the crossover for windows of a
-# few thousand nodes, the size long spreading runs reach.  Both call sites
-# consult it: `grid_convolve` and the v convolution of `simulator.step`.
+# Stencils that are not flat (see FLAT_TOL) and have at most this many taps
+# are convolved directly, longer ones by overlap-add FFT.  Direct convolution
+# costs n*m multiply-adds, overlap-add about n*log(m) plus a fixed overhead.
+# On a 2-vCPU x86-64 VM the crossover was near 160 taps at n = 20 000,
+# 400-500 at n = 2 881 and above 2 000 at n = 300 (timings in CHANGES.md).
+# 500 is the crossover for windows of a few thousand nodes, the size long
+# spreading runs reach.  Only `grid_convolve` consults it.
 DIRECT_MAX_TAPS = 500
+
+# A stencil is flat when every tap between its two end taps equals the
+# others, and the two end taps each other, to within this absolute
+# tolerance (the masses sum to 1, so it is 8 ulps of the unit mass).  The
+# uniform kernel's interior taps differ by the rounding of their cell
+# covers and by the unit-sum pin on the centre tap: at most 4.6 ulps over
+# 40 000 random (L0, dx) pairs with 1 to 2 000 taps.
+FLAT_TOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,9 @@ class GridStencil:
     ``masses[k]`` is the mass the kernel assigns to the cell around offset
     (k - half) * dx; ``cover[k]`` is the length of that cell inside the
     support; ``densities = masses / cover``.  ``mass_correction`` is the
-    raw discrete mass divided out during normalisation.
+    raw discrete mass divided out during normalisation.  ``box`` holds the
+    (inner, end) tap weights of a flat stencil, with
+    (2 * half - 1) * inner + 2 * end = 1, and is None for any other stencil.
     """
 
     dx: float
@@ -119,6 +143,7 @@ class GridStencil:
     cover: np.ndarray
     densities: np.ndarray
     mass_correction: float
+    box: tuple[float, float] | None
 
 
 def _phi(z):
@@ -324,6 +349,10 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
     masses[half] += 1.0 - masses.sum()  # pin the sum to exactly 1
     with np.errstate(divide="ignore", invalid="ignore"):
         densities = np.where(cover > 0, masses / np.maximum(cover, 1e-300), 0.0)
+    box = None
+    if half > 0 and np.ptp(masses[1:-1]) <= FLAT_TOL and abs(masses[-1] - masses[0]) <= FLAT_TOL:
+        end = float(masses[0])
+        box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
     return GridStencil(
         dx=dx,
         half=half,
@@ -331,21 +360,59 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
         cover=cover,
         densities=densities,
         mass_correction=raw_mass,
+        box=box,
     )
 
 
-def grid_convolve(values: np.ndarray, stencil: GridStencil) -> np.ndarray:
+def _box_convolve(
+    values: np.ndarray, half: int, inner: float, end: float, left: float, right: float
+) -> np.ndarray:
+    """Convolution of ``values``, extended by ``half`` copies of ``left``
+    before and of ``right`` after, with the flat stencil (end, inner, ...,
+    inner, end) of 2 * half + 1 taps, from one prefix sum.
+
+    The prefix sum runs over values - left, so a stretch equal to ``left``
+    (a far field) leaves the running total, and its rounding, unchanged.
+    """
+    n = values.size
+    ext = np.zeros(n + 2 * half)
+    np.subtract(values, left, out=ext[half : half + n])
+    if right != left:
+        ext[half + n :] = right - left
+    c = np.cumsum(ext)
+    out = c[2 * half - 1 : 2 * half - 1 + n] - c[:n]  # sums of ext[j+1 : j+2*half]
+    out *= inner
+    ends = ext[:n] + ext[2 * half :]
+    ends *= end
+    out += ends
+    if left != 0.0:
+        out += left
+    return out
+
+
+def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) -> np.ndarray:
     """Same-length discrete convolution of cell-weighted samples with a stencil.
 
     Output j is centred on input j, also when the stencil is longer than
-    the field.
+    the field.  Beyond its ends the field is zero, or with ``edge`` it
+    continues its end values.  A flat stencil (``stencil.box``) is applied
+    from a prefix sum in O(n); any other one directly up to
+    DIRECT_MAX_TAPS taps and by overlap-add FFT beyond.
     """
-    masses = stencil.masses
+    masses, half = stencil.masses, stencil.half
+    ends = (values[0], values[-1]) if edge else (0.0, 0.0)
+    if stencil.box is not None:
+        return _box_convolve(values, half, *stencil.box, *ends)
+    if edge:
+        values = np.concatenate([np.full(half, ends[0]), values, np.full(half, ends[1])])
+        mode = "valid"
+    else:
+        mode = "same"
     if masses.size > DIRECT_MAX_TAPS:
-        return oaconvolve(values, masses, mode="same")
+        return oaconvolve(values, masses, mode=mode)
     if values.size < masses.size:  # np.convolve's "same" keeps the longer length
-        return np.convolve(values, masses, mode="full")[stencil.half : stencil.half + values.size]
-    return np.convolve(values, masses, mode="same")
+        return np.convolve(values, masses, mode="full")[half : half + values.size]
+    return np.convolve(values, masses, mode=mode)
 
 
 def convolve(

@@ -24,6 +24,7 @@ import numpy as np
 from .config import ScenarioConfig, apply_override, build_scenario, format_value
 from .diagnostics import (
     UNDECIDED,
+    TheoremCheck,
     comparison_bound_check,
     detect_regime,
     verify_theorems,
@@ -161,35 +162,29 @@ def run_scenario(
             )
         except (OutOfScope, Undecided) as exc:
             checks.append(
-                {
-                    "name": "theorem_checks",
-                    "pass": False,
-                    "margin": None,
-                    "details": {"error": f"{type(exc).__name__}: {exc}"},
-                }
+                TheoremCheck(
+                    "theorem_checks", False, None, {"error": f"{type(exc).__name__}: {exc}"}
+                )
             )
     elif check_theorems:
         checks.append(
-            {
-                "name": "theorem_checks",
-                "pass": False,
-                "margin": None,
-                "details": {"error": "regime undecided; nothing to verify"},
-            }
+            TheoremCheck(
+                "theorem_checks", False, None, {"error": "regime undecided; nothing to verify"}
+            )
         )
 
     bound_ok, bound_margin = comparison_bound_check(
         series, v0_max, cfg.params.gamma, cfg.diagnostics.comparison_slack
     )
     checks.append(
-        {
-            "name": "native_upper_bound",
-            "pass": bound_ok,
-            "margin": -bound_margin,
-            "details": {"worst_violation": bound_margin, "v0_max": v0_max},
-        }
+        TheoremCheck(
+            "native_upper_bound",
+            bound_ok,
+            -bound_margin,
+            {"worst_violation": bound_margin, "v0_max": v0_max},
+        )
     )
-    report["theorem_checks"] = [c.to_record() if hasattr(c, "to_record") else c for c in checks]
+    report["theorem_checks"] = [c.to_record() for c in checks]
 
     audit = report["numerics_audit"]
     audit.update(

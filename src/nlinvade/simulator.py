@@ -34,6 +34,12 @@ licenses three shortcuts in `step`:
   h and u is zero ahead of it, so the h flux sums only the inside nodes
   within that radius of h, and likewise for g.
 
+Both convolutions go through `kernels.grid_convolve`: the u band with zero
+extension, the whole v window with edge continuation.  It chooses how each
+stencil is applied (prefix sums for flat stencils such as the uniform
+kernel's, direct or FFT otherwise), so this module holds no convolution
+switch of its own.
+
 The same stepping core also runs the un-reduced parameterisation
 (arbitrary linear reaction coefficients); `reduce_general` maps such a
 parameter set to the reduced one together with the exact field/time
@@ -47,7 +53,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.signal import oaconvolve
+from scipy.signal import oaconvolve  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 from .dynamics import ModelParams, validate_params
 from .errors import (
@@ -58,7 +64,6 @@ from .errors import (
     WindowTooSmall,
 )
 from .kernels import (
-    DIRECT_MAX_TAPS,
     GridStencil,
     ValidatedKernel,
     cell_weights,
@@ -435,12 +440,7 @@ def step(state: SimState, dt: float) -> SimState:
     g_new = state.g_front + dt * g_rate
     h_new = state.h_front + dt * h_rate
 
-    half2 = state.st2.half
-    v_ext = np.concatenate([np.full(half2, v[0]), v, np.full(half2, v[-1])])
-    if state.st2.masses.size > DIRECT_MAX_TAPS:
-        conv_v = oaconvolve(v_ext, state.st2.masses, mode="valid")
-    else:
-        conv_v = np.convolve(v_ext, state.st2.masses, mode="valid")
+    conv_v = grid_convolve(v, state.st2, edge=True)
     v_new = v * (-dt * c.b2)
     v_new += 1.0 + dt * (c.a2 - c.D2)
     v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]

@@ -100,6 +100,20 @@ class TestBuild:
         assert cfg.diagnostics.eps_front == 1e-5
         assert cfg.numerics.window_pad >= 2.5  # defaulted from the kernel radius
 
+    @pytest.mark.parametrize("text, expected", [("true", True), ("false", False), ("FALSE", False)])
+    def test_dt_halving_override(self, text, expected):
+        mapping = parse_config_text(MINIMAL)
+        apply_override(mapping, f"diagnostics.dt_halving={text}")
+        assert build_scenario(mapping).diagnostics.dt_halving is expected
+
+    @pytest.mark.parametrize("text", ["no", '"false"', "1", "0", "yes"])
+    def test_dt_halving_needs_a_boolean(self, text):
+        mapping = parse_config_text(MINIMAL)
+        apply_override(mapping, f"diagnostics.dt_halving={text}")
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == "diagnostics.dt_halving"
+
     def test_dt_above_stability_bound(self):
         mapping = parse_config_text(MINIMAL)
         mapping["numerics"]["dt"] = 0.05  # bound for these params is 0.2/9

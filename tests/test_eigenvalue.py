@@ -38,6 +38,14 @@ class TestRankOneOracle:
         res = principal_eigenvalue(kernel, d1, (0.0, 1.5), 0.001)
         assert res.residual <= 1e-8
 
+    def test_power_on_a_long_flat_stencil(self):
+        # 2 001 flat taps at dx = 0.001: the power matvec convolves by prefix sums.
+        kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
+        d1 = 1.2
+        res = principal_eigenvalue(kernel, d1, (0.0, 0.8), 0.001, method="power")
+        assert res.method == "power"
+        assert res.lambda_p == pytest.approx(d1 * (0.8 / 2.0 - 1.0), abs=1e-10)
+
 
 class TestLimits:
     @pytest.mark.parametrize("d1", [0.5, 1.0, 2.0])

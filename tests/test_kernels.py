@@ -17,6 +17,7 @@ from nlinvade.kernels import (
     KernelSpec,
     cell_weights,
     convolve,
+    grid_convolve,
     grid_stencil,
     kernel_cdf,
     validate_kernel,
@@ -229,6 +230,69 @@ class TestStencil:
         st_ = grid_stencil(uniform_kernel(), DX)
         assert st_.cover[0] == pytest.approx(DX / 2)
         assert st_.cover[st_.half] == DX
+
+
+# (dx, half) for the uniform kernel with L0 = 1: R/dx an integer leaves the
+# end cells half covered, R/dx a half-integer covers them fully.
+FLAT_GRIDS = [
+    (1.0, 1),
+    (2.0 / 3.0, 1),
+    (1.0 / 40.0, 40),
+    (1.0 / 40.5, 40),
+    (1.0 / 1000.0, 1000),
+    (1.0 / 1000.5, 1000),
+]
+
+
+class TestFlatStencil:
+    @pytest.mark.parametrize("dx, half", FLAT_GRIDS)
+    @pytest.mark.parametrize("n", [2, 5, 700, 3000])
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_matches_np_convolve(self, dx, half, n, edge):
+        st_ = grid_stencil(validate_kernel(KernelSpec.uniform(1.0), dx), dx)
+        assert st_.half == half and st_.box is not None
+        values = np.random.default_rng(half + n).random(n) + 0.5
+        if edge:
+            ext = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+            ref = np.convolve(ext, st_.masses, mode="valid")
+        else:  # full mode sliced: centred also when the field is the shorter
+            ref = np.convolve(values, st_.masses, mode="full")[half : half + n]
+        got = grid_convolve(values, st_, edge=edge)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dx, half", FLAT_GRIDS)
+    def test_end_taps(self, dx, half):
+        st_ = grid_stencil(validate_kernel(KernelSpec.uniform(1.0), dx), dx)
+        inner, end = st_.box
+        full_ends = st_.cover[0] == pytest.approx(dx)
+        assert end / inner == pytest.approx(1.0 if full_ends else 0.5, rel=1e-12)
+        assert (2 * half - 1) * inner + 2 * end == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.uniform(1.0),
+            KernelSpec.uniform(2.5),
+            KernelSpec.tabulated(np.array([[-1.0, 0.5], [1.0, 0.5]])),
+            KernelSpec.tabulated(np.column_stack([np.linspace(-1.5, 1.5, 31), np.full(31, 7.0)])),
+        ],
+    )
+    def test_flat_kernels_detected(self, spec):
+        assert grid_stencil(validate_kernel(spec, DX), DX).box is not None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.triangular(1.0),
+            KernelSpec.truncated_gaussian(1.0, 2.0),
+            KernelSpec.truncated_gaussian(50.0, 1.0),
+            KernelSpec.tabulated(gaussian_table()),
+            KernelSpec.tabulated(np.array([[-1.0, 0.5], [0.0, 0.5 + 1e-9], [1.0, 0.5]])),
+        ],
+    )
+    def test_other_kernels_not_flat(self, spec):
+        assert grid_stencil(validate_kernel(spec, DX), DX).box is None
 
 
 class TestConvolve:

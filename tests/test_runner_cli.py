@@ -90,6 +90,16 @@ class TestRunScenario:
         assert outcome.report["regime"] == "undecided"
         assert outcome.exit_code == 4
 
+    @pytest.mark.parametrize("text", [BASE, BASE + "\n[diagnostics]\neps_front = 0.2\n"])
+    def test_theorem_check_record_keys(self, tmp_path, text):
+        # the second config ends undecided, so its checks include the error record
+        outcome = run_scenario(scenario(text), outdir=tmp_path / "run", check_theorems=True)
+        checks = outcome.report["theorem_checks"]
+        names = [c["name"] for c in checks]
+        assert "native_upper_bound" in names and len(names) >= 2
+        for check in checks:
+            assert list(check) == ["name", "pass", "margin", "details"]
+
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"
         outcome = run_scenario(scenario(text), outdir=tmp_path / "run", check_theorems=False)
@@ -242,6 +252,8 @@ class TestCli:
             ["sweep.cap=x"],
             ["numerics.profile_every=x"],
             ["params.mu=abc"],
+            ["diagnostics.dt_halving=no"],
+            ['diagnostics.dt_halving="false"'],
         ],
     )
     def test_config_escapes_exit_2(self, tmp_path, capsys, overrides):

@@ -243,6 +243,15 @@ class TestBandedStep:
         for _ in range(40):
             s = assert_matches_reference(s, 0.02)
 
+    def test_wide_uniform_window(self):
+        # 2 881 nodes, the window the spreading benchmark run reaches: both
+        # convolutions take the prefix-sum path of the flat uniform stencil.
+        k = validate_kernel(KernelSpec.uniform(1.0), 0.025)
+        s = init_state(params(mu=5.0, h0=3.0), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.025, 33.0)
+        assert s.u.size == 2881 and s.st1.box is not None and s.st2.box is not None
+        for _ in range(40):
+            s = assert_matches_reference(s, 0.02)
+
     def test_short_interval(self):
         s = make_state(params(mu=2.0, h0=0.4), dx=0.05)
         assert s.h_front - s.g_front < 2.0 * UNI.support_radius
