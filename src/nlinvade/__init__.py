@@ -4,9 +4,9 @@ Subpackage map:
   kernels     dispersal kernels, validation, quadrature stencils
   eigenvalue  principal eigenvalue of the dispersal operator on an interval
   dynamics    spatially homogeneous system: equilibria, classification,
-              bound iterations, invariant-region checks
+              plateau level, bound iteration
   simulator   the coupled free-boundary field solver (reduced and general form)
-  diagnostics run metrics, regime detection, consistency checks
+  diagnostics regime detection, consistency checks
   config      scenario configuration (sectioned key=value text)
   runner      scenario execution, parameter sweeps, file emission
   cli         command-line entry points

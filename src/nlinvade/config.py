@@ -14,7 +14,6 @@ import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -55,7 +54,7 @@ KNOWN_KEYS = {
         "comparison_slack",
         "dt_halving",
     },
-    "output": {"directory", "seed"},
+    "output": {"directory"},
     "eigen": {"lengths"},
     "ode": {"u0", "v0", "T", "dt"},
     "sweep": {"cap"},
@@ -225,7 +224,6 @@ class ScenarioConfig:
     numerics: NumericsConfig
     diagnostics: DiagnosticsConfig
     outdir: str
-    seed: Optional[int]
     eigen_lengths: tuple[float, ...]
     ode_init: tuple[float, float]
     ode_T: float
@@ -233,6 +231,14 @@ class ScenarioConfig:
     sweep_axes: dict
     sweep_cap: int
     mapping: dict = field(repr=False, compare=False, default_factory=dict)
+
+
+def _finite(val) -> bool:
+    """math.isfinite, also for an int beyond the float range."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _number(mapping: dict, section: str, key: str, default=None, kind=(int, float)):
@@ -243,7 +249,7 @@ def _number(mapping: dict, section: str, key: str, default=None, kind=(int, floa
     if isinstance(val, bool) or not isinstance(val, kind):
         what = "an integer" if kind is int else "a number"
         raise ConfigInvalid(f"expected {what}, got {val!r}", path=f"{section}.{key}")
-    if not math.isfinite(val):
+    if not _finite(val):
         raise ConfigInvalid(f"must be finite, got {val}", path=f"{section}.{key}")
     return val
 
@@ -331,10 +337,14 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     including a dt above the explicit-step stability bound.
     """
     base_dir = Path(base_dir)
-    for section in mapping:
+    for section, table in mapping.items():
         if section not in SECTIONS:
             raise ConfigInvalid(f"unknown section [{section}]", path=section)
-        for key in mapping[section]:
+        if not isinstance(table, dict):
+            raise ConfigInvalid(f"expected a table of keys, got {table!r}", path=section)
+        for key in table:
+            if not isinstance(key, str):
+                raise ConfigInvalid(f"key {key!r} is not a string", path=section)
             if section == "sweep" and key.startswith("axis."):
                 continue
             if key not in KNOWN_KEYS[section]:
@@ -406,15 +416,12 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     u_prof, v_prof = _profiles(mapping, base_dir, params.h0)
 
-    seed = _get(mapping, "output", "seed", None)
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigInvalid("seed must be an integer", path="output.seed")
-
     lengths = _get(mapping, "eigen", "lengths", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(lengths, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in lengths
+        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) and v > 0
+        for v in lengths
     ):
-        raise ConfigInvalid("lengths must be a list of positive numbers", path="eigen.lengths")
+        raise ConfigInvalid("lengths must be a list of finite positive numbers", path="eigen.lengths")
 
     ode_u0 = float(_number(mapping, "ode", "u0", 0.1))
     ode_v0 = float(_number(mapping, "ode", "v0", 0.1))
@@ -453,7 +460,6 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         ),
         diagnostics=diag,
         outdir=str(_get(mapping, "output", "directory", "out")),
-        seed=seed,
         eigen_lengths=tuple(float(v) for v in lengths),
         ode_init=(ode_u0, ode_v0),
         ode_T=ode_T,

@@ -1,10 +1,10 @@
 """Turn raw runs into verdicts.
 
-Three layers: integral/sup metrics of a state, detection of the long-time
-regime (vanishing, spreading, or undecided) from a front/mass time series,
-and consistency checks of a finished run against the model's proven
-necessary conditions and limit profiles.  Whether the invader's range stays
-bounded is undecidable from finite data, so detection is an explicit
+Two layers: detection of the long-time regime (vanishing, spreading, or
+undecided) from the front/mass time series the simulator records, and
+consistency checks of a finished run against the model's proven necessary
+conditions and limit profiles.  Whether the invader's range stays bounded
+is undecidable from finite data, so detection is an explicit
 trailing-window surrogate with configurable thresholds, and ``undecided``
 is a first-class outcome.
 """
@@ -21,13 +21,13 @@ from .dynamics import (
     THETA2,
     ModelParams,
     equilibria_and_class,
+    plateau_value,
     theta_classify,
-    x_star,
 )
 from .eigenvalue import principal_eigenvalue
-from .errors import OutOfScope, SeriesTooShort, Undecided, WindowTooSmall
+from .errors import OutOfScope, SeriesTooShort, Undecided
 from .kernels import ValidatedKernel, cell_weights
-from .simulator import SimState, TimeSeries, integrate_u, v_deviation
+from .simulator import SimState, TimeSeries
 
 TRAILING_FRACTION = 0.2
 DEFAULT_EPS_FRONT = 1e-5
@@ -36,38 +36,6 @@ DEFAULT_EPS_MASS = 1e-3
 VANISHING = "vanishing"
 SPREADING = "spreading"
 UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class Metrics:
-    mass_u: float
-    sup_u: float
-    v_dev_L: float
-    L: float
-
-
-def metrics(state: SimState, L: float) -> Metrics:
-    """Trapezoid metrics of a state; [-L, L] must fit inside the window."""
-    if L > min(-state.x_min, state.x_max):
-        raise WindowTooSmall(f"[-{L}, {L}] exceeds the window [{state.x_min}, {state.x_max}]")
-    return Metrics(
-        mass_u=integrate_u(state),
-        sup_u=float(state.u.max(initial=0.0)),
-        v_dev_L=v_deviation(state, L),
-        L=L,
-    )
-
-
-def windowed_mass_u(state: SimState, x: float, L: float) -> float:
-    """Mass of u over [x - L, x + L]."""
-    w = cell_weights(state.x, state.dx, x - L, x + L)
-    return float(np.dot(w, state.u))
-
-
-def windowed_mean_v(state: SimState, x: float, L: float) -> float:
-    """Mean of v over [x - L, x + L]."""
-    w = cell_weights(state.x, state.dx, x - L, x + L)
-    return float(np.dot(w, state.v) / (2.0 * L))
 
 
 @dataclass(frozen=True)
@@ -244,6 +212,9 @@ def verify_theorems(
                     "lambda_p": eig.lambda_p,
                     "interval": [g_est, h_est],
                     "tolerance": eigen_tol,
+                    "method": eig.method,
+                    "iterations": eig.iterations,
+                    "residual": eig.residual,
                 },
             )
         )
@@ -287,7 +258,7 @@ def verify_theorems(
                 )
             )
         else:
-            level = params.k * x_star(theta) - params.d1_tilde
+            level = plateau_value(theta)
             scan = _plateau_scan(final_state, level, plateau_tol)
             scan["route"] = "exceptional_class"
             scan["branch"] = "plateau_pattern" if scan["match"] else "clean_extinction"

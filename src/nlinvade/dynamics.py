@@ -7,9 +7,8 @@ Covers the plain two-species ODE
 its equilibria and competition-case labels, the quadratic F(s) whose root
 structure on [0, 1] splits parameter space into the clean-extinction class
 (theta1) and the class admitting an exceptional plateau (theta2), the
-plateau abscissa x_*, the alternating bound iteration used on the
-spreading side, and the boundary vector-field inequalities of the
-invariant rectangles used on the vanishing side.
+plateau abscissa x_* and level, and the alternating bound iteration used
+on the spreading side.
 
 The reaction coefficient is called ``h_comp`` throughout: the plain symbol
 h is reserved for the right front position in the field model.
@@ -23,12 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    InvalidSigma,
-    NotInTheta2,
-    StepTooLarge,
-)
+from .errors import AssumptionViolated, NotInTheta2, StepTooLarge
 
 THETA1 = "theta1"
 THETA2 = "theta2"
@@ -225,11 +219,6 @@ def f_coefficients(params: ModelParams) -> tuple[float, float, float]:
     return a, b, c
 
 
-def f_value(params: ModelParams, s: float) -> float:
-    a, b, c = f_coefficients(params)
-    return (a * s + b) * s + c
-
-
 def _quadratic_roots_unit_interval(a: float, b: float, c: float) -> tuple[float, ...]:
     """Real roots of a s^2 + b s + c inside [0, 1], stably computed.
 
@@ -392,69 +381,3 @@ def attractor_bounds(k: float, h_comp: float, j_max: int) -> BoundIteration:
         limits=limits,
     )
 
-
-# -- invariant rectangles (vanishing side) --------------------------------
-
-@dataclass(frozen=True)
-class InvariantRegion:
-    sigma: float
-    epsilon: float
-    M_sigma: float
-
-
-def make_invariant_region(
-    params: ModelParams, sigma: float, epsilon_cap: float
-) -> InvariantRegion:
-    """Rectangle {0 <= p < M_sigma, q < sigma} in the (u, 1-v) plane.
-
-    sigma must sit strictly inside (d1_tilde/k, 1); the margin epsilon is
-    min(k*sigma - d1_tilde, epsilon_cap).
-    """
-    dt1 = params.d1_tilde
-    if dt1 <= 0.0:
-        raise AssumptionViolated("invariant rectangles need d1 + k - 1 > 0")
-    lo = dt1 / params.k
-    if not (lo < sigma < 1.0):
-        raise InvalidSigma(f"sigma={sigma} outside ({lo}, 1)")
-    if epsilon_cap <= 0.0:
-        raise ValueError("epsilon_cap must be positive")
-    eps = min(params.k * sigma - dt1, epsilon_cap)
-    return InvariantRegion(sigma=sigma, epsilon=eps, M_sigma=params.k * sigma - dt1 + eps)
-
-
-@dataclass(frozen=True)
-class RegionVerdict:
-    holds: bool
-    u_margin: float
-    v_margin: float
-
-
-def invariant_region_check(
-    params: ModelParams,
-    region: InvariantRegion,
-    m1_bound: float,
-    m2_bound: float,
-) -> RegionVerdict:
-    """Evaluate the two boundary vector-field bounds of the rectangle.
-
-    On the face {p = M_sigma, q <= sigma} the u-flow is bounded by
-    m1_bound - M_sigma*epsilon; on {p <= M_sigma, q = sigma} the
-    (1-v)-flow by m2_bound + (1-sigma)*gamma*h_comp*epsilon + F(sigma).
-    The rectangle is invariant when both bounds are strictly negative.
-    """
-    dt1 = params.d1_tilde
-    if dt1 <= 0.0:
-        raise AssumptionViolated("invariant rectangles need d1 + k - 1 > 0")
-    if m1_bound < 0.0 or m2_bound < 0.0:
-        raise ValueError("forcing bounds must be nonnegative")
-    lo = dt1 / params.k
-    if not (lo < region.sigma < 1.0):
-        raise InvalidSigma(f"sigma={region.sigma} outside ({lo}, 1)")
-
-    u_margin = m1_bound - region.M_sigma * region.epsilon
-    v_margin = (
-        m2_bound
-        + (1.0 - region.sigma) * params.gamma * params.h_comp * region.epsilon
-        + f_value(params, region.sigma)
-    )
-    return RegionVerdict(holds=(u_margin < 0.0 and v_margin < 0.0), u_margin=u_margin, v_margin=v_margin)

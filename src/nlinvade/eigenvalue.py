@@ -106,18 +106,23 @@ def _dense_solve(B: np.ndarray) -> tuple[float, np.ndarray, float]:
     return rho, phi, residual
 
 
-def _power_solve(matvec, n: int, rq_tol: float, max_iter: int, residual_tol: float):
+def _power_solve(matvec, n: int):
+    """Power iteration until the Rayleigh quotient moves by less than RQ_TOL
+    and the residual is at most RESIDUAL_TOL, within MAX_ITER matvecs.
+
+    The three limits are read at call time, so tests can patch them.
+    """
     phi = np.sin(np.pi * np.arange(n) / (n - 1)) + 1e-3
     phi /= phi.max()
     rho_prev = np.inf
     iterations = 0
     residual = np.inf
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         y = matvec(phi)
         rho = float(np.dot(phi, y) / np.dot(phi, phi))
         residual = float(np.max(np.abs(y - rho * phi)) / np.max(phi))
         iterations += 1
-        converged = abs(rho - rho_prev) < rq_tol and residual <= residual_tol
+        converged = abs(rho - rho_prev) < RQ_TOL and residual <= RESIDUAL_TOL
         top = y.max()
         if top <= 0:
             raise NoConvergence("power iteration collapsed to the zero vector")
@@ -125,9 +130,9 @@ def _power_solve(matvec, n: int, rq_tol: float, max_iter: int, residual_tol: flo
         if converged:
             return rho, phi, iterations, residual
         rho_prev = rho
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NoConvergence(
-            f"power iteration hit the cap ({max_iter}) with residual {residual:.3e}"
+            f"power iteration hit the cap ({MAX_ITER}) with residual {residual:.3e}"
         )
     return rho_prev, phi, iterations, residual
 
@@ -138,9 +143,6 @@ def principal_eigenvalue(
     interval: tuple[float, float],
     dx: float,
     method: str = "auto",
-    rq_tol: float = RQ_TOL,
-    max_iter: int = MAX_ITER,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> EigenResult:
     """Principal eigenvalue and positive eigenfunction on an interval.
 
@@ -159,10 +161,7 @@ def principal_eigenvalue(
         rho, phi, residual = _dense_solve(_dense_matrix(n, h, d1, st))
         iterations = 0
     elif method == "power":
-        matvec = _matvec_factory(n, h, d1, st)
-        rho, phi, iterations, residual = _power_solve(
-            matvec, n, rq_tol, max_iter, residual_tol
-        )
+        rho, phi, iterations, residual = _power_solve(_matvec_factory(n, h, d1, st), n)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -177,16 +176,10 @@ def principal_eigenvalue(
     )
 
 
-def eigen_curve(
-    kernel: ValidatedKernel,
-    d1: float,
-    lengths,
-    dx: float,
-    method: str = "auto",
-) -> list[tuple[float, float]]:
+def eigen_curve(kernel: ValidatedKernel, d1: float, lengths, dx: float) -> list[tuple[float, float]]:
     """Eigenvalue as a function of interval length, computed on (0, l)."""
     out = []
     for length in lengths:
-        res = principal_eigenvalue(kernel, d1, (0.0, float(length)), dx, method=method)
+        res = principal_eigenvalue(kernel, d1, (0.0, float(length)), dx)
         out.append((float(length), res.lambda_p))
     return out

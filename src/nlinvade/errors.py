@@ -27,10 +27,6 @@ class ZeroMass(KernelError):
     pass
 
 
-class GridMismatch(KernelError):
-    pass
-
-
 # -- eigenvalue ---------------------------------------------------------
 
 class EigenError(NlinvadeError):
@@ -56,10 +52,6 @@ class NotInTheta2(DynamicsError):
 
 
 class AssumptionViolated(DynamicsError):
-    pass
-
-
-class InvalidSigma(DynamicsError):
     pass
 
 

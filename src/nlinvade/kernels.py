@@ -42,7 +42,6 @@ from scipy.special import erf
 
 from .errors import (
     AsymmetricKernel,
-    GridMismatch,
     NegativeDensity,
     ZeroAtOrigin,
     ZeroMass,
@@ -283,14 +282,6 @@ def validate_kernel(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel
     raise ValueError(f"unknown kernel form {spec.form!r}")
 
 
-def kernel_cdf(kernel: ValidatedKernel, s) -> np.ndarray | float:
-    """Cumulative mass of the kernel up to s; clamps to {0, 1} outside support."""
-    out = kernel.cdf(s)
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
-
-
 def cell_weights(nodes: np.ndarray, dx: float, a: float, b: float) -> np.ndarray:
     """Length of each node cell covered by [a, b].
 
@@ -414,49 +405,3 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
         return np.convolve(values, masses, mode="full")[half : half + values.size]
     return np.convolve(values, masses, mode=mode)
 
-
-def convolve(
-    kernel: ValidatedKernel,
-    field_values: np.ndarray,
-    nodes: np.ndarray,
-    support: tuple[float, float],
-    x: float,
-) -> float:
-    """Quadrature of ∫_support J(x−y)·field(y) dy on a uniform grid.
-
-    The kernel's discrete mass on this grid alignment is divided out so a
-    constant field convolves to that constant exactly.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    field_values = np.asarray(field_values, dtype=float)
-    if nodes.ndim != 1 or nodes.shape != field_values.shape or nodes.size < 2:
-        raise GridMismatch("field and node arrays must be 1-d and of equal length >= 2")
-    dx = nodes[1] - nodes[0]
-    if dx <= 0 or np.max(np.abs(np.diff(nodes) - dx)) > 1e-9 * dx:
-        raise GridMismatch("nodes must be uniformly spaced and increasing")
-    a, b = support
-    if not (a < b):
-        raise GridMismatch("support interval is empty")
-    if a < nodes[0] - 0.5 * dx - 1e-9 * dx or b > nodes[-1] + 0.5 * dx + 1e-9 * dx:
-        raise GridMismatch("grid does not cover the support interval")
-    if x < nodes[0] - 1e-9 * dx or x > nodes[-1] + 1e-9 * dx:
-        raise GridMismatch("evaluation point outside the sampled window")
-
-    R = kernel.support_radius
-    lo = max(a, x - R)
-    hi = min(b, x + R)
-    cell_lo = np.maximum(nodes - 0.5 * dx, lo)
-    cell_hi = np.minimum(nodes + 0.5 * dx, hi)
-    weights = np.clip(cell_hi - cell_lo, 0.0, dx)
-    mids = np.where(weights > 0, 0.5 * (cell_lo + cell_hi), nodes)
-    vals = np.asarray(kernel.evaluate(x - mids), dtype=float)
-
-    # Unit-mass normalisation on the same grid alignment, full support.
-    delta = math.remainder(x - nodes[0], dx)
-    half = int(math.ceil(R / dx + 0.5))
-    offs = delta + np.arange(-half, half + 1) * dx
-    ncover, nmids = _clipped_cells(offs, dx, R)
-    norm = float(np.dot(np.asarray(kernel.evaluate(nmids), dtype=float), ncover))
-    if norm <= 0:
-        raise ZeroMass("kernel has zero discrete mass on this grid")
-    return float(np.dot(vals * weights, field_values) / norm)

@@ -1,6 +1,12 @@
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlinvade.config import (
+    KNOWN_KEYS,
+    SECTIONS,
     apply_override,
     build_scenario,
     parse_config_text,
@@ -161,3 +167,87 @@ class TestBuild:
         with pytest.raises(ConfigInvalid) as err:
             build_scenario(mapping)
         assert err.value.path == "diagnostics.L_dev"
+
+    @pytest.mark.parametrize(
+        "mapping, path",
+        [
+            ({"numerics": 2}, "numerics"),
+            ({"initial": ""}, "initial"),
+            ({"sweep": [1, 2]}, "sweep"),
+            ({"params": {1: 2.0}}, "params"),
+        ],
+    )
+    def test_section_must_be_a_table_of_named_keys(self, mapping, path):
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("params", "mu", 10**400), ("sweep", "cap", -(10**400)), ("eigen", "lengths", [1.0, 10**400])],
+    )
+    def test_int_beyond_float_range_rejected(self, section, key, value):
+        mapping = parse_config_text(MINIMAL)
+        mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == f"{section}.{key}"
+
+
+# Strings come from a small alphabet without "/", so a table path can only
+# name a missing file or a directory relative to an empty base directory.
+TEXT = st.text(alphabet='ab.#= "[]', max_size=6)
+SCALARS = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([10**400, -(10**400)]),  # beyond the float range
+    st.floats(),  # nan and inf included
+    st.booleans(),
+    TEXT,
+    st.sampled_from(["uniform", "triangular", "truncated_gaussian", "tabulated", "table", "cosine"]),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=4),
+    st.dictionaries(TEXT, SCALARS, max_size=3),
+)
+
+
+def section_body(name):
+    """A table of mostly known keys (some junk or not strings), or a non-table."""
+    names = sorted(KNOWN_KEYS.get(name, ()))
+    if name == "sweep":
+        names += ["axis.params.mu", "axis.params.zeta"]
+    keys = st.one_of(st.sampled_from(names or ["zeta"]), TEXT, st.integers(0, 3))
+    return st.one_of(
+        st.dictionaries(keys, VALUES, max_size=3),
+        SCALARS,
+        st.lists(SCALARS, max_size=3),
+    )
+
+
+MAPPINGS = st.fixed_dictionaries({}, optional={name: section_body(name) for name in SECTIONS})
+
+
+class TestBuildFuzz:
+    @given(
+        start_minimal=st.booleans(),
+        sections=MAPPINGS,
+        junk=st.sampled_from([None, None, None, "zeta", 3]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_builds_or_raises_config_invalid(self, start_minimal, sections, junk):
+        # A table section is merged key by key into the minimal scenario, so
+        # some mappings build; any other section replaces it whole.
+        mapping = parse_config_text(MINIMAL) if start_minimal else {}
+        if junk is not None:
+            sections[junk] = {}
+        for name, body in sections.items():
+            if isinstance(body, dict) and isinstance(mapping.get(name), dict):
+                mapping[name].update(body)
+            else:
+                mapping[name] = body
+        with tempfile.TemporaryDirectory() as base_dir:
+            try:
+                build_scenario(mapping, base_dir=base_dir)
+            except ConfigInvalid:
+                pass

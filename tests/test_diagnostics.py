@@ -11,13 +11,10 @@ from nlinvade.diagnostics import (
     RegimeReport,
     comparison_bound_check,
     detect_regime,
-    metrics,
     verify_theorems,
-    windowed_mass_u,
-    windowed_mean_v,
 )
 from nlinvade.dynamics import ModelParams
-from nlinvade.errors import OutOfScope, SeriesTooShort, Undecided, WindowTooSmall
+from nlinvade.errors import OutOfScope, SeriesTooShort, Undecided
 from nlinvade.kernels import KernelSpec, validate_kernel
 from nlinvade.simulator import Profile, TimeSeries, init_state
 
@@ -58,34 +55,6 @@ def synthetic_series(
         sup_v=sup_v_fn(t),
         metrics_L=2.0,
     )
-
-
-class TestMetrics:
-    def test_zero_invader(self):
-        s = make_state()
-        s = replace(s, u=np.zeros_like(s.u))
-        m = metrics(s, 2.0)
-        assert m.mass_u == 0.0
-        assert m.sup_u == 0.0
-
-    def test_flat_native(self):
-        m = metrics(make_state(), 2.0)
-        assert m.v_dev_L == 0.0
-
-    def test_flat_invader_mass(self):
-        s = make_state()
-        flat = np.where((s.x > -1.0) & (s.x < 1.0), 1.0, 0.0)
-        s = replace(s, u=flat)
-        assert metrics(s, 2.0).mass_u == pytest.approx(2.0, abs=0.06)
-
-    def test_window_guard(self):
-        with pytest.raises(WindowTooSmall):
-            metrics(make_state(), 100.0)
-
-    def test_windowed_quantities(self):
-        s = make_state()
-        assert windowed_mean_v(s, 0.0, 1.5) == pytest.approx(1.0, abs=1e-12)
-        assert windowed_mass_u(s, 0.0, 2.0) == pytest.approx(4.0 / np.pi, abs=1e-3)
 
 
 class TestDetectRegime:

@@ -17,9 +17,7 @@ from nlinvade.dynamics import (
     ModelParams,
     attractor_bounds,
     equilibria_and_class,
-    f_value,
-    invariant_region_check,
-    make_invariant_region,
+    f_coefficients,
     ode_trajectory,
     plateau_value,
     theta_classify,
@@ -28,7 +26,6 @@ from nlinvade.dynamics import (
 )
 from nlinvade.errors import (
     AssumptionViolated,
-    InvalidSigma,
     NotInTheta2,
     StepTooLarge,
 )
@@ -196,7 +193,9 @@ class TestXStar:
         rep = theta_classify(p)
         assert len(rep.roots_in_unit_interval) == 1
         assert x_star(rep) == pytest.approx(math.sqrt(2.2 / 3.0), abs=1e-7)
-        assert f_value(p, x_star(rep)) == pytest.approx(0.0, abs=1e-9)
+        a, b, c = f_coefficients(p)
+        s = x_star(rep)
+        assert (a * s + b) * s + c == pytest.approx(0.0, abs=1e-9)
 
 
 class TestAttractorBounds:
@@ -231,35 +230,3 @@ class TestAttractorBounds:
         assert np.all(np.diff(it.upper_v) <= 1e-15)
         if it.outcome == "coexistence_limits":
             assert h * it.lower_u[-1] < 1.0 + 1e-12
-
-
-class TestInvariantRegion:
-    def test_worked_example(self):
-        p = params(gamma=1.0, h_comp=1.0, k=0.5, d1=0.8, d2=1.0)
-        region = make_invariant_region(p, sigma=0.8, epsilon_cap=0.05)
-        assert region.epsilon == pytest.approx(0.05)
-        assert region.M_sigma == pytest.approx(0.15)
-        eps2 = region.epsilon**2
-        verdict = invariant_region_check(p, region, m1_bound=eps2, m2_bound=eps2)
-        assert verdict.holds
-        assert verdict.u_margin == pytest.approx(-0.1 * region.epsilon, abs=1e-15)
-        assert f_value(p, 0.8) == pytest.approx(-0.94)
-        assert verdict.v_margin == pytest.approx(eps2 + 0.2 * 0.05 - 0.94, abs=1e-12)
-
-    def test_zero_forcing_identity(self):
-        p = params(gamma=1.0, h_comp=1.0, k=0.5, d1=0.8, d2=1.0)
-        region = make_invariant_region(p, sigma=0.8, epsilon_cap=0.05)
-        verdict = invariant_region_check(p, region, 0.0, 0.0)
-        assert verdict.u_margin == pytest.approx(-region.M_sigma * region.epsilon, abs=1e-16)
-
-    def test_invalid_sigma(self):
-        p = params(gamma=1.0, h_comp=1.0, k=0.5, d1=0.8, d2=1.0)
-        lo = p.d1_tilde / p.k
-        with pytest.raises(InvalidSigma):
-            make_invariant_region(p, sigma=lo, epsilon_cap=0.05)
-        with pytest.raises(InvalidSigma):
-            make_invariant_region(p, sigma=1.0, epsilon_cap=0.05)
-
-    def test_needs_positive_d1_tilde(self):
-        with pytest.raises(AssumptionViolated):
-            make_invariant_region(params(d1=0.1, k=0.5), sigma=0.5, epsilon_cap=0.01)

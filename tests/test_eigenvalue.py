@@ -124,14 +124,14 @@ class TestInvariants:
 
 
 class TestErrors:
-    def test_no_convergence_at_tiny_cap(self):
+    def test_no_convergence_at_tiny_cap(self, monkeypatch):
+        from nlinvade import eigenvalue
         from nlinvade.errors import NoConvergence
 
+        monkeypatch.setattr(eigenvalue, "MAX_ITER", 2)
+        monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 1e-15)
         with pytest.raises(NoConvergence):
-            principal_eigenvalue(
-                UNI, 1.0, (0.0, 30.0), 0.025, method="power",
-                max_iter=2, residual_tol=1e-15,
-            )
+            principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025, method="power")
 
     def test_degenerate_interval(self):
         with pytest.raises(DegenerateInterval):

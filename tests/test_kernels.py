@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from nlinvade.errors import (
     AsymmetricKernel,
-    GridMismatch,
     NegativeDensity,
     ZeroAtOrigin,
     ZeroMass,
@@ -16,10 +15,8 @@ from nlinvade.errors import (
 from nlinvade.kernels import (
     KernelSpec,
     cell_weights,
-    convolve,
     grid_convolve,
     grid_stencil,
-    kernel_cdf,
     validate_kernel,
 )
 
@@ -106,11 +103,11 @@ class TestValidation:
 class TestCdf:
     def test_uniform_values(self):
         k = uniform_kernel()
-        assert kernel_cdf(k, 0.0) == 0.5
-        assert kernel_cdf(k, -1.0) == 0.0
-        assert kernel_cdf(k, -0.5) == 0.25
-        assert kernel_cdf(k, 5.0) == 1.0
-        assert kernel_cdf(k, -5.0) == 0.0
+        assert k.cdf(0.0) == 0.5
+        assert k.cdf(-1.0) == 0.0
+        assert k.cdf(-0.5) == 0.25
+        assert k.cdf(5.0) == 1.0
+        assert k.cdf(-5.0) == 0.0
 
     @pytest.mark.parametrize(
         "make",
@@ -119,9 +116,9 @@ class TestCdf:
     def test_cdf_edges_and_monotone(self, make):
         k = make()
         R = k.support_radius
-        assert kernel_cdf(k, -R) == pytest.approx(0.0, abs=1e-15)
-        assert kernel_cdf(k, R) == pytest.approx(1.0, abs=1e-15)
-        assert kernel_cdf(k, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert k.cdf(-R) == pytest.approx(0.0, abs=1e-15)
+        assert k.cdf(R) == pytest.approx(1.0, abs=1e-15)
+        assert k.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
         s = np.linspace(-1.2 * R, 1.2 * R, 501)
         vals = k.cdf(s)
         assert np.all(np.diff(vals) >= -1e-15)
@@ -130,13 +127,13 @@ class TestCdf:
     @settings(max_examples=100, deadline=None)
     def test_mass_symmetry(self, s):
         k = gaussian_kernel()
-        assert kernel_cdf(k, s) + kernel_cdf(k, -s) == pytest.approx(1.0, abs=5e-12)
+        assert k.cdf(s) + k.cdf(-s) == pytest.approx(1.0, abs=5e-12)
 
     def test_tabulated_cdf_quadrature(self):
         k = validate_kernel(KernelSpec.tabulated(gaussian_table()), DX)
-        assert kernel_cdf(k, 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert kernel_cdf(k, k.support_radius) == 1.0
-        assert kernel_cdf(k, -k.support_radius) == 0.0
+        assert k.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert k.cdf(k.support_radius) == 1.0
+        assert k.cdf(-k.support_radius) == 0.0
 
 
 def clip_form_cdf(spec):
@@ -293,69 +290,6 @@ class TestFlatStencil:
     )
     def test_other_kernels_not_flat(self, spec):
         assert grid_stencil(validate_kernel(spec, DX), DX).box is None
-
-
-class TestConvolve:
-    def test_constant_field_full_support(self):
-        k = gaussian_kernel()
-        nodes = np.arange(-4.0, 4.0 + DX / 2, DX)
-        f = np.ones_like(nodes)
-        out = convolve(k, f, nodes, (-4.0, 4.0), 0.3)
-        assert out == pytest.approx(1.0, abs=1e-10)
-
-    def test_constant_field_scales(self):
-        k = uniform_kernel()
-        nodes = np.arange(-3.0, 3.0 + DX / 2, DX)
-        f = np.full_like(nodes, 2.5)
-        out = convolve(k, f, nodes, (-3.0, 3.0), -0.7)
-        assert out == pytest.approx(2.5, abs=1e-10)
-
-    def test_half_overlap(self):
-        k = uniform_kernel()
-        nodes = np.arange(0.0, 4.0 + DX / 2, DX)
-        f = np.ones_like(nodes)
-        out = convolve(k, f, nodes, (0.0, 4.0), 4.0)
-        assert out == pytest.approx(0.5, abs=1e-10)
-
-    def test_zero_field(self):
-        k = uniform_kernel()
-        nodes = np.arange(-2.0, 2.0 + DX / 2, DX)
-        out = convolve(k, np.zeros_like(nodes), nodes, (-2.0, 2.0), 0.0)
-        assert out == 0.0
-
-    def test_grid_mismatch(self):
-        k = uniform_kernel()
-        nodes = np.arange(-1.0, 1.0 + DX / 2, DX)
-        f = np.ones_like(nodes)
-        with pytest.raises(GridMismatch):
-            convolve(k, f, nodes, (-2.0, 2.0), 0.0)  # support not covered
-        with pytest.raises(GridMismatch):
-            convolve(k, f, nodes, (-1.0, 1.0), 3.0)  # x outside window
-        with pytest.raises(GridMismatch):
-            convolve(k, f[:-1], nodes, (-1.0, 1.0), 0.0)  # length mismatch
-        bad = nodes.copy()
-        bad[3] += 0.01
-        with pytest.raises(GridMismatch):
-            convolve(k, f, bad, (-1.0, 1.0), 0.0)
-
-    @given(
-        st.integers(min_value=0, max_value=160),
-        st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linearity(self, i, alpha, beta):
-        k = uniform_kernel()
-        nodes = np.arange(-2.0, 2.0 + DX / 2, DX)
-        rng = np.random.default_rng(7)
-        f = rng.uniform(-1.0, 1.0, nodes.size)
-        g = rng.uniform(-1.0, 1.0, nodes.size)
-        x = nodes[i % nodes.size]
-        combo = convolve(k, alpha * f + beta * g, nodes, (-2.0, 2.0), x)
-        parts = alpha * convolve(k, f, nodes, (-2.0, 2.0), x) + beta * convolve(
-            k, g, nodes, (-2.0, 2.0), x
-        )
-        assert combo == pytest.approx(parts, abs=1e-12)
 
 
 class TestCellWeights:

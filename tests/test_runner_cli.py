@@ -7,6 +7,7 @@ from nlinvade.config import build_scenario, parse_config_text
 from nlinvade.errors import GridTooLarge
 from nlinvade.output import TIMESERIES_HEADER
 from nlinvade import runner
+from nlinvade.eigenvalue import RESIDUAL_TOL
 from nlinvade.runner import run_scenario, sweep
 
 BASE = """
@@ -99,6 +100,18 @@ class TestRunScenario:
         assert "native_upper_bound" in names and len(names) >= 2
         for check in checks:
             assert list(check) == ["name", "pass", "margin", "details"]
+
+    def test_eigensolve_in_vanishing_check_details(self, tmp_path):
+        text = BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01")
+        text = text.replace("h0 = 1.0", "h0 = 0.2").replace("T = 3.0", "T = 20.0")
+        outcome = run_scenario(scenario(text), outdir=tmp_path / "run", check_theorems=True)
+        assert outcome.report["regime"] == "vanishing"
+        (check,) = [c for c in outcome.report["theorem_checks"]
+                    if c["name"] == "vanishing_eigenvalue_bound"]
+        details = check["details"]
+        assert details["method"] == "dense"  # a short interval, below DENSE_THRESHOLD nodes
+        assert details["iterations"] == 0
+        assert 0.0 <= details["residual"] <= RESIDUAL_TOL
 
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"
