@@ -14,9 +14,9 @@ from nlinvade.diagnostics import (
     verify_theorems,
 )
 from nlinvade.dynamics import ModelParams
-from nlinvade.errors import OutOfScope, SeriesTooShort, Undecided
+from nlinvade.errors import OutOfScope, SeriesTooShort, Undecided, WindowTooSmall
 from nlinvade.kernels import KernelSpec, validate_kernel
-from nlinvade.simulator import Profile, TimeSeries, init_state
+from nlinvade.simulator import Profile, TimeSeries, init_state, integrate_u, run, v_deviation
 
 UNI = validate_kernel(KernelSpec.uniform(1.0), 0.05)
 
@@ -55,6 +55,31 @@ def synthetic_series(
         sup_v=sup_v_fn(t),
         metrics_L=2.0,
     )
+
+
+class TestMetrics:
+    """The recorded metrics: `integrate_u`, `v_deviation` and the series' sup u."""
+
+    def test_zero_invader(self):
+        s = make_state()
+        s = replace(s, u=np.zeros_like(s.u))
+        series = run(s, 0.0, 0.01, 1.0, metrics_L=2.0).series
+        assert integrate_u(s) == 0.0
+        assert series.mass_u[0] == 0.0
+        assert series.sup_u[0] == 0.0
+
+    def test_flat_native(self):
+        assert v_deviation(make_state(), 2.0) == 0.0
+
+    def test_flat_invader_mass(self):
+        s = make_state()
+        flat = np.where((s.x > -1.0) & (s.x < 1.0), 1.0, 0.0)
+        s = replace(s, u=flat)
+        assert integrate_u(s) == pytest.approx(2.0, abs=0.06)
+
+    def test_window_guard(self):
+        with pytest.raises(WindowTooSmall):
+            v_deviation(make_state(), 100.0)
 
 
 class TestDetectRegime:

@@ -440,12 +440,7 @@ class TestRun:
     def test_metrics_values(self):
         s = make_state()
         assert integrate_u(s) == pytest.approx(4.0 / np.pi, abs=1e-3)
-        assert v_deviation(s, 2.0) == 0.0  # flat native
-        assert integrate_u(replace(s, u=np.zeros_like(s.u))) == 0.0
-        flat = np.where((s.x > -1.0) & (s.x < 1.0), 1.0, 0.0)
-        assert integrate_u(replace(s, u=flat)) == pytest.approx(2.0, abs=0.06)
-        with pytest.raises(WindowTooSmall):
-            v_deviation(s, 100.0)
+        assert v_deviation(s, 2.0) == 0.0
 
     def test_profile_cadence(self):
         res = run(make_state(), 2.0, 0.01, 0.25, profile_every=0.5)
