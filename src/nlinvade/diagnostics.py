@@ -32,6 +32,7 @@ from .simulator import SimState, TimeSeries
 TRAILING_FRACTION = 0.2
 DEFAULT_EPS_FRONT = 1e-5
 DEFAULT_EPS_MASS = 1e-3
+PLATEAU_TOL = 1e-2  # |u - plateau level| below which a node matches the plateau
 
 VANISHING = "vanishing"
 SPREADING = "spreading"
@@ -150,10 +151,10 @@ def _masked_recovery(state: SimState, Lc: float, g_est: float, h_est: float):
     return float(np.dot(w[mask], dev[mask])), float(dev[mask].max())
 
 
-def _plateau_scan(state: SimState, level: float, tol: float) -> dict:
-    """Longest run of consecutive interior nodes with |u - level| < tol."""
+def _plateau_scan(state: SimState, level: float) -> dict:
+    """Longest run of consecutive interior nodes with |u - level| < PLATEAU_TOL."""
     inside = (state.x > state.g_front) & (state.x < state.h_front)
-    close = inside & (np.abs(state.u - level) < tol)
+    close = inside & (np.abs(state.u - level) < PLATEAU_TOL)
     best = cur = 0
     for flag in close:
         cur = cur + 1 if flag else 0
@@ -173,7 +174,6 @@ def verify_theorems(
     sup_u_tol: float = 5e-2,
     center_tol: float = 1e-2,
     compact_halfwidth: Optional[float] = None,
-    plateau_tol: float = 1e-2,
 ) -> list[TheoremCheck]:
     """Consistency checks of a decided run against the proven dichotomy.
 
@@ -259,7 +259,7 @@ def verify_theorems(
             )
         else:
             level = plateau_value(theta)
-            scan = _plateau_scan(final_state, level, plateau_tol)
+            scan = _plateau_scan(final_state, level)
             scan["route"] = "exceptional_class"
             scan["branch"] = "plateau_pattern" if scan["match"] else "clean_extinction"
             # The scan reports which branch the data matches; neither

@@ -318,7 +318,7 @@ def sweep(
 
     results: dict[int, dict] = {}
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for index, row in pool.map(_sweep_cell, tasks):
                 results[index] = row
     else:

@@ -16,7 +16,7 @@ boundary laws to single ones), then updates the fields from the current
 state.  Nodes that the fronts newly cover enter with u = 0 and fill by
 dispersal influx alone.  The nonlocal operator is bounded, so the step
 restriction is grid independent; `stability_bound` gives the conservative
-dt cap used by scenario validation.
+dt cap that scenario validation and `run` enforce.
 
 Support invariant: u vanishes at every node outside (g_front, h_front).
 It holds for the initial profile, and each step writes the updated u only
@@ -155,15 +155,11 @@ def _coefficients(params) -> GeneralParams:
     raise TypeError("params must be ModelParams or GeneralParams")
 
 
-def stability_bound(params: ModelParams) -> float:
-    """Conservative explicit-step cap, independent of the grid."""
-    denom = (
-        params.d1
-        + params.d2
-        + params.gamma * (1.0 + params.h_comp + 2.0)
-        + (1.0 + params.k + 2.0)
-    )
-    return 0.2 / denom
+def stability_bound(params) -> float:
+    """Conservative explicit-step cap for either parameter kind, independent
+    of the grid."""
+    c = _coefficients(params)
+    return 0.2 / (c.D1 + c.D2 + (c.a2 + c.c2 + 2.0 * c.b2) + (c.a1 + c.c1 + 2.0 * c.b1))
 
 
 # -- initial profiles ------------------------------------------------------
@@ -561,6 +557,9 @@ def run(
         raise ValueError("T must be nonnegative and finite")
     if snapshot_every <= 0:
         raise ValueError("snapshot_every must be positive")
+    bound = stability_bound(state.coef)
+    if dt > bound:
+        raise StabilityViolated(f"dt={dt} exceeds the stability bound {bound:.6g}", t=state.t)
     if metrics_L is None:
         metrics_L = min(2.0 * state.h0, min(-state.x_min, state.x_max))
     v_deviation(state, metrics_L)  # raises WindowTooSmall up front

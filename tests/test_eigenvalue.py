@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from nlinvade.errors import DegenerateInterval
+from nlinvade import eigenvalue
+from nlinvade.errors import DegenerateInterval, NoConvergence
 from nlinvade.eigenvalue import eigen_curve, principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 
@@ -11,8 +15,8 @@ UNI = validate_kernel(KernelSpec.uniform(1.0), 0.025)
 GAUSS = validate_kernel(KernelSpec.truncated_gaussian(1.0, 2.0), 0.05)
 
 
-def lam(kernel, d1, interval, dx, **kw):
-    return principal_eigenvalue(kernel, d1, interval, dx, **kw).lambda_p
+def lam(kernel, d1, interval, dx):
+    return principal_eigenvalue(kernel, d1, interval, dx).lambda_p
 
 
 class TestRankOneOracle:
@@ -39,11 +43,11 @@ class TestRankOneOracle:
         assert res.residual <= 1e-8
 
     def test_power_on_a_long_flat_stencil(self):
-        # 2 001 flat taps at dx = 0.001: the power matvec convolves by prefix sums.
+        # 2 001 flat taps at dx = 0.001: the ARPACK matvec convolves by prefix sums.
         kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
         d1 = 1.2
-        res = principal_eigenvalue(kernel, d1, (0.0, 0.8), 0.001, method="power")
-        assert res.method == "power"
+        res = principal_eigenvalue(kernel, d1, (0.0, 0.8), 0.001)
+        assert res.method == "arpack"
         assert res.lambda_p == pytest.approx(d1 * (0.8 / 2.0 - 1.0), abs=1e-10)
 
 
@@ -91,14 +95,38 @@ class TestInvariants:
             val = lam(kernel, d1, (0.0, length), dx)
             assert -d1 < val < 0.0
 
-    def test_power_matches_dense(self):
-        # 400-node grid, both solver paths on the same operator.
-        for kernel in (UNI, GAUSS):
+    def test_power_matches_dense(self, monkeypatch):
+        # Both solver paths on the same operator; at 16-20 nodes ARPACK's
+        # Krylov space spans the whole grid.
+        for kernel, nodes in itertools.product((UNI, GAUSS), (16, 17, 20, 21, 400)):
             dx = kernel.support_radius / 40
-            length = 399 * dx
-            dense = lam(kernel, 1.0, (0.0, length), dx, method="dense")
-            power = lam(kernel, 1.0, (0.0, length), dx, method="power")
-            assert power == pytest.approx(dense, abs=1e-8)
+            interval = (0.0, (nodes - 1) * dx)
+            arpack = principal_eigenvalue(kernel, 1.0, interval, dx)
+            with monkeypatch.context() as m:
+                m.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
+                dense = principal_eigenvalue(kernel, 1.0, interval, dx)
+            assert (arpack.nodes.size, arpack.method, dense.method) == (nodes, "arpack", "dense")
+            assert arpack.lambda_p == pytest.approx(dense.lambda_p, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "kernel, length",
+        [(UNI, 1.0), (UNI, 20.0), (GAUSS, 6.0)],
+        ids=["uniform-rank-one", "uniform", "gaussian"],
+    )
+    def test_arpack_deterministic(self, kernel, length):
+        # The rank-one interval (l <= L0) breaks the Krylov space down after
+        # one step, so ARPACK restarts from a random vector.
+        dx = kernel.support_radius / 40
+        first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
+        again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
+        eigen_curve(UNI, 0.7, [0.5, 3.0, 0.9], 0.025)
+        eigen_curve(GAUSS, 1.3, [4.0], 0.05)
+        after = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
+        assert first.method == "arpack"
+        for res in (again, after):
+            assert res.lambda_p == first.lambda_p
+            assert res.iterations == first.iterations
+            assert np.array_equal(res.eigenfunction, first.eigenfunction)
 
     def test_eigenfunction_positive(self):
         res = principal_eigenvalue(GAUSS, 1.0, (0.0, 6.0), 0.05)
@@ -118,20 +146,26 @@ class TestInvariants:
         assert -d1 < a < 0.0
 
     def test_residual_reported(self):
-        res = principal_eigenvalue(UNI, 1.0, (0.0, 20.0), 0.025, method="power")
+        res = principal_eigenvalue(UNI, 1.0, (0.0, 20.0), 0.025)
+        assert res.method == "arpack"
         assert res.residual <= 1e-8
         assert res.iterations > 0
 
 
 class TestErrors:
     def test_no_convergence_at_tiny_cap(self, monkeypatch):
-        from nlinvade import eigenvalue
-        from nlinvade.errors import NoConvergence
+        def unconverged(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(eigenvalue, "MAX_ITER", 2)
-        monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 1e-15)
-        with pytest.raises(NoConvergence):
-            principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025, method="power")
+        with monkeypatch.context() as m:
+            m.setattr(eigenvalue, "eigs", unconverged)
+            with pytest.raises(NoConvergence):
+                principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
+        # A residual above RESIDUAL_TOL fails the returned pair on both paths.
+        monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 0.0)
+        for length in (30.0, 0.2):
+            with pytest.raises(NoConvergence):
+                principal_eigenvalue(GAUSS, 1.0, (0.0, length), 0.05)
 
     def test_degenerate_interval(self):
         with pytest.raises(DegenerateInterval):
@@ -144,5 +178,3 @@ class TestErrors:
             principal_eigenvalue(UNI, -1.0, (0.0, 1.0), 0.025)
         with pytest.raises(ValueError):
             principal_eigenvalue(UNI, 1.0, (0.0, 1.0), -0.1)
-        with pytest.raises(ValueError):
-            principal_eigenvalue(UNI, 1.0, (0.0, 1.0), 0.025, method="magic")

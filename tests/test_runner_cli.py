@@ -165,6 +165,30 @@ class TestSweep:
         _, rows2 = sweep(scenario(text), outdir=tmp_path / "s2", check_theorems=False, jobs=2)
         assert rows1 == rows2
 
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # A stand-in pool records max_workers and maps serially, so no
+        # process starts.
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n"
+        _, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=500)
+        assert seen == [2]
+        assert len(rows) == 2
+
     def test_mu_dichotomy(self, tmp_path):
         # Small front response pins the invader (vanishing); a large one
         # lets it escape (spreading).

@@ -517,3 +517,17 @@ class TestStabilityBound:
     def test_h2_scenario_below_002(self):
         p = params(d1=1.0, d2=1.0, k=0.5, h_comp=2.0, gamma=1.0)
         assert stability_bound(p) < 0.02
+
+    def test_general_params_bound(self):
+        gp = GeneralParams(D1=2.0, D2=1.5, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.2,
+                           c2=0.4, mu_hat=3.0, H0=0.8)
+        assert stability_bound(gp) == pytest.approx(0.2 / 10.8)
+
+    def test_run_above_bound_raises(self):
+        gp = GeneralParams(D1=2.0, D2=1.5, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.2,
+                           c2=0.4, mu_hat=3.0, H0=0.8)
+        s = init_state(gp, UNI, UNI, Profile.cosine(1.0), Profile.constant(0.9), 0.05, 3.0)
+        bound = stability_bound(gp)
+        with pytest.raises(StabilityViolated):
+            run(s, 1.0, 1.01 * bound, 0.5)
+        assert run(s, 0.1, bound, 0.05).final_state.t == pytest.approx(0.1)
