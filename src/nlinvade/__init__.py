@@ -6,7 +6,7 @@ Subpackage map:
   dynamics    spatially homogeneous system: equilibria, classification,
               plateau level, bound iteration
   simulator   the coupled free-boundary field solver (reduced and general form)
-  diagnostics regime detection, consistency checks
+  diagnostics regime detection, consistency checks, their tolerance record
   config      scenario configuration (sectioned key=value text)
   runner      scenario execution, parameter sweeps, file emission
   cli         command-line entry points

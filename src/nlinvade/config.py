@@ -12,54 +12,16 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams, validate_params
 from .errors import ConfigInvalid
 from .kernels import KernelSpec, validate_kernel
 from .simulator import Profile, stability_bound
-
-SECTIONS = (
-    "params",
-    "kernel_u",
-    "kernel_v",
-    "initial",
-    "numerics",
-    "diagnostics",
-    "output",
-    "eigen",
-    "ode",
-    "sweep",
-)
-
-KNOWN_KEYS = {
-    "params": {"d1", "d2", "k", "h_comp", "gamma", "mu", "h0"},
-    "kernel_u": {"form", "L0", "sigma", "table"},
-    "kernel_v": {"form", "L0", "sigma", "table"},
-    "initial": {"u_profile", "u_max", "u_table", "v_profile", "v_value", "v_table"},
-    "numerics": {"dx", "dt", "T", "snapshot_every", "profile_every", "window_pad"},
-    "diagnostics": {
-        "eps_front",
-        "eps_mass",
-        "L_dev",
-        "compact_halfwidth",
-        "eigen_tol",
-        "center_tol",
-        "sup_u_tol",
-        "v_recovery_tol",
-        "mass_decay_factor",
-        "comparison_slack",
-        "dt_halving",
-    },
-    "output": {"directory"},
-    "eigen": {"lengths"},
-    "ode": {"u0", "v0", "T", "dt"},
-    "sweep": {"cap"},
-}
-
 
 # -- scalar grammar --------------------------------------------------------
 
@@ -199,19 +161,24 @@ class NumericsConfig:
     window_pad: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    eps_front: float = 1e-5
-    eps_mass: float = 1e-3
-    L_dev: float = 2.0
-    compact_halfwidth: float = 2.0
-    eigen_tol: float = 5e-3
-    center_tol: float = 1e-2
-    sup_u_tol: float = 5e-2
-    v_recovery_tol: float = 5e-2
-    mass_decay_factor: float = 100.0
-    comparison_slack: float = 5e-3
-    dt_halving: bool = False
+def _names(record) -> set[str]:
+    return {f.name for f in fields(record)}
+
+
+# The keys of the sections that build a record are that record's fields.
+KNOWN_KEYS = {
+    "params": _names(ModelParams),
+    "kernel_u": _names(KernelSpec),
+    "kernel_v": _names(KernelSpec),
+    "initial": {"u_profile", "u_max", "u_table", "v_profile", "v_value", "v_table"},
+    "numerics": _names(NumericsConfig),
+    "diagnostics": _names(DiagnosticsConfig),
+    "output": {"directory"},
+    "eigen": {"lengths"},
+    "ode": {"u0", "v0", "T", "dt"},
+    "sweep": {"cap"},
+}
+SECTIONS = tuple(KNOWN_KEYS)
 
 
 @dataclass(frozen=True)
@@ -393,20 +360,15 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     default_pad = max(2.5 * L0max, params.h0, 10 * dx)
     window_pad = _need_positive(mapping, "numerics", "window_pad", default_pad)
 
-    L_dev_default = min(2.0 * params.h0, params.h0 + window_pad)
-    diag = DiagnosticsConfig(
-        eps_front=_need_positive(mapping, "diagnostics", "eps_front", 1e-5),
-        eps_mass=_need_positive(mapping, "diagnostics", "eps_mass", 1e-3),
-        L_dev=_need_positive(mapping, "diagnostics", "L_dev", L_dev_default),
-        compact_halfwidth=_need_positive(mapping, "diagnostics", "compact_halfwidth", 2.0 * params.h0),
-        eigen_tol=_need_positive(mapping, "diagnostics", "eigen_tol", 5e-3),
-        center_tol=_need_positive(mapping, "diagnostics", "center_tol", 1e-2),
-        sup_u_tol=_need_positive(mapping, "diagnostics", "sup_u_tol", 5e-2),
-        v_recovery_tol=_need_positive(mapping, "diagnostics", "v_recovery_tol", 5e-2),
-        mass_decay_factor=_need_positive(mapping, "diagnostics", "mass_decay_factor", 100.0),
-        comparison_slack=_need_positive(mapping, "diagnostics", "comparison_slack", 5e-3),
-        dt_halving=_boolean(mapping, "diagnostics", "dt_halving", False),
-    )
+    # Every default is on DiagnosticsConfig except the two that scale with h0.
+    h0_scaled = {"L_dev": min(2.0 * params.h0, params.h0 + window_pad),
+                 "compact_halfwidth": 2.0 * params.h0}
+    diag_values = {}
+    for f in fields(DiagnosticsConfig):
+        read = _boolean if isinstance(f.default, bool) else _need_positive
+        default = h0_scaled.get(f.name, f.default)
+        diag_values[f.name] = read(mapping, "diagnostics", f.name, default)
+    diag = DiagnosticsConfig(**diag_values)
     if diag.L_dev > params.h0 + window_pad:
         raise ConfigInvalid(
             f"L_dev={diag.L_dev} does not fit the initial window half-width "

@@ -5,8 +5,10 @@ undecided) from the front/mass time series the simulator records, and
 consistency checks of a finished run against the model's proven necessary
 conditions and limit profiles.  Whether the invader's range stays bounded
 is undecidable from finite data, so detection is an explicit
-trailing-window surrogate with configurable thresholds, and ``undecided``
-is a first-class outcome.
+trailing-window surrogate, and ``undecided`` is a first-class outcome.
+The detection thresholds and check tolerances come from one
+`DiagnosticsConfig` record (the ``[diagnostics]`` config section), whose
+field defaults are the only copy of each default.
 """
 
 from __future__ import annotations
@@ -30,13 +32,33 @@ from .kernels import ValidatedKernel, cell_weights
 from .simulator import SimState, TimeSeries
 
 TRAILING_FRACTION = 0.2
-DEFAULT_EPS_FRONT = 1e-5
-DEFAULT_EPS_MASS = 1e-3
 PLATEAU_TOL = 1e-2  # |u - plateau level| below which a node matches the plateau
 
 VANISHING = "vanishing"
 SPREADING = "spreading"
 UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True, kw_only=True)
+class DiagnosticsConfig:
+    """Detection thresholds, check tolerances and the dt-halving switch.
+
+    ``L_dev`` (the half-width of the native-deviation metric) and
+    ``compact_halfwidth`` (of the native-recovery check) scale with h0, so
+    they have no default here; `config.build_scenario` derives them.
+    """
+
+    eps_front: float = 1e-5
+    eps_mass: float = 1e-3
+    L_dev: float
+    compact_halfwidth: float
+    eigen_tol: float = 5e-3
+    center_tol: float = 1e-2
+    sup_u_tol: float = 5e-2
+    v_recovery_tol: float = 5e-2
+    mass_decay_factor: float = 100.0
+    comparison_slack: float = 5e-3
+    dt_halving: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,17 +70,9 @@ class RegimeReport:
     final_mass_u: float
     peak_mass_u: float
     final_sup_u: float
-    final_v_dev: float
-    eps_front: float
-    eps_mass: float
 
 
-def detect_regime(
-    series: TimeSeries,
-    T_max: float,
-    eps_front: float = DEFAULT_EPS_FRONT,
-    eps_mass: float = DEFAULT_EPS_MASS,
-) -> RegimeReport:
+def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> RegimeReport:
     """Classify the run from the trailing 20% of the series.
 
     vanishing: trailing range-growth rate below eps_front, final invader
@@ -86,10 +100,10 @@ def detect_regime(
     trail_mass = mass[sel]
     nonincreasing = bool(np.all(np.diff(trail_mass) <= 1e-12 * max(peak, 1e-300)))
 
-    if rate < eps_front and final_mass < eps_mass and nonincreasing:
+    if rate < tol.eps_front and final_mass < tol.eps_mass and nonincreasing:
         regime = VANISHING
         g_est, h_est = float(series.g_front[-1]), float(series.h_front[-1])
-    elif rate > 10.0 * eps_front and final_mass > eps_mass:
+    elif rate > 10.0 * tol.eps_front and final_mass > tol.eps_mass:
         regime = SPREADING
         g_est = h_est = None
     else:
@@ -104,9 +118,6 @@ def detect_regime(
         final_mass_u=final_mass,
         peak_mass_u=peak,
         final_sup_u=float(series.sup_u[-1]),
-        final_v_dev=float(series.v_dev_L[-1]),
-        eps_front=eps_front,
-        eps_mass=eps_mass,
     )
 
 
@@ -127,7 +138,7 @@ class TheoremCheck:
 
 
 def comparison_bound_check(
-    series: TimeSeries, v0_max: float, gamma: float, slack: float = 5e-3
+    series: TimeSeries, v0_max: float, gamma: float, slack: float
 ) -> tuple[bool, float]:
     """sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t) + slack with k1 = v0_max + 1.
 
@@ -168,12 +179,7 @@ def verify_theorems(
     kernel: ValidatedKernel,
     final_state: SimState,
     series: TimeSeries,
-    eigen_tol: float = 5e-3,
-    mass_decay_factor: float = 100.0,
-    v_recovery_tol: float = 5e-2,
-    sup_u_tol: float = 5e-2,
-    center_tol: float = 1e-2,
-    compact_halfwidth: Optional[float] = None,
+    tol: DiagnosticsConfig,
 ) -> list[TheoremCheck]:
     """Consistency checks of a decided run against the proven dichotomy.
 
@@ -206,12 +212,12 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_eigenvalue_bound",
-                passed=eig_margin >= -eigen_tol,
+                passed=eig_margin >= -tol.eigen_tol,
                 margin=eig_margin,
                 details={
                     "lambda_p": eig.lambda_p,
                     "interval": [g_est, h_est],
-                    "tolerance": eigen_tol,
+                    "tolerance": tol.eigen_tol,
                     "method": eig.method,
                     "iterations": eig.iterations,
                     "residual": eig.residual,
@@ -225,20 +231,20 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_mass_decay",
-                passed=final <= peak / mass_decay_factor,
+                passed=final <= peak / tol.mass_decay_factor,
                 margin=min(ratio, 1e12),
-                details={"peak_mass": peak, "final_mass": final, "required_factor": mass_decay_factor},
+                details={"peak_mass": peak, "final_mass": final,
+                         "required_factor": tol.mass_decay_factor},
             )
         )
 
-        Lc = compact_halfwidth if compact_halfwidth is not None else 2.0 * final_state.h0
-        Lc = min(Lc, -final_state.x_min, final_state.x_max)
+        Lc = min(tol.compact_halfwidth, -final_state.x_min, final_state.x_max)
         integral, sup_dev = _masked_recovery(final_state, Lc, g_est, h_est)
         checks.append(
             TheoremCheck(
                 name="vanishing_native_recovery",
-                passed=integral < v_recovery_tol and sup_dev < v_recovery_tol,
-                margin=v_recovery_tol - max(integral, sup_dev),
+                passed=integral < tol.v_recovery_tol and sup_dev < tol.v_recovery_tol,
+                margin=tol.v_recovery_tol - max(integral, sup_dev),
                 details={
                     "v_dev_outside_range": integral,
                     "sup_dev_outside_range": sup_dev,
@@ -252,8 +258,8 @@ def verify_theorems(
             checks.append(
                 TheoremCheck(
                     name="vanishing_invader_sup",
-                    passed=report.final_sup_u < sup_u_tol,
-                    margin=sup_u_tol - report.final_sup_u,
+                    passed=report.final_sup_u < tol.sup_u_tol,
+                    margin=tol.sup_u_tol - report.final_sup_u,
                     details={"final_sup_u": report.final_sup_u, "route": "clean_extinction"},
                 )
             )
@@ -302,8 +308,8 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="spreading_center_limit",
-                passed=dist < center_tol,
-                margin=center_tol - dist,
+                passed=dist < tol.center_tol,
+                margin=tol.center_tol - dist,
                 details={
                     "center_u": u_c,
                     "center_v": v_c,

@@ -121,7 +121,6 @@ class ValidatedKernel:
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     renorm_factor: float = 1.0
-    unit_mass_tolerance: float = 1e-12
 
 
 @dataclass(frozen=True)

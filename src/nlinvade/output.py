@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 TIMESERIES_HEADER = "t,g_front,h_front,mass_u,sup_u,v_dev_L"
+SVG_WIDTH, SVG_HEIGHT = 840, 480
 
 
 def fmt(x: float) -> str:
@@ -115,10 +116,9 @@ def write_profile_svg(
     v: np.ndarray,
     g_front: float,
     h_front: float,
-    width: int = 840,
-    height: int = 480,
 ) -> None:
     """Final-profile plot: u and v polylines with front markers and axes."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pad = 48.0
     x0, x1 = float(x[0]), float(x[-1])
     y0 = 0.0

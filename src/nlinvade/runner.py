@@ -119,9 +119,7 @@ def run_scenario(
     series = result.series
     final = result.final_state
     try:
-        regime = detect_regime(
-            series, cfg.numerics.T, cfg.diagnostics.eps_front, cfg.diagnostics.eps_mass
-        )
+        regime = detect_regime(series, cfg.numerics.T, cfg.diagnostics)
         report["regime"] = regime.regime
         report["fronts"] = {
             "g_front": final.g_front,
@@ -146,19 +144,7 @@ def run_scenario(
     if regime is not None and regime.regime != UNDECIDED:
         try:
             checks.extend(
-                verify_theorems(
-                    regime,
-                    cfg.params,
-                    ku,
-                    final,
-                    series,
-                    eigen_tol=cfg.diagnostics.eigen_tol,
-                    mass_decay_factor=cfg.diagnostics.mass_decay_factor,
-                    v_recovery_tol=cfg.diagnostics.v_recovery_tol,
-                    sup_u_tol=cfg.diagnostics.sup_u_tol,
-                    center_tol=cfg.diagnostics.center_tol,
-                    compact_halfwidth=cfg.diagnostics.compact_halfwidth,
-                )
+                verify_theorems(regime, cfg.params, ku, final, series, cfg.diagnostics)
             )
         except (OutOfScope, Undecided) as exc:
             checks.append(

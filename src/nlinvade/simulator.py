@@ -226,12 +226,12 @@ def _sample_v0(profile: Profile, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimState:
-    """Solver state: time, fronts, fields, grid, parameters, kernels.
+    """Solver state: time, fronts, fields, grid, coefficients, kernels.
 
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
     ``clamp_count`` accumulates gross negative undershoots flushed to zero.
-    ``coef`` holds the coefficients of ``params`` in general form.
+    ``coef`` holds the model coefficients in general form.
     """
 
     t: float
@@ -241,7 +241,6 @@ class SimState:
     v: np.ndarray
     i0: int
     dx: float
-    params: object            # ModelParams or GeneralParams
     j1: ValidatedKernel
     j2: ValidatedKernel
     st1: GridStencil
@@ -305,7 +304,6 @@ def init_state(
         v=v0,
         i0=i0,
         dx=dx,
-        params=params,
         j1=j1,
         j2=j2,
         st1=grid_stencil(j1, dx),
@@ -468,7 +466,6 @@ def step(state: SimState, dt: float) -> SimState:
             v=v_new,
             i0=state.i0,
             dx=state.dx,
-            params=state.params,
             j1=state.j1,
             j2=state.j2,
             st1=state.st1,

@@ -106,6 +106,14 @@ class TestBuild:
         assert cfg.diagnostics.eps_front == 1e-5
         assert cfg.numerics.window_pad >= 2.5  # defaulted from the kernel radius
 
+    def test_h0_scaled_diagnostics_defaults(self):
+        mapping = parse_config_text(MINIMAL)
+        mapping["params"]["h0"] = 0.2
+        assert "diagnostics" not in mapping
+        cfg = build_scenario(mapping)
+        assert cfg.diagnostics.compact_halfwidth == 0.4
+        assert cfg.diagnostics.L_dev == min(0.4, 0.2 + cfg.numerics.window_pad)
+
     @pytest.mark.parametrize("text, expected", [("true", True), ("false", False), ("FALSE", False)])
     def test_dt_halving_override(self, text, expected):
         mapping = parse_config_text(MINIMAL)

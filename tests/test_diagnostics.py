@@ -8,6 +8,7 @@ from nlinvade.diagnostics import (
     SPREADING,
     UNDECIDED,
     VANISHING,
+    DiagnosticsConfig,
     RegimeReport,
     comparison_bound_check,
     detect_regime,
@@ -19,6 +20,8 @@ from nlinvade.kernels import KernelSpec, validate_kernel
 from nlinvade.simulator import Profile, TimeSeries, init_state, integrate_u, run, v_deviation
 
 UNI = validate_kernel(KernelSpec.uniform(1.0), 0.05)
+# Default tolerances; the two h0-scaled widths as build_scenario sets them for h0 = 1.
+TOL = DiagnosticsConfig(L_dev=2.0, compact_halfwidth=2.0)
 
 
 def params(**kw):
@@ -88,7 +91,7 @@ class TestDetectRegime:
             h_fn=lambda t: np.where(t < 10.0, 1.0 + 0.05 * t, 1.5),
             mass_fn=lambda t: np.exp(-t),
         )
-        rep = detect_regime(series, 100.0, eps_front=1e-5, eps_mass=1e-3)
+        rep = detect_regime(series, 100.0, replace(TOL, eps_front=1e-5, eps_mass=1e-3))
         assert rep.regime == VANISHING
         assert rep.h_inf_est == pytest.approx(1.5)
         assert rep.g_inf_est == pytest.approx(-1.5)
@@ -98,7 +101,7 @@ class TestDetectRegime:
             h_fn=lambda t: 1.0 + 0.5 * t,
             mass_fn=lambda t: np.full_like(t, 5.0),
         )
-        rep = detect_regime(series, 100.0)
+        rep = detect_regime(series, 100.0, TOL)
         assert rep.regime == SPREADING
         assert rep.h_inf_est is None
         assert rep.trailing_front_rate == pytest.approx(1.0, rel=1e-9)
@@ -109,18 +112,18 @@ class TestDetectRegime:
             h_fn=lambda t: 1.0 + 2.0 * eps * t,  # range rate 4*eps: between thresholds
             mass_fn=lambda t: np.full_like(t, 5.0),
         )
-        rep = detect_regime(series, 100.0, eps_front=eps)
+        rep = detect_regime(series, 100.0, replace(TOL, eps_front=eps))
         assert rep.regime == UNDECIDED
 
     def test_too_short(self):
         series = synthetic_series(n=5)
         with pytest.raises(SeriesTooShort):
-            detect_regime(series, 100.0)
+            detect_regime(series, 100.0, TOL)
 
     def test_requires_coverage(self):
         series = synthetic_series(T=50.0)
         with pytest.raises(SeriesTooShort):
-            detect_regime(series, 100.0)
+            detect_regime(series, 100.0, TOL)
 
     def test_threshold_monotonicity(self):
         # Enlarging eps_front only ever moves verdicts toward vanishing.
@@ -130,7 +133,7 @@ class TestDetectRegime:
             mass_fn=lambda t: 1e-4 * np.exp(-t / 30.0),
         )
         verdicts = [
-            detect_regime(series, 100.0, eps_front=e).regime
+            detect_regime(series, 100.0, replace(TOL, eps_front=e)).regime
             for e in [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
         ]
         ranks = [order[v] for v in verdicts]
@@ -141,7 +144,7 @@ class TestDetectRegime:
             h_fn=lambda t: np.where(t < 10.0, 1.0 + 0.05 * t, 1.5),
             mass_fn=lambda t: np.exp(-t),
         )
-        rep = detect_regime(series, 100.0)
+        rep = detect_regime(series, 100.0, TOL)
         assert rep.h_inf_est - rep.g_inf_est >= 2.0
 
     @given(
@@ -160,22 +163,22 @@ class TestDetectRegime:
             mass_fn=lambda t: 1e-4 * np.exp(-t / 40.0),
         )
         lo, hi = sorted([10.0 ** log_eps_a, 10.0 ** log_eps_b])
-        r_lo = detect_regime(series, 100.0, eps_front=lo)
-        r_hi = detect_regime(series, 100.0, eps_front=hi)
+        r_lo = detect_regime(series, 100.0, replace(TOL, eps_front=lo))
+        r_hi = detect_regime(series, 100.0, replace(TOL, eps_front=hi))
         assert order[r_hi.regime] >= order[r_lo.regime]
 
 
 class TestComparisonBound:
     def test_flat_native_holds(self):
         series = synthetic_series()
-        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
+        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
         assert ok
         assert worst <= 0.0
 
     def test_fabricated_violation(self):
         series = synthetic_series(sup_v_fn=lambda t: np.where(t == 10.0, 2.0, 1.0))
         assert 10.0 in series.t
-        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
+        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
         assert not ok
         assert worst == pytest.approx(1.0 - np.exp(-10.0) - 5e-3, abs=1e-12)
 
@@ -189,9 +192,6 @@ def vanishing_report(g=-0.25, h=0.25, **kw):
         final_mass_u=1e-9,
         peak_mass_u=1.0,
         final_sup_u=1e-6,
-        final_v_dev=1e-4,
-        eps_front=1e-5,
-        eps_mass=1e-3,
     )
     base.update(kw)
     return RegimeReport(**base)
@@ -204,7 +204,8 @@ class TestVerifyTheorems:
         s = make_state(p)
         s = replace(s, u=np.where(np.abs(s.x) < 0.25, 1e-7, 0.0), g_front=-0.25, h_front=0.25)
         series = synthetic_series()
-        checks = verify_theorems(vanishing_report(), p, UNI, s, series)
+        tol = replace(TOL, compact_halfwidth=2.0 * p.h0)
+        checks = verify_theorems(vanishing_report(), p, UNI, s, series, tol)
         by_name = {c.name: c for c in checks}
         assert by_name["vanishing_diffusion_dominates"].passed
         assert by_name["vanishing_diffusion_dominates"].margin == pytest.approx(0.7)
@@ -217,7 +218,7 @@ class TestVerifyTheorems:
         p = params(d1=0.45, k=0.5)  # d1 < 1 - k
         s = make_state(p)
         s = replace(s, g_front=-0.25, h_front=0.25)
-        checks = verify_theorems(vanishing_report(), p, UNI, s, synthetic_series())
+        checks = verify_theorems(vanishing_report(), p, UNI, s, synthetic_series(), TOL)
         by_name = {c.name: c for c in checks}
         assert not by_name["vanishing_diffusion_dominates"].passed
 
@@ -228,7 +229,7 @@ class TestVerifyTheorems:
         u = np.where(np.abs(s.x) < 0.5, level, 0.0)
         s = replace(s, u=u, g_front=-1.05, h_front=1.05)
         checks = verify_theorems(
-            vanishing_report(g=-1.05, h=1.05), p, UNI, s, synthetic_series()
+            vanishing_report(g=-1.05, h=1.05), p, UNI, s, synthetic_series(), TOL
         )
         by_name = {c.name: c for c in checks}
         scan = by_name["vanishing_plateau_scan"]
@@ -241,8 +242,8 @@ class TestVerifyTheorems:
         u = np.where((s.x > -3.0) & (s.x < 3.0), 1.0, 0.0)
         s = replace(s, u=u, v=np.zeros_like(s.v), g_front=-3.0, h_front=3.0)
         series = synthetic_series(h_fn=lambda t: 1.0 + 0.5 * t, mass_fn=lambda t: np.full_like(t, 5.0))
-        rep = detect_regime(series, 100.0)
-        checks = verify_theorems(rep, p, UNI, s, series)
+        rep = detect_regime(series, 100.0, TOL)
+        checks = verify_theorems(rep, p, UNI, s, series, TOL)
         by_name = {c.name: c for c in checks}
         assert by_name["spreading_fronts_diverge"].passed
         assert by_name["spreading_center_limit"].passed
@@ -252,13 +253,13 @@ class TestVerifyTheorems:
         p = params(k=1.5)
         s = make_state(p)
         series = synthetic_series(h_fn=lambda t: 1.0 + 0.5 * t, mass_fn=lambda t: np.full_like(t, 5.0))
-        rep = detect_regime(series, 100.0)
+        rep = detect_regime(series, 100.0, TOL)
         with pytest.raises(OutOfScope):
-            verify_theorems(rep, p, UNI, s, series)
+            verify_theorems(rep, p, UNI, s, series, TOL)
 
     def test_undecided_guard(self):
         p = params()
         s = make_state(p)
         rep = vanishing_report(regime=UNDECIDED, g_inf_est=None, h_inf_est=None)
         with pytest.raises(Undecided):
-            verify_theorems(rep, p, UNI, s, synthetic_series())
+            verify_theorems(rep, p, UNI, s, synthetic_series(), TOL)

@@ -39,6 +39,11 @@ directory = "out"
 """
 
 
+# BASE with a small initial range and slow fronts: the invader vanishes by T = 20.
+VANISHING = (BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01")
+             .replace("h0 = 1.0", "h0 = 0.2").replace("T = 3.0", "T = 20.0"))
+
+
 def config_file(tmp_path, text=BASE, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -102,9 +107,7 @@ class TestRunScenario:
             assert list(check) == ["name", "pass", "margin", "details"]
 
     def test_eigensolve_in_vanishing_check_details(self, tmp_path):
-        text = BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01")
-        text = text.replace("h0 = 1.0", "h0 = 0.2").replace("T = 3.0", "T = 20.0")
-        outcome = run_scenario(scenario(text), outdir=tmp_path / "run", check_theorems=True)
+        outcome = run_scenario(scenario(VANISHING), outdir=tmp_path / "run", check_theorems=True)
         assert outcome.report["regime"] == "vanishing"
         (check,) = [c for c in outcome.report["theorem_checks"]
                     if c["name"] == "vanishing_eigenvalue_bound"]
@@ -112,6 +115,22 @@ class TestRunScenario:
         assert details["method"] == "dense"  # a short interval, below DENSE_THRESHOLD nodes
         assert details["iterations"] == 0
         assert 0.0 <= details["residual"] <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("halfwidth", [None, 50.0])
+    def test_recovery_halfwidth_clipped_to_window(self, tmp_path, halfwidth):
+        text = VANISHING
+        if halfwidth is not None:
+            text += f"\n[diagnostics]\ncompact_halfwidth = {halfwidth}\n"
+        cfg = scenario(text)
+        outcome = run_scenario(cfg, outdir=tmp_path / "run", check_theorems=True)
+        assert outcome.report["regime"] == "vanishing"
+        (check,) = [c for c in outcome.report["theorem_checks"]
+                    if c["name"] == "vanishing_native_recovery"]
+        x_min, x_max = outcome.report["numerics_audit"]["final_window"]
+        got = check["details"]["compact_halfwidth"]
+        assert got == min(cfg.diagnostics.compact_halfwidth, -x_min, x_max)
+        # the default 2*h0 fits the window; 50 is clipped to its edge
+        assert got == (0.4 if halfwidth is None else min(-x_min, x_max))
 
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"

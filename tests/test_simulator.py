@@ -173,17 +173,15 @@ class TestStep:
                 s = step(s, 5.0)
 
 
-def reaction_coefficients(p):
-    """(u-reaction, v-reaction, D1, D2, front mu) of either parameter kind."""
-    if isinstance(p, GeneralParams):
-        return (p.a1, p.b1, p.c1), (p.a2, p.b2, p.c2), p.D1, p.D2, p.mu_hat
-    return (1.0, 1.0, p.k), (p.gamma, p.gamma, p.gamma * p.h_comp), p.d1, p.d2, p.mu
+def reaction_coefficients(c):
+    """(u-reaction, v-reaction, D1, D2, front mu) of a general-form record."""
+    return (c.a1, c.b1, c.c1), (c.a2, c.b2, c.c2), c.D1, c.D2, c.mu_hat
 
 
 def whole_window_step(s, dt):
     """Reference step on the whole window: (g, h, u, v, gross clamps),
     before any window growth."""
-    (a1, b1, c1), (a2, b2, c2), D1, D2, mu = reaction_coefficients(s.params)
+    (a1, b1, c1), (a2, b2, c2), D1, D2, mu = reaction_coefficients(s.coef)
     x, dx, u, v, g, h = s.x, s.dx, s.u, s.v, s.g_front, s.h_front
     w = cell_weights(x, dx, g, h)
     g_new = g - dt * mu * float(np.dot(w * u, s.j1.cdf(g - x)))
@@ -287,7 +285,7 @@ class TestBandedStep:
 
 def whole_band_flux(s):
     """(g_rate, h_rate) summed over the whole window with `cell_weights`."""
-    mu = reaction_coefficients(s.params)[4]
+    mu = reaction_coefficients(s.coef)[4]
     wu = cell_weights(s.x, s.dx, s.g_front, s.h_front) * s.u
     return (-mu * float(np.dot(wu, s.j1.cdf(s.g_front - s.x))),
             mu * float(np.dot(wu, s.j1.cdf(s.x - s.h_front))))
