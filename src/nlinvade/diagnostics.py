@@ -240,16 +240,19 @@ def verify_theorems(
 
         Lc = min(tol.compact_halfwidth, -final_state.x_min, final_state.x_max)
         integral, sup_dev = _masked_recovery(final_state, Lc, g_est, h_est)
+        details = {
+            "v_dev_outside_range": integral,
+            "sup_dev_outside_range": sup_dev,
+            "compact_halfwidth": Lc,
+        }
+        if Lc != tol.compact_halfwidth:  # clipped to the final window
+            details["compact_halfwidth_requested"] = tol.compact_halfwidth
         checks.append(
             TheoremCheck(
                 name="vanishing_native_recovery",
                 passed=integral < tol.v_recovery_tol and sup_dev < tol.v_recovery_tol,
                 margin=tol.v_recovery_tol - max(integral, sup_dev),
-                details={
-                    "v_dev_outside_range": integral,
-                    "sup_dev_outside_range": sup_dev,
-                    "compact_halfwidth": Lc,
-                },
+                details=details,
             )
         )
 

@@ -15,6 +15,13 @@ integrands when it does not.  Discrete stencils are renormalised to exact
 unit mass so that convolving a constant field returns that constant to
 rounding accuracy.
 
+Cumulative mass: every `cdf` is one elementwise expression followed by a
+min/max clamp to [0, 1].  The truncated gaussian's is folded to
+0.5 + scale * erf(c * s), c = 1 / (sigma * sqrt(2)), with scale rounded up
+from 0.5 / erf(c * L0) so that the value is exactly 0 at and beyond -L0
+and exactly 1 at and beyond L0.  It agrees with the difference-of-Phi form
+(Phi(s / sigma) - Phi(-L0 / sigma)) / span to within 3 ulp of 1.
+
 Convolution: `grid_convolve` is the one place that picks how a stencil is
 applied.  A flat stencil, whose interior taps are all equal and whose two
 end taps may be partial (the uniform kernel, or a constant tabulated one),
@@ -184,18 +191,23 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         sig = spec.sigma
         if sig is None or not np.isfinite(sig) or sig <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
-        plo = _phi(-L0 / sig)
-        span = _phi(L0 / sig) - plo
-        norm = sig * math.sqrt(2.0 * math.pi) * span
+        norm = sig * math.sqrt(2.0 * math.pi) * (_phi(L0 / sig) - _phi(-L0 / sig))
 
         def ev(x):
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) <= L0, np.exp(-0.5 * (x / sig) ** 2) / norm, 0.0)
 
+        # scale * erf(c * L0) >= 0.5 after rounding, so the clamped value is
+        # exactly 0 and 1 at and beyond -L0 and L0 (erf is odd and does not
+        # decrease)
+        c = 1.0 / (sig * math.sqrt(2.0))
+        edge = float(erf(c * L0))
+        scale = 0.5 / edge
+        while scale * edge < 0.5:
+            scale = math.nextafter(scale, math.inf)
+
         def cdf(s):
-            s = np.asarray(s, dtype=float)
-            s = np.minimum(np.maximum(s, -L0), L0)
-            return np.minimum(np.maximum((_phi(s / sig) - plo) / span, 0.0), 1.0)
+            return np.minimum(np.maximum(0.5 + scale * erf(c * np.asarray(s, dtype=float)), 0.0), 1.0)
 
     else:  # pragma: no cover - guarded by caller
         raise ValueError(f"unknown kernel form {spec.form!r}")

@@ -32,7 +32,9 @@ licenses three shortcuts in `step`:
   and the c2*u term of the v update is applied on the inside nodes alone;
 - a tail-only flux: K1(x - h) is zero more than one support radius behind
   h and u is zero ahead of it, so the h flux sums only the inside nodes
-  within that radius of h, and likewise for g.
+  within that radius of h, and likewise for g.  Both tails' offsets,
+  x - h and g - x, go to the kernel cdf in one call; the node coordinates
+  x are held in the state with the window, not rebuilt per step.
 
 Both convolutions go through `kernels.grid_convolve`: the u band with zero
 extension, the whole v window with edge continuation.  It chooses how each
@@ -230,6 +232,9 @@ class SimState:
 
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
+    ``x`` holds those node coordinates, ``(i0 + np.arange(n)) * dx``; it is
+    built with the window and rebuilt, by that expression, only when the
+    window grows.
     ``clamp_count`` accumulates gross negative undershoots flushed to zero.
     ``coef`` holds the model coefficients in general form.
     """
@@ -239,6 +244,7 @@ class SimState:
     h_front: float
     u: np.ndarray
     v: np.ndarray
+    x: np.ndarray
     i0: int
     dx: float
     j1: ValidatedKernel
@@ -248,10 +254,6 @@ class SimState:
     coef: GeneralParams
     clamp_count: int = 0
     window_growths: int = 0
-
-    @property
-    def x(self) -> np.ndarray:
-        return (self.i0 + np.arange(self.u.size)) * self.dx
 
     @property
     def x_min(self) -> float:
@@ -302,6 +304,7 @@ def init_state(
         h_front=h0,
         u=u0,
         v=v0,
+        x=x,
         i0=i0,
         dx=dx,
         j1=j1,
@@ -330,7 +333,8 @@ def _ensure_window(state: SimState) -> SimState:
     if grow_right:
         u = np.concatenate([u, np.zeros(chunk)])
         v = np.concatenate([v, np.full(chunk, v[-1])])
-    return replace(state, u=u, v=v, i0=i0, window_growths=state.window_growths + 1)
+    x = (i0 + np.arange(u.size)) * state.dx
+    return replace(state, u=u, v=v, x=x, i0=i0, window_growths=state.window_growths + 1)
 
 
 # -- dynamics --------------------------------------------------------------
@@ -378,19 +382,22 @@ def _front_rates(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> 
 
     K1(x - h) vanishes more than one support radius behind h, and K1(g - x)
     more than one radius ahead of g, so each flux sums only the nodes of
-    [ia, ib) within that reach of its front.
+    [ia, ib) within that reach of its front: [a, ib) for h and [ia, b) for
+    g.  One buffer holds both tails' offsets and takes one cdf call.
     """
     mu = state.coef.mu_hat
     if mu == 0.0:
         return 0.0, 0.0
-    dx, i0, cdf = state.dx, state.i0, state.j1.cdf
+    dx, x = state.dx, state.x
     reach = math.ceil(state.j1.support_radius / dx) + 2
-    a = max(ia, ib - reach)
-    xs = np.arange(i0 + a, i0 + ib) * dx
-    h_rate = mu * dx * float(np.dot(wu[a - lo : ib - lo], cdf(xs - state.h_front)))
-    b = min(ib, ia + reach)
-    xs = np.arange(i0 + ia, i0 + b) * dx
-    g_rate = -mu * dx * float(np.dot(wu[ia - lo : b - lo], cdf(state.g_front - xs)))
+    a, b = max(ia, ib - reach), min(ib, ia + reach)
+    m = ib - a
+    offsets = np.empty(m + b - ia)
+    np.subtract(x[a:ib], state.h_front, out=offsets[:m])
+    np.subtract(state.g_front, x[ia:b], out=offsets[m:])
+    k1 = state.j1.cdf(offsets)
+    h_rate = mu * dx * float(np.dot(wu[a - lo : ib - lo], k1[:m]))
+    g_rate = -mu * dx * float(np.dot(wu[ia - lo : b - lo], k1[m:]))
     return g_rate, h_rate
 
 
@@ -464,6 +471,7 @@ def step(state: SimState, dt: float) -> SimState:
             h_front=h_new,
             u=u_new,
             v=v_new,
+            x=state.x,
             i0=state.i0,
             dx=state.dx,
             j1=state.j1,

@@ -171,21 +171,62 @@ CDF_SPECS = {
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
+# the folded truncated-gaussian cdf against the difference-of-Phi form
+GAUSSIAN_ULPS = 2.0 * np.finfo(float).eps
+
+
 class TestCdfMatchesClipForm:
     @pytest.mark.parametrize("form", sorted(CDF_SPECS))
     def test_bit_identical(self, form):
+        """Byte equality with the clip form, except that the folded gaussian
+        cdf matches it to 2 ulp of 1 and exactly on SPECIAL and at and
+        beyond the support edges."""
         spec = CDF_SPECS[form]
         cdf, ref = validate_kernel(spec, DX).cdf, clip_form_cdf(spec)
         R = validate_kernel(spec, DX).support_radius
+        exact = [*SPECIAL, -R, R, -2.0 * R, 2.0 * R]
         arrays = [
             np.linspace(-1.5 * R, 1.5 * R, 1001),
             np.random.default_rng(7).normal(0.0, R, 500),
             np.array(SPECIAL + [-R, R, 0.5 * R]),
         ]
-        for s in [*SPECIAL, -R, R, 0.3 * R, -2.0 * R, *arrays]:
+        for s in [*exact, 0.3 * R, *arrays]:
             got, want = cdf(s), ref(s)
             assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for s in exact:
+            assert np.asarray(cdf(s)).tobytes() == np.asarray(ref(s)).tobytes()
+        for s in [0.3 * R, *arrays]:
+            got, want = np.asarray(cdf(s)), np.asarray(ref(s))
+            if form == "gaussian":
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert np.nanmax(np.abs(got - want)) <= GAUSSIAN_ULPS
+            else:
+                assert got.tobytes() == want.tobytes()
+        if form == "gaussian":
+            beyond = R * np.linspace(1.0, 5.0, 1001)
+            assert np.array_equal(cdf(beyond), ref(beyond))
+            assert np.array_equal(cdf(-beyond), ref(-beyond))
+            s = np.random.default_rng(8).uniform(-1.2 * R, 1.2 * R, 200_000)
+            assert np.max(np.abs(cdf(s) - ref(s))) <= GAUSSIAN_ULPS
+
+
+# (sigma, L0): narrow and wide supports, sigma small enough that erf
+# saturates at L0 and large enough that the kernel is nearly flat; at
+# (1, 1) and (0.5, 2) the unrounded 0.5 / erf(c * L0) leaves 5.6e-17 at -L0
+GAUSSIAN_SHAPES = [(1.0, 2.0), (0.3, 1.0), (1.0, 0.5), (2.0, 7.0), (0.05, 1.0), (1.0, 1.0), (0.5, 2.0)]
+
+
+class TestGaussianCdfEdges:
+    @pytest.mark.parametrize("sigma, L0", GAUSSIAN_SHAPES)
+    def test_exact_edges_and_monotone(self, sigma, L0):
+        cdf = validate_kernel(KernelSpec.truncated_gaussian(sigma, L0), DX).cdf
+        assert cdf(-L0) == 0.0 and cdf(L0) == 1.0
+        beyond = np.concatenate([L0 * np.linspace(1.0, 20.0, 10_001), [np.inf]])
+        beyond = np.concatenate([beyond, np.nextafter(L0, np.inf) + np.arange(50) * 1e-15])
+        assert np.all(cdf(beyond) == 1.0)
+        assert np.all(cdf(-beyond) == 0.0)
+        s = np.linspace(-1.5 * L0, 1.5 * L0, 100_000)
+        assert np.all(np.diff(cdf(s)) >= 0.0)
 
 
 class TestSymmetry:

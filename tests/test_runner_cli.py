@@ -43,6 +43,8 @@ directory = "out"
 VANISHING = (BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01")
              .replace("h0 = 1.0", "h0 = 0.2").replace("T = 3.0", "T = 20.0"))
 
+GAUSSIAN = BASE.replace('form = "uniform"', 'form = "truncated_gaussian"\nsigma = 0.5')
+
 
 def config_file(tmp_path, text=BASE, name="scenario.cfg"):
     path = tmp_path / name
@@ -81,12 +83,15 @@ class TestRunScenario:
         assert "leakage" in audit
         assert "dt_halving_rel_front_change" in audit
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("text", [BASE, GAUSSIAN], ids=["uniform", "truncated_gaussian"])
+    def test_byte_identical_reruns(self, tmp_path, text):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_scenario(scenario(), outdir=out1, check_theorems=False)
-        run_scenario(scenario(), outdir=out2, check_theorems=False)
-        assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        run_scenario(scenario(text), outdir=out1, check_theorems=False)
+        run_scenario(scenario(text), outdir=out2, check_theorems=False)
+        snaps = sorted(p.name for p in out1.glob("snapshot_t*.txt"))
+        assert snaps and snaps == sorted(p.name for p in out2.glob("snapshot_t*.txt"))
+        for name in ["timeseries.csv", "report.json", *snaps]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_undecided_fails_verify_mode(self, tmp_path):
         # Front rate lands between eps_front and 10*eps_front: undecided,
@@ -129,8 +134,13 @@ class TestRunScenario:
         x_min, x_max = outcome.report["numerics_audit"]["final_window"]
         got = check["details"]["compact_halfwidth"]
         assert got == min(cfg.diagnostics.compact_halfwidth, -x_min, x_max)
-        # the default 2*h0 fits the window; 50 is clipped to its edge
+        # the default 2*h0 fits the window; 50 is clipped to its edge, and
+        # the details keep the requested value
         assert got == (0.4 if halfwidth is None else min(-x_min, x_max))
+        if halfwidth is None:
+            assert "compact_halfwidth_requested" not in check["details"]
+        else:
+            assert check["details"]["compact_halfwidth_requested"] == halfwidth
 
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -331,6 +333,45 @@ class TestTailFlux:
         for off in (0.3 * s.dx, reach + 0.3 * s.dx):
             assert_flux_matches(bump_between(s, s.x_min + off, s.x_max - off))
 
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_tails_overlap_touch_and_part(self, form, extra):
+        """2*reach - 1, 2*reach and 2*reach + 1 inside nodes: the h tail
+        [ib - reach, ib) and the g tail [ia, ia + reach) overlap by one node,
+        touch, and leave one node between them."""
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        s = init_state(params(mu=2.0), k, k, Profile.cosine(1.0), Profile.constant(1.0), 0.05, 3.0)
+        reach = math.ceil(k.support_radius / s.dx) + 2
+        span = 2 * reach + extra
+        j = (s.u.size - span) // 2
+        s = bump_between(s, s.x[j] - 0.3 * s.dx, s.x[j + span - 1] + 0.4 * s.dx)
+        ia, ib = _inside(s, s.g_front, s.h_front)
+        assert (ia, ib - ia) == (j, span)
+        assert_flux_matches(s)
+
+    def test_no_node_inside(self):
+        s = make_state(params(mu=2.0))
+        s = bump_between(s, s.x[40] + 0.2 * s.dx, s.x[40] + 0.7 * s.dx)
+        ia, ib = _inside(s, s.g_front, s.h_front)
+        assert ia == ib and not s.u.any()
+        g_rate, h_rate = front_speeds(s)
+        assert g_rate == 0.0 and h_rate == 0.0
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_one_cdf_call_per_step(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        calls = []
+
+        def counted(offsets):
+            calls.append(np.size(offsets))
+            return k.cdf(offsets)
+
+        s = init_state(params(mu=5.0), replace(k, cdf=counted), k, Profile.cosine(1.0),
+                       Profile.constant(1.0), 0.05, 3.0)
+        for _ in range(5):
+            s = step(s, 0.02)
+        assert len(calls) == 5 and min(calls) > 0
+
 
 DX_CHOICES = [0.1, 0.05, 0.025, 0.001, 1.0 / 3.0]
 node_position = st.tuples(
@@ -407,6 +448,16 @@ class TestRun:
         assert res.series.t.size >= 5
         assert np.all(np.diff(res.series.h_front) >= 0.0)
         assert np.all(np.diff(res.series.g_front) <= 0.0)
+
+    def test_node_coordinates_kept_with_the_window(self):
+        def assert_coordinates(s):
+            assert s.x.tobytes() == ((s.i0 + np.arange(s.u.size)) * s.dx).tobytes()
+
+        s = make_state(params(mu=20.0, h0=1.0), dx=0.05, pad=2.1)
+        assert_coordinates(s)
+        while s.window_growths < 3:
+            s = step(s, 0.005)
+            assert_coordinates(s)
 
     def test_window_grows_with_fronts(self):
         p = params(mu=20.0, h0=1.0)
