@@ -379,17 +379,20 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     u_prof, v_prof = _profiles(mapping, base_dir, params.h0)
 
     lengths = _get(mapping, "eigen", "lengths", [1.0, 2.0, 4.0, 8.0])
-    if not isinstance(lengths, list) or not all(
+    if not isinstance(lengths, list) or not lengths or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) and v > 0
         for v in lengths
     ):
-        raise ConfigInvalid("lengths must be a list of finite positive numbers", path="eigen.lengths")
+        raise ConfigInvalid("lengths must be a nonempty list of finite positive numbers",
+                            path="eigen.lengths")
 
     ode_u0 = float(_number(mapping, "ode", "u0", 0.1))
     ode_v0 = float(_number(mapping, "ode", "v0", 0.1))
     if ode_u0 < 0 or ode_v0 < 0:
         raise ConfigInvalid("ode initial data must be nonnegative", path="ode.u0")
     ode_T = float(_number(mapping, "ode", "T", 200.0))
+    if ode_T < 0:
+        raise ConfigInvalid(f"T must be nonnegative, got {ode_T!r}", path="ode.T")
     ode_dt = _need_positive(mapping, "ode", "dt", 0.01)
 
     axes = {}
@@ -405,6 +408,8 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             raise ConfigInvalid("axis values must be a nonempty list", path=f"sweep.{key}")
         axes[path] = list(val)
     cap = _number(mapping, "sweep", "cap", 256, kind=int)
+    if cap < 1:
+        raise ConfigInvalid(f"cap must be at least 1, got {cap}", path="sweep.cap")
 
     normalized = copy.deepcopy(mapping)
     normalized.setdefault("numerics", {}).setdefault("snapshot_every", snapshot_every)

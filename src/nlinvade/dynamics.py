@@ -17,7 +17,7 @@ h is reserved for the right front position in the field model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -189,23 +189,13 @@ class ThetaReport:
     discriminant: float
 
     def to_record(self) -> dict:
-        """Flat key-value record for JSON output."""
-        rec = {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d1_tilde": self.d1_tilde,
-            "k": self.k,
-            "verdict_roots": self.verdict_roots,
-            "verdict_closed_form": self.verdict_closed_form,
-            "sufficient_condition_hit": self.sufficient_condition_hit,
-            "roots_in_unit_interval": list(self.roots_in_unit_interval),
-            "x_star": self.x_star,
-            "discriminant": self.discriminant,
-        }
+        """Flat key-value record for JSON output: the fields plus the
+        closed-form peak position and lower edge where they exist (the edge
+        sqrt(c/a) needs c <= 0, that is d1_tilde >= 0)."""
+        rec = asdict(self)
         if self.a < 0:
             rec["closed_form_peak_position"] = self.b / (-2.0 * self.a)
-            if self.a <= self.c:
+            if self.a <= self.c <= 0.0:
                 rec["closed_form_lower_edge"] = math.sqrt(self.c / self.a)
         return rec
 

@@ -7,77 +7,61 @@ class NlinvadeError(Exception):
 
 # -- kernels ------------------------------------------------------------
 
-class KernelError(NlinvadeError):
+class AsymmetricKernel(NlinvadeError):
     pass
 
 
-class AsymmetricKernel(KernelError):
+class NegativeDensity(NlinvadeError):
     pass
 
 
-class NegativeDensity(KernelError):
+class ZeroAtOrigin(NlinvadeError):
     pass
 
 
-class ZeroAtOrigin(KernelError):
-    pass
-
-
-class ZeroMass(KernelError):
+class ZeroMass(NlinvadeError):
     pass
 
 
 # -- eigenvalue ---------------------------------------------------------
 
-class EigenError(NlinvadeError):
+class NoConvergence(NlinvadeError):
     pass
 
 
-class NoConvergence(EigenError):
-    pass
-
-
-class DegenerateInterval(EigenError):
+class DegenerateInterval(NlinvadeError):
     pass
 
 
 # -- dynamics -----------------------------------------------------------
 
-class DynamicsError(NlinvadeError):
+class NotInTheta2(NlinvadeError):
     pass
 
 
-class NotInTheta2(DynamicsError):
+class AssumptionViolated(NlinvadeError):
     pass
 
 
-class AssumptionViolated(DynamicsError):
-    pass
-
-
-class StepTooLarge(DynamicsError):
+class StepTooLarge(NlinvadeError):
     pass
 
 
 # -- simulator ----------------------------------------------------------
 
-class SimulationError(NlinvadeError):
+class InvalidInitialU(NlinvadeError):
     pass
 
 
-class InvalidInitialU(SimulationError):
+class InvalidInitialV(NlinvadeError):
     pass
 
 
-class InvalidInitialV(SimulationError):
+class NonPositiveParameter(NlinvadeError):
     pass
 
 
-class NonPositiveParameter(SimulationError):
-    pass
-
-
-class StabilityViolated(SimulationError):
+class StabilityViolated(NlinvadeError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
@@ -85,23 +69,19 @@ class StabilityViolated(SimulationError):
 
 # -- diagnostics --------------------------------------------------------
 
-class DiagnosticsError(NlinvadeError):
+class WindowTooSmall(NlinvadeError):
     pass
 
 
-class WindowTooSmall(DiagnosticsError):
+class SeriesTooShort(NlinvadeError):
     pass
 
 
-class SeriesTooShort(DiagnosticsError):
+class OutOfScope(NlinvadeError):
     pass
 
 
-class OutOfScope(DiagnosticsError):
-    pass
-
-
-class Undecided(DiagnosticsError):
+class Undecided(NlinvadeError):
     pass
 
 

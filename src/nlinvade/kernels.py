@@ -142,7 +142,6 @@ class GridStencil:
     (2 * half - 1) * inner + 2 * end = 1, and is None for any other stencil.
     """
 
-    dx: float
     half: int
     masses: np.ndarray
     cover: np.ndarray
@@ -356,7 +355,6 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
         end = float(masses[0])
         box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
     return GridStencil(
-        dx=dx,
         half=half,
         masses=masses,
         cover=cover,

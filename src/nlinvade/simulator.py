@@ -33,8 +33,11 @@ licenses three shortcuts in `step`:
 - a tail-only flux: K1(x - h) is zero more than one support radius behind
   h and u is zero ahead of it, so the h flux sums only the inside nodes
   within that radius of h, and likewise for g.  Both tails' offsets,
-  x - h and g - x, go to the kernel cdf in one call; the node coordinates
-  x are held in the state with the window, not rebuilt per step.
+  x - h and g - x, go to the kernel cdf in one call (`front_speeds`).
+
+Every step reads one grid, the node coordinates `SimState.x`: built with
+the window, rebuilt only when it grows, and bisected to find the nodes
+strictly inside a front interval (`_inside`).
 
 Both convolutions go through `kernels.grid_convolve`: the u band with zero
 extension, the whole v window with edge continuation.  It chooses how each
@@ -51,6 +54,7 @@ scalings, and the pair of runs is compared in the test-suite.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -232,9 +236,8 @@ class SimState:
 
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
-    ``x`` holds those node coordinates, ``(i0 + np.arange(n)) * dx``; it is
-    built with the window and rebuilt, by that expression, only when the
-    window grows.
+    ``x`` holds those node coordinates (`_nodes`); it is built with the
+    window and rebuilt only when the window grows.
     ``clamp_count`` accumulates gross negative undershoots flushed to zero.
     ``coef`` holds the model coefficients in general form.
     """
@@ -257,11 +260,11 @@ class SimState:
 
     @property
     def x_min(self) -> float:
-        return self.i0 * self.dx
+        return float(self.x[0])
 
     @property
     def x_max(self) -> float:
-        return (self.i0 + self.u.size - 1) * self.dx
+        return float(self.x[-1])
 
     @property
     def support_radius_max(self) -> float:
@@ -270,6 +273,11 @@ class SimState:
     @property
     def h0(self) -> float:
         return self.coef.H0
+
+
+def _nodes(i0: int, n: int, dx: float) -> np.ndarray:
+    """Coordinates of the n nodes from lattice index i0 on."""
+    return (i0 + np.arange(n)) * dx
 
 
 def init_state(
@@ -295,7 +303,7 @@ def init_state(
 
     n_half = int(math.ceil((h0 + window_pad) / dx))
     i0 = -n_half
-    x = (i0 + np.arange(2 * n_half + 1)) * dx
+    x = _nodes(i0, 2 * n_half + 1, dx)
     u0 = _sample_u0(u0_profile, x, h0)
     v0 = _sample_v0(v0_profile, x)
     state = SimState(
@@ -333,7 +341,7 @@ def _ensure_window(state: SimState) -> SimState:
     if grow_right:
         u = np.concatenate([u, np.zeros(chunk)])
         v = np.concatenate([v, np.full(chunk, v[-1])])
-    x = (i0 + np.arange(u.size)) * state.dx
+    x = _nodes(i0, u.size, state.dx)
     return replace(state, u=u, v=v, x=x, i0=i0, window_growths=state.window_growths + 1)
 
 
@@ -343,22 +351,12 @@ def _inside(state: SimState, a: float, b: float) -> tuple[int, int]:
     """Index range [ia, ib) of the nodes strictly inside (a, b), clipped to
     the window.
 
-    Boundary nodes are tested at (i0 + j) * dx, the expression `SimState.x`
-    uses, so the range is exactly ``np.nonzero((x > a) & (x < b))``.
+    Two bisections of the increasing node coordinates `state.x`, so the
+    range is exactly ``np.nonzero((x > a) & (x < b))``.
     """
-    i0, dx = state.i0, state.dx
-    top = i0 + state.u.size
-    ka = min(max(math.floor(a / dx) + 1, i0), top)
-    while ka > i0 and (ka - 1) * dx > a:
-        ka -= 1
-    while ka < top and ka * dx <= a:
-        ka += 1
-    kb = min(max(math.ceil(b / dx), ka), top)
-    while kb > ka and (kb - 1) * dx >= b:
-        kb -= 1
-    while kb < top and kb * dx < b:
-        kb += 1
-    return ka - i0, kb - i0
+    x = state.x
+    ia = bisect_right(x, a)
+    return ia, max(bisect_left(x, b), ia)
 
 
 def _covered_u(state: SimState, lo: int, hi: int, ia: int, ib: int) -> np.ndarray:
@@ -372,13 +370,14 @@ def _covered_u(state: SimState, lo: int, hi: int, ia: int, ib: int) -> np.ndarra
     dx, g, h = state.dx, state.g_front, state.h_front
     wu = state.u[lo:hi].copy()
     for j in {ia, ib - 1} if ia < ib else ():
-        x = (state.i0 + j) * dx
+        x = float(state.x[j])
         wu[j - lo] *= max(min(x + 0.5 * dx, h) - max(x - 0.5 * dx, g), 0.0) / dx
     return wu
 
 
-def _front_rates(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> tuple[float, float]:
-    """(g_rate, h_rate) from ``wu``, the covered u of nodes lo, lo + 1, ...
+def front_speeds(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> tuple[float, float]:
+    """(g_rate, h_rate), always g_rate <= 0 <= h_rate, from ``wu``, the
+    covered u of nodes lo, lo + 1, ... (`_covered_u`).
 
     K1(x - h) vanishes more than one support radius behind h, and K1(g - x)
     more than one radius ahead of g, so each flux sums only the nodes of
@@ -399,12 +398,6 @@ def _front_rates(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> 
     h_rate = mu * dx * float(np.dot(wu[a - lo : ib - lo], k1[:m]))
     g_rate = -mu * dx * float(np.dot(wu[ia - lo : b - lo], k1[m:]))
     return g_rate, h_rate
-
-
-def front_speeds(state: SimState) -> tuple[float, float]:
-    """(g_rate, h_rate): always g_rate <= 0 <= h_rate."""
-    ia, ib = _inside(state, state.g_front, state.h_front)
-    return _front_rates(state, _covered_u(state, ia, ib, ia, ib), ia, ia, ib)
 
 
 def _flush(field: np.ndarray, t: float) -> int:
@@ -437,7 +430,7 @@ def step(state: SimState, dt: float) -> SimState:
     ia, ib = _inside(state, state.g_front, state.h_front)
     lo, hi = max(ia - state.st1.half, 0), min(ib + state.st1.half, n)
     wu = _covered_u(state, lo, hi, ia, ib)
-    g_rate, h_rate = _front_rates(state, wu, lo, ia, ib)
+    g_rate, h_rate = front_speeds(state, wu, lo, ia, ib)
     g_new = state.g_front + dt * g_rate
     h_new = state.h_front + dt * h_rate
 
@@ -496,7 +489,6 @@ class TimeSeries:
     sup_u: np.ndarray
     v_dev_L: np.ndarray
     sup_v: np.ndarray
-    metrics_L: float
 
 
 @dataclass
@@ -612,6 +604,5 @@ def run(
         sup_u=np.array(rows["sup_u"]),
         v_dev_L=np.array(rows["v_dev"]),
         sup_v=np.array(rows["sup_v"]),
-        metrics_L=metrics_L,
     )
     return RunResult(series=series, profiles=profiles, final_state=state)

@@ -201,6 +201,17 @@ class TestBuild:
             build_scenario(mapping)
         assert err.value.path == f"{section}.{key}"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("ode", "T", -1.0), ("sweep", "cap", 0), ("sweep", "cap", -3), ("eigen", "lengths", [])],
+    )
+    def test_out_of_range_rejected(self, section, key, value):
+        mapping = parse_config_text(MINIMAL)
+        mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == f"{section}.{key}"
+
 
 # Strings come from a small alphabet without "/", so a table path can only
 # name a missing file or a directory relative to an empty base directory.

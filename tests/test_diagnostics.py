@@ -56,7 +56,6 @@ def synthetic_series(
         sup_u=mass.copy(),
         v_dev_L=np.zeros_like(t),
         sup_v=sup_v_fn(t),
-        metrics_L=2.0,
     )
 
 

@@ -158,6 +158,16 @@ class TestThetaClassification:
         # F(0) = -d1_tilde*gamma*h >= 0 and F(1) = -d2 < 0 force a root.
         assert rep.verdict_roots == THETA2
 
+    def test_record_when_d1_tilde_negative_and_a_negative(self):
+        # c = -d1_tilde*gamma*h > 0 > a: the peak position exists, the lower
+        # edge sqrt(c/a) does not.
+        rep = theta_classify(params(d1=0.3, k=0.5, h_comp=2.5))
+        assert rep.a < 0 < rep.c
+        rec = rep.to_record()
+        assert rec["closed_form_peak_position"] == rep.b / (-2.0 * rep.a)
+        assert "closed_form_lower_edge" not in rec
+        assert rec["roots_in_unit_interval"] == rep.roots_in_unit_interval
+
     def test_coefficient_identity(self):
         rep = theta_classify(params(gamma=2.3, h_comp=1.7, k=0.9, d1=1.4, d2=0.31))
         assert rep.a + rep.b + rep.c == pytest.approx(-0.31, abs=1e-14)

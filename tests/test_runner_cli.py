@@ -288,6 +288,11 @@ class TestCli:
         final = lines[-1].split(",")
         assert float(final[1]) == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    def test_negative_ode_horizon_exit_2(self, tmp_path, capsys):
+        rc = main(["ode", "--config", str(config_file(tmp_path)), "--set", "ode.T=-1", "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ode.T:")
+
     def test_simulate_and_set_override(self, tmp_path):
         cfg = config_file(tmp_path)
         out = tmp_path / "sim"

@@ -23,10 +23,12 @@ from nlinvade.kernels import (
     grid_stencil,
     validate_kernel,
 )
+from nlinvade import simulator
 from nlinvade.simulator import (
     GROSS_CLAMP,
     GeneralParams,
     Profile,
+    _covered_u,
     _inside,
     front_speeds,
     init_state,
@@ -87,11 +89,17 @@ class TestInit:
             init_state(params(), UNI, UNI, Profile.cosine(1.0), Profile.constant(-0.1), 0.05, 3.0)
 
 
+def speeds(s):
+    """`front_speeds` of s, with the covered u of the nodes inside (g, h)."""
+    ia, ib = _inside(s, s.g_front, s.h_front)
+    return front_speeds(s, _covered_u(s, ia, ib, ia, ib), ia, ia, ib)
+
+
 class TestFrontSpeeds:
     def test_zero_invader(self):
         s = make_state()
         s = replace(s, u=np.zeros_like(s.u))
-        assert front_speeds(s) == (0.0, 0.0)
+        assert speeds(s) == (0.0, 0.0)
 
     def test_flat_invader_quarter_mass(self):
         # h0 off the node lattice so the flat discrete field fills the whole
@@ -101,17 +109,17 @@ class TestFrontSpeeds:
         s = make_state(p, dx=0.01)
         flat = np.where((s.x > s.g_front) & (s.x < s.h_front), 1.0, 0.0)
         s = replace(s, u=flat)
-        g_rate, h_rate = front_speeds(s)
+        g_rate, h_rate = speeds(s)
         assert h_rate == pytest.approx(mu / 4.0, abs=1e-4)
         assert g_rate == pytest.approx(-mu / 4.0, abs=1e-4)
 
     def test_mu_zero(self):
         s = make_state(params(mu=0.0))
-        assert front_speeds(s) == (0.0, 0.0)
+        assert speeds(s) == (0.0, 0.0)
 
     def test_signs(self):
         s = make_state()
-        g_rate, h_rate = front_speeds(s)
+        g_rate, h_rate = speeds(s)
         assert h_rate >= 0.0
         assert g_rate <= 0.0
 
@@ -121,8 +129,8 @@ class TestFrontSpeeds:
         base = make_state(params(mu=mu))
         scaled = make_state(params(mu=mu * factor))
         scaled = replace(scaled, u=base.u.copy(), v=base.v.copy())
-        g1, h1 = front_speeds(base)
-        g2, h2 = front_speeds(scaled)
+        g1, h1 = speeds(base)
+        g2, h2 = speeds(scaled)
         assert h2 == pytest.approx(factor * h1, rel=1e-12)
         assert g2 == pytest.approx(factor * g1, rel=1e-12)
 
@@ -294,7 +302,7 @@ def whole_band_flux(s):
 
 
 def assert_flux_matches(s):
-    for got, ref in zip(front_speeds(s), whole_band_flux(s)):
+    for got, ref in zip(speeds(s), whole_band_flux(s)):
         assert ref != 0.0
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
@@ -354,7 +362,7 @@ class TestTailFlux:
         s = bump_between(s, s.x[40] + 0.2 * s.dx, s.x[40] + 0.7 * s.dx)
         ia, ib = _inside(s, s.g_front, s.h_front)
         assert ia == ib and not s.u.any()
-        g_rate, h_rate = front_speeds(s)
+        g_rate, h_rate = speeds(s)
         assert g_rate == 0.0 and h_rate == 0.0
 
     @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
@@ -371,6 +379,19 @@ class TestTailFlux:
         for _ in range(5):
             s = step(s, 0.02)
         assert len(calls) == 5 and min(calls) > 0
+
+    def test_step_calls_front_speeds(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return front_speeds(*args)
+
+        monkeypatch.setattr(simulator, "front_speeds", counted)
+        s = make_state(params(mu=5.0))
+        for n in range(1, 6):
+            s = step(s, 0.02)
+            assert len(calls) == n
 
 
 DX_CHOICES = [0.1, 0.05, 0.025, 0.001, 1.0 / 3.0]
@@ -404,9 +425,8 @@ class TestInsideRange:
     def test_matches_nonzero(self, dx, i0, n, pa, pb):
         """Fronts on, next to and between nodes, inside or outside the window."""
         a, b = position(dx, *pa), position(dx, *pb)
-        grid = SimpleNamespace(i0=i0, dx=dx, u=np.zeros(n))
         x = (i0 + np.arange(n)) * dx
-        ia, ib = _inside(grid, a, b)
+        ia, ib = _inside(SimpleNamespace(x=x), a, b)
         assert 0 <= ia <= ib <= n
         assert list(range(ia, ib)) == list(np.nonzero((x > a) & (x < b))[0])
 
