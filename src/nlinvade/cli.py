@@ -2,8 +2,10 @@
 
 Subcommands: validate-kernel, eigen-curve, classify, ode, simulate, sweep,
 verify.  Each reads a scenario config and accepts repeatable
-``--set section.key=value`` overrides.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 theorem-check failure.
+``--set section.key=value`` overrides and ``--quiet``; ``--out`` and
+``--jobs`` are accepted only by the subcommands that read them.  Exit
+codes: 0 success, 2 config error, 3 numerical failure, 4 theorem-check
+failure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +33,25 @@ def _parser() -> argparse.ArgumentParser:
         description="Competition with nonlocal dispersal and moving invasion fronts",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("validate-kernel", "validate the configured dispersal kernels"),
-        ("eigen-curve", "interval eigenvalue as a function of length"),
-        ("classify", "equilibria, competition case and F-root classification"),
-        ("ode", "integrate the spatially homogeneous system"),
-        ("simulate", "run the free-boundary scenario and emit files"),
-        ("sweep", "Cartesian parameter sweep over the configured axes"),
-        ("verify", "simulate and gate the exit code on the consistency checks"),
+    # Each subcommand: its handler, the optional flags it reads, its help.
+    for name, handler, flags, desc in [
+        ("validate-kernel", _cmd_validate_kernel, (),
+         "validate the configured dispersal kernels"),
+        ("eigen-curve", _cmd_eigen_curve, ("--out",),
+         "interval eigenvalue as a function of length"),
+        ("classify", _cmd_classify, ("--out",),
+         "equilibria, competition case and F-root classification"),
+        ("ode", _cmd_ode, ("--out",),
+         "integrate the spatially homogeneous system"),
+        ("simulate", partial(_cmd_simulate, check=False), ("--out",),
+         "run the free-boundary scenario and emit files"),
+        ("sweep", _cmd_sweep, ("--out", "--jobs"),
+         "Cartesian parameter sweep over the configured axes"),
+        ("verify", partial(_cmd_simulate, check=True), ("--out",),
+         "simulate and gate the exit code on the consistency checks"),
     ]:
         p = sub.add_parser(name, help=desc)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument(
             "--set",
@@ -48,8 +60,10 @@ def _parser() -> argparse.ArgumentParser:
             metavar="section.key=value",
             help="override a config value (repeatable)",
         )
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+        if "--out" in flags:
+            p.add_argument("--out", default=None, help="output directory override")
+        if "--jobs" in flags:
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     return ap
 
@@ -135,32 +149,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_scenario(args.config, overrides=args.set)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "validate-kernel":
-            return _cmd_validate_kernel(args, cfg)
-        if args.command == "eigen-curve":
-            return _cmd_eigen_curve(args, cfg)
-        if args.command == "classify":
-            return _cmd_classify(args, cfg)
-        if args.command == "ode":
-            return _cmd_ode(args, cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg, check=False)
-        if args.command == "verify":
-            return _cmd_simulate(args, cfg, check=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg)
+        return args.handler(args, cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NlinvadeError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -243,14 +243,10 @@ def _get(mapping: dict, section: str, key: str, default):
 def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
     sec = mapping.get(section, {})
     form = sec.get("form", "uniform")
-    if form in ("uniform", "triangular"):
-        return KernelSpec(form=form, L0=_need_positive(mapping, section, "L0", 1.0))
-    if form == "truncated_gaussian":
-        return KernelSpec(
-            form=form,
-            L0=_need_positive(mapping, section, "L0", 1.0),
-            sigma=_need_positive(mapping, section, "sigma", None),
-        )
+    if form in ("uniform", "triangular", "truncated_gaussian"):
+        L0 = _need_positive(mapping, section, "L0", 1.0)
+        sigma = _need_positive(mapping, section, "sigma") if form == "truncated_gaussian" else None
+        return KernelSpec(form=form, L0=L0, sigma=sigma)
     if form == "tabulated":
         path = sec.get("table")
         if not isinstance(path, str):
@@ -267,16 +263,22 @@ def _load_table(base_dir: Path, path: str, where: str) -> np.ndarray:
         raise ConfigInvalid(f"cannot read table: {exc}", path=where)
 
 
-def _profiles(mapping: dict, base_dir: Path, h0: float) -> tuple[Profile, Profile]:
+def _table_profile(sec: dict, base_dir: Path, name: str) -> Profile:
+    """The ``{name}_table`` profile of the [initial] section ``sec``."""
+    key = f"{name}_table"
+    path = sec.get(key)
+    if not isinstance(path, str):
+        raise ConfigInvalid(f"{name} table profile needs {key} = <path>", path=f"initial.{key}")
+    return Profile.from_table(_load_table(base_dir, path, f"initial.{key}"))
+
+
+def _profiles(mapping: dict, base_dir: Path) -> tuple[Profile, Profile]:
     sec = mapping.get("initial", {})
     u_kind = sec.get("u_profile", "cosine")
     if u_kind == "cosine":
         u_prof = Profile.cosine(_need_positive(mapping, "initial", "u_max", 1.0))
     elif u_kind == "table":
-        path = sec.get("u_table")
-        if not isinstance(path, str):
-            raise ConfigInvalid("u table profile needs u_table = <path>", path="initial.u_table")
-        u_prof = Profile.from_table(_load_table(base_dir, path, "initial.u_table"))
+        u_prof = _table_profile(sec, base_dir, "u")
     else:
         raise ConfigInvalid(f"unknown u profile {u_kind!r}", path="initial.u_profile")
 
@@ -288,10 +290,7 @@ def _profiles(mapping: dict, base_dir: Path, h0: float) -> tuple[Profile, Profil
                                 path="initial.v_value")
         v_prof = Profile.constant(float(value))
     elif v_kind == "table":
-        path = sec.get("v_table")
-        if not isinstance(path, str):
-            raise ConfigInvalid("v table profile needs v_table = <path>", path="initial.v_table")
-        v_prof = Profile.from_table(_load_table(base_dir, path, "initial.v_table"))
+        v_prof = _table_profile(sec, base_dir, "v")
     else:
         raise ConfigInvalid(f"unknown v profile {v_kind!r}", path="initial.v_profile")
     return u_prof, v_prof
@@ -317,33 +316,26 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             if key not in KNOWN_KEYS[section]:
                 raise ConfigInvalid("unknown key", path=f"{section}.{key}")
 
+    values = {}
+    for f in fields(ModelParams):
+        read = _number if f.name == "mu" else _need_positive  # mu may be zero
+        values[f.name] = float(read(mapping, "params", f.name, f.default))
     try:
-        params = ModelParams(
-            d1=_need_positive(mapping, "params", "d1", 1.0),
-            d2=_need_positive(mapping, "params", "d2", 1.0),
-            k=_need_positive(mapping, "params", "k", 0.5),
-            h_comp=_need_positive(mapping, "params", "h_comp", 0.5),
-            gamma=_need_positive(mapping, "params", "gamma", 1.0),
-            mu=float(_number(mapping, "params", "mu", 1.0)),
-            h0=_need_positive(mapping, "params", "h0", 1.0),
-        )
-        validate_params(params)
+        params = validate_params(ModelParams(**values))
     except ValueError as exc:
         raise ConfigInvalid(str(exc), path="params")
 
     kernel_u = _kernel_spec(mapping, "kernel_u", base_dir)
     kernel_v = _kernel_spec(mapping, "kernel_v", base_dir)
+    dx = _need_positive(mapping, "numerics", "dx")
     try:
-        ku = validate_kernel(kernel_u, _need_positive(mapping, "numerics", "dx", None))
-        kv = validate_kernel(kernel_v, _need_positive(mapping, "numerics", "dx", None))
-    except ConfigInvalid:
-        raise
+        ku = validate_kernel(kernel_u, dx)
+        kv = validate_kernel(kernel_v, dx)
     except Exception as exc:
         raise ConfigInvalid(f"kernel rejected: {exc}", path="kernel_u/kernel_v")
     L0max = max(ku.support_radius, kv.support_radius)
 
-    dx = _need_positive(mapping, "numerics", "dx", None)
-    dt = _need_positive(mapping, "numerics", "dt", None)
+    dt = _need_positive(mapping, "numerics", "dt")
     T = _number(mapping, "numerics", "T", 10.0)
     if T < 0:
         raise ConfigInvalid(f"T must be nonnegative, got {T!r}", path="numerics.T")
@@ -376,7 +368,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             path="diagnostics.L_dev",
         )
 
-    u_prof, v_prof = _profiles(mapping, base_dir, params.h0)
+    u_prof, v_prof = _profiles(mapping, base_dir)
 
     lengths = _get(mapping, "eigen", "lengths", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(lengths, list) or not lengths or not all(

@@ -72,6 +72,11 @@ class RegimeReport:
     final_sup_u: float
 
 
+def _trailing(t: np.ndarray, T_max: float) -> np.ndarray:
+    """Mask of the samples in the trailing window [0.8 T_max, T_max]."""
+    return t >= T_max * (1.0 - TRAILING_FRACTION) - 1e-12 * max(T_max, 1.0)
+
+
 def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> RegimeReport:
     """Classify the run from the trailing 20% of the series.
 
@@ -86,8 +91,7 @@ def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> R
     if t[0] > 1e-9 * max(T_max, 1.0) or t[-1] < T_max - 1e-9 * max(T_max, 1.0):
         raise SeriesTooShort(f"series [{t[0]}, {t[-1]}] does not cover [0, {T_max}]")
 
-    t_lo = T_max * (1.0 - TRAILING_FRACTION)
-    sel = t >= t_lo - 1e-12 * max(T_max, 1.0)
+    sel = _trailing(t, T_max)
     if int(np.count_nonzero(sel)) < 2:
         raise SeriesTooShort("trailing window holds fewer than 2 samples")
     span = series.h_front[sel] - series.g_front[sel]
@@ -139,17 +143,21 @@ class TheoremCheck:
 
 def comparison_bound_check(
     series: TimeSeries, v0_max: float, gamma: float, slack: float
-) -> tuple[bool, float]:
-    """sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t) + slack with k1 = v0_max + 1.
+) -> TheoremCheck:
+    """The native upper bound: sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t) + slack
+    with k1 = v0_max + 1.
 
-    Returns (holds, worst margin); a positive margin is a violation.
+    The record's ``worst_violation`` is the largest excess over the bound
+    (positive means violated); its margin is minus that excess.
     """
     if series.t.size == 0:
         raise ValueError("series is empty")
     k1 = v0_max + 1.0
     bound = 1.0 + (k1 - 1.0) * np.exp(-gamma * series.t) + slack
     worst = float(np.max(series.sup_v - bound))
-    return worst <= 0.0, worst
+    return TheoremCheck(
+        "native_upper_bound", worst <= 0.0, -worst, {"worst_violation": worst, "v0_max": v0_max}
+    )
 
 
 def _masked_recovery(state: SimState, Lc: float, g_est: float, h_est: float):
@@ -284,9 +292,7 @@ def verify_theorems(
     else:  # spreading
         if params.k >= 1.0:
             raise OutOfScope("spreading checks cover only k < 1")
-        t = series.t
-        t_lo = t[-1] * (1.0 - TRAILING_FRACTION)
-        sel = t >= t_lo
+        sel = _trailing(series.t, series.t[-1])
         dh = float(series.h_front[sel][-1] - series.h_front[sel][0])
         dg = float(series.g_front[sel][0] - series.g_front[sel][-1])
         checks.append(

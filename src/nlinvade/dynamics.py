@@ -43,16 +43,17 @@ class ModelParams:
 
     ``mu`` may be zero (frozen fronts); everything else must be strictly
     positive.  ``h_comp`` is the competition pressure of u on v; ``k`` the
-    pressure of v on u.
+    pressure of v on u.  The defaults are those of the ``[params]`` config
+    section.
     """
 
-    d1: float
-    d2: float
-    k: float
-    h_comp: float
-    gamma: float
-    mu: float
-    h0: float
+    d1: float = 1.0
+    d2: float = 1.0
+    k: float = 0.5
+    h_comp: float = 0.5
+    gamma: float = 1.0
+    mu: float = 1.0
+    h0: float = 1.0
 
     @property
     def d1_tilde(self) -> float:

@@ -15,13 +15,14 @@ from __future__ import annotations
 import copy
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import ScenarioConfig, apply_override, build_scenario, format_value
+from .config import ScenarioConfig, build_scenario
 from .diagnostics import (
     UNDECIDED,
     TheoremCheck,
@@ -30,14 +31,7 @@ from .diagnostics import (
     verify_theorems,
 )
 from .dynamics import equilibria_and_class, theta_classify
-from .errors import (
-    ConfigInvalid,
-    GridTooLarge,
-    NlinvadeError,
-    OutOfScope,
-    SeriesTooShort,
-    Undecided,
-)
+from .errors import ConfigInvalid, GridTooLarge, NlinvadeError, OutOfScope, SeriesTooShort
 from .kernels import validate_kernel
 from .output import (
     snapshot_name,
@@ -79,7 +73,7 @@ def _simulate(cfg: ScenarioConfig, dt: float):
         metrics_L=cfg.diagnostics.L_dev,
         profile_every=cfg.numerics.profile_every or None,
     )
-    return ku, kv, v0_max, result
+    return ku, v0_max, result
 
 
 def run_scenario(
@@ -106,70 +100,61 @@ def run_scenario(
         },
     }
 
+    result = None
     try:
-        ku, kv, v0_max, result = _simulate(cfg, cfg.numerics.dt)
+        ku, v0_max, result = _simulate(cfg, cfg.numerics.dt)
     except NlinvadeError as exc:
         report["regime"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
-        if write_files:
-            out.mkdir(parents=True, exist_ok=True)
-            write_report_json(out / "report.json", report)
-        return RunOutcome(exit_code=EXIT_NUMERICAL, report=report, outdir=out if write_files else None)
+        exit_code = EXIT_NUMERICAL
+    else:
+        _diagnose(cfg, report, ku, v0_max, result, check_theorems)
+        failed = any(not c["pass"] for c in report["theorem_checks"])
+        exit_code = EXIT_CHECKS if check_theorems and failed else EXIT_OK
 
+    if write_files:
+        out.mkdir(parents=True, exist_ok=True)
+        write_report_json(out / "report.json", report)
+        if result is not None:
+            final = result.final_state
+            write_timeseries_csv(out / "timeseries.csv", result.series)
+            for t, x, u, v in result.profiles:
+                write_snapshot(out / snapshot_name(t), x, u, v)
+            write_profile_svg(
+                out / "profile.svg", final.x, final.u, final.v, final.g_front, final.h_front
+            )
+    return RunOutcome(
+        exit_code=exit_code, report=report, outdir=out if write_files else None, result=result
+    )
+
+
+def _diagnose(cfg: ScenarioConfig, report: dict, ku, v0_max: float, result, check_theorems: bool):
+    """Fill the regime, fronts, checks and audit of a completed run into ``report``."""
     series = result.series
     final = result.final_state
     try:
         regime = detect_regime(series, cfg.numerics.T, cfg.diagnostics)
-        report["regime"] = regime.regime
-        report["fronts"] = {
-            "g_front": final.g_front,
-            "h_front": final.h_front,
-            "g_inf_est": regime.g_inf_est,
-            "h_inf_est": regime.h_inf_est,
-            "trailing_front_rate": regime.trailing_front_rate,
-        }
     except SeriesTooShort as exc:
         regime = None
-        report["regime"] = UNDECIDED
-        report["fronts"] = {
-            "g_front": final.g_front,
-            "h_front": final.h_front,
-            "g_inf_est": None,
-            "h_inf_est": None,
-            "trailing_front_rate": None,
-        }
         report["notes"] = [f"regime detection skipped: {exc}"]
+    report["regime"] = getattr(regime, "regime", UNDECIDED)
+    report["fronts"] = {"g_front": final.g_front, "h_front": final.h_front}
+    for key in ("g_inf_est", "h_inf_est", "trailing_front_rate"):
+        report["fronts"][key] = getattr(regime, key, None)
 
-    checks = []
-    if regime is not None and regime.regime != UNDECIDED:
+    checks, error = [], None
+    if report["regime"] != UNDECIDED:
         try:
-            checks.extend(
-                verify_theorems(regime, cfg.params, ku, final, series, cfg.diagnostics)
-            )
-        except (OutOfScope, Undecided) as exc:
-            checks.append(
-                TheoremCheck(
-                    "theorem_checks", False, None, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            )
+            checks = verify_theorems(regime, cfg.params, ku, final, series, cfg.diagnostics)
+        except OutOfScope as exc:
+            error = f"{type(exc).__name__}: {exc}"
     elif check_theorems:
-        checks.append(
-            TheoremCheck(
-                "theorem_checks", False, None, {"error": "regime undecided; nothing to verify"}
-            )
-        )
-
-    bound_ok, bound_margin = comparison_bound_check(
+        error = "regime undecided; nothing to verify"
+    if error is not None:
+        checks = [TheoremCheck("theorem_checks", False, None, {"error": error})]
+    checks.append(comparison_bound_check(
         series, v0_max, cfg.params.gamma, cfg.diagnostics.comparison_slack
-    )
-    checks.append(
-        TheoremCheck(
-            "native_upper_bound",
-            bound_ok,
-            -bound_margin,
-            {"worst_violation": bound_margin, "v0_max": v0_max},
-        )
-    )
+    ))
     report["theorem_checks"] = [c.to_record() for c in checks]
 
     audit = report["numerics_audit"]
@@ -185,7 +170,7 @@ def run_scenario(
     )
 
     if cfg.diagnostics.dt_halving:
-        half = _simulate(cfg, cfg.numerics.dt / 2.0)[3].final_state
+        half = _simulate(cfg, cfg.numerics.dt / 2.0)[2].final_state
         rel = max(
             abs(final.h_front - half.h_front) / abs(half.h_front),
             abs(final.g_front - half.g_front) / abs(half.g_front),
@@ -195,23 +180,6 @@ def run_scenario(
             "dt": [final.g_front, final.h_front],
             "dt_half": [half.g_front, half.h_front],
         }
-
-    if write_files:
-        out.mkdir(parents=True, exist_ok=True)
-        write_timeseries_csv(out / "timeseries.csv", series)
-        for t, x, u, v in result.profiles:
-            write_snapshot(out / snapshot_name(t), x, u, v)
-        write_report_json(out / "report.json", report)
-        write_profile_svg(
-            out / "profile.svg", final.x, final.u, final.v, final.g_front, final.h_front
-        )
-
-    exit_code = EXIT_OK
-    if check_theorems and any(not c["pass"] for c in report["theorem_checks"]):
-        exit_code = EXIT_CHECKS
-    return RunOutcome(
-        exit_code=exit_code, report=report, outdir=out if write_files else None, result=result
-    )
 
 
 # -- parameter sweeps ---------------------------------------------------------
@@ -235,16 +203,9 @@ def _sweep_cell(args):
         cfg = build_scenario(mapping, base_dir)
         outcome = run_scenario(cfg, outdir=cell_dir, check_theorems=check)
     except Exception as exc:  # any failure stays in its row; the sweep goes on
-        return index, {
-            "status": "error",
-            "regime": "",
-            "g_front": "",
-            "h_front": "",
-            "mass_u": "",
-            "sup_u": "",
-            "min_check_margin": "",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        row = dict.fromkeys(SWEEP_HEADER_FIXED[1:], "")
+        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        return index, row
     rep = outcome.report
     margins = [
         c["margin"] for c in rep.get("theorem_checks", []) if isinstance(c.get("margin"), float)
@@ -298,19 +259,14 @@ def sweep(
         mapping = copy.deepcopy(cfg.mapping)
         mapping.pop("sweep", None)
         for path, value in zip(paths, combo):
-            apply_override(mapping, f"{path}={format_value(value)}")
+            section, _, key = path.partition(".")
+            mapping.setdefault(section, {})[key] = value
         cell_dir = out / f"cell_{index:04d}"
         tasks.append((index, mapping, str(base_dir), str(cell_dir), check_theorems))
 
-    results: dict[int, dict] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for index, row in pool.map(_sweep_cell, tasks):
-                results[index] = row
-    else:
-        for task in tasks:
-            index, row = _sweep_cell(task)
-            results[index] = row
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if jobs > 1 else nullcontext()
+    with pool as workers:  # None when serial
+        results = dict((workers.map if workers else map)(_sweep_cell, tasks))
 
     header = ["cell", *paths, *SWEEP_HEADER_FIXED[1:]]
     rows = []

@@ -170,16 +170,21 @@ class TestDetectRegime:
 class TestComparisonBound:
     def test_flat_native_holds(self):
         series = synthetic_series()
-        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
-        assert ok
-        assert worst <= 0.0
+        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
+        assert check.name == "native_upper_bound"
+        assert check.passed
+        assert check.details["worst_violation"] <= 0.0
+        assert check.margin == -check.details["worst_violation"]
 
     def test_fabricated_violation(self):
         series = synthetic_series(sup_v_fn=lambda t: np.where(t == 10.0, 2.0, 1.0))
         assert 10.0 in series.t
-        ok, worst = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
-        assert not ok
+        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
+        assert not check.passed
+        worst = check.details["worst_violation"]
         assert worst == pytest.approx(1.0 - np.exp(-10.0) - 5e-3, abs=1e-12)
+        assert check.margin == -worst
+        assert check.details["v0_max"] == 1.0
 
 
 def vanishing_report(g=-0.25, h=0.25, **kw):
@@ -255,6 +260,22 @@ class TestVerifyTheorems:
         rep = detect_regime(series, 100.0, TOL)
         with pytest.raises(OutOfScope):
             verify_theorems(rep, p, UNI, s, series, TOL)
+
+    def test_spreading_checks_use_detection_window(self):
+        # A sample 1e-11 before 0.8*T sits inside detection's trailing window
+        # (its tolerance is 1e-12*T), so the spreading checks must use it too.
+        series = synthetic_series(h_fn=lambda t: 1.0 + 0.5 * t, mass_fn=lambda t: np.full_like(t, 5.0))
+        series.t[80] = 80.0 - 1e-11
+        series.h_front[80] = series.h_front[79]
+        series.g_front[80] = -series.h_front[79]
+        rep = detect_regime(series, 100.0, TOL)
+        span = series.h_front - series.g_front
+        assert rep.trailing_front_rate == (span[-1] - span[80]) / (100.0 - series.t[80])
+        p = params(k=0.5, h_comp=2.0, mu=5.0)
+        checks = verify_theorems(rep, p, UNI, make_state(p), series, TOL)
+        details = {c.name: c for c in checks}["spreading_fronts_diverge"].details
+        assert details["trailing_delta_h"] == series.h_front[-1] - series.h_front[80]
+        assert details["trailing_delta_minus_g"] == series.g_front[80] - series.g_front[-1]
 
     def test_undecided_guard(self):
         p = params()

@@ -45,6 +45,14 @@ VANISHING = (BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01
 
 GAUSSIAN = BASE.replace('form = "uniform"', 'form = "truncated_gaussian"\nsigma = 0.5')
 
+# BASE sampled once a unit of time: 4 samples, too few for regime detection.
+SHORT = BASE.replace("snapshot_every = 0.25", "snapshot_every = 1.0")
+
+# A spreading run with k >= 1, outside the spreading checks' scope.
+STRONG_K = (BASE.replace("k = 0.5", "k = 1.1").replace("h_comp = 0.5", "h_comp = 3.0")
+            .replace("mu = 1.0", "mu = 5.0").replace("h0 = 1.0", "h0 = 2.0")
+            .replace("dt = 0.02", "dt = 0.01").replace("T = 3.0", "T = 10.0"))
+
 
 def config_file(tmp_path, text=BASE, name="scenario.cfg"):
     path = tmp_path / name
@@ -141,6 +149,58 @@ class TestRunScenario:
             assert "compact_halfwidth_requested" not in check["details"]
         else:
             assert check["details"]["compact_halfwidth_requested"] == halfwidth
+
+    def test_short_series_undecided(self, tmp_path):
+        out = tmp_path / "run"
+        outcome = run_scenario(scenario(SHORT), outdir=out, check_theorems=True)
+        assert outcome.result.series.t.size == 4
+        report = json.loads((out / "report.json").read_text())
+        assert report["regime"] == "undecided"
+        assert report["notes"] == ["regime detection skipped: need at least 10 samples, got 4"]
+        fronts = report["fronts"]
+        assert fronts["g_inf_est"] is None
+        assert fronts["h_inf_est"] is None
+        assert fronts["trailing_front_rate"] is None
+        assert fronts["h_front"] == outcome.result.final_state.h_front
+        assert report["theorem_checks"][0] == {
+            "name": "theorem_checks",
+            "pass": False,
+            "margin": None,
+            "details": {"error": "regime undecided; nothing to verify"},
+        }
+        assert outcome.exit_code == 4
+
+    def test_strong_k_spreading_out_of_scope(self, tmp_path):
+        outcome = run_scenario(scenario(STRONG_K), outdir=tmp_path / "run", check_theorems=True)
+        report = outcome.report
+        assert report["regime"] == "spreading"
+        assert [c["name"] for c in report["theorem_checks"]] == [
+            "theorem_checks", "native_upper_bound"
+        ]
+        check = report["theorem_checks"][0]
+        assert not check["pass"] and check["margin"] is None
+        assert check["details"] == {"error": "OutOfScope: spreading checks cover only k < 1"}
+        assert outcome.exit_code == 4
+
+    def test_numerical_failure_report_keys(self, tmp_path):
+        table = tmp_path / "u0.txt"
+        table.write_text("-1.0 0.0\n-0.5 1.0\n0.0 0.0\n0.5 1.0\n1.0 0.0\n")
+        text = BASE + f'\n[initial]\nu_profile = "table"\nu_table = "{table.name}"\n'
+        cfg = build_scenario(parse_config_text(text), base_dir=tmp_path)
+        out = tmp_path / "fail"
+        outcome = run_scenario(cfg, outdir=out, check_theorems=True)
+        assert outcome.exit_code == 3 and outcome.result is None
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {
+            "regime", "fronts", "theta", "theorem_checks", "numerics_audit", "error"
+        }
+        assert report["regime"] == "error"
+        assert report["fronts"] == {}
+        assert report["theorem_checks"] == []
+        assert set(report["numerics_audit"]) == {
+            "competition_case", "dx", "dt", "stability_bound", "dt_halving_rel_front_change"
+        }
 
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"
@@ -400,6 +460,25 @@ snapshot_every = 0.25
              "--set", "diagnostics.eps_front=0.2", "--quiet"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--jobs", "2"], ["verify", "--jobs", "2"],
+         ["validate-kernel", "--out", "x"]],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, argv):
+        # Each subcommand takes only the flags it reads.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(config_file(tmp_path))])
+        assert exc.value.code == 2
+
+    def test_sweep_cli_benchmark_argv(self, tmp_path):
+        # The argv the benchmark's sweep workload passes.
+        cfg = config_file(tmp_path, BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n")
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1", "--quiet"]
+        assert main(argv) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_sweep_cli(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n")
