@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DiagnosticsConfig
-from .dynamics import ModelParams, validate_params
+from .dynamics import ModelParams
 from .errors import ConfigInvalid
-from .kernels import KernelSpec, validate_kernel
+from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
 from .simulator import Profile, stability_bound
 
 # -- scalar grammar --------------------------------------------------------
@@ -241,18 +241,26 @@ def _get(mapping: dict, section: str, key: str, default):
 
 
 def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
+    """The kernel of ``section``; a key that its form does not read is an error."""
     sec = mapping.get(section, {})
     form = sec.get("form", "uniform")
-    if form in ("uniform", "triangular", "truncated_gaussian"):
-        L0 = _need_positive(mapping, section, "L0", 1.0)
-        sigma = _need_positive(mapping, section, "sigma") if form == "truncated_gaussian" else None
-        return KernelSpec(form=form, L0=L0, sigma=sigma)
+    if form == "tabulated":
+        read = {"form", "table"}
+    elif form in CLOSED_FORMS:
+        read = {"form", "L0", "sigma"} if form == "truncated_gaussian" else {"form", "L0"}
+    else:
+        raise ConfigInvalid(f"unknown kernel form {form!r}", path=f"{section}.form")
+    for key in sec:
+        if key not in read:
+            raise ConfigInvalid(f"not read by kernel form {form!r}", path=f"{section}.{key}")
     if form == "tabulated":
         path = sec.get("table")
         if not isinstance(path, str):
             raise ConfigInvalid("tabulated kernel needs table = <path>", path=f"{section}.table")
         return KernelSpec.tabulated(_load_table(base_dir, path, f"{section}.table"))
-    raise ConfigInvalid(f"unknown kernel form {form!r}", path=f"{section}.form")
+    L0 = _need_positive(mapping, section, "L0", 1.0)
+    sigma = _need_positive(mapping, section, "sigma") if form == "truncated_gaussian" else None
+    return KernelSpec(form=form, L0=L0, sigma=sigma)
 
 
 def _load_table(base_dir: Path, path: str, where: str) -> np.ndarray:
@@ -320,20 +328,19 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     for f in fields(ModelParams):
         read = _number if f.name == "mu" else _need_positive  # mu may be zero
         values[f.name] = float(read(mapping, "params", f.name, f.default))
-    try:
-        params = validate_params(ModelParams(**values))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc), path="params")
+    if values["mu"] < 0:
+        raise ConfigInvalid(f"must be a nonnegative number, got {values['mu']}", path="params.mu")
+    params = ModelParams(**values)
 
-    kernel_u = _kernel_spec(mapping, "kernel_u", base_dir)
-    kernel_v = _kernel_spec(mapping, "kernel_v", base_dir)
+    specs = {section: _kernel_spec(mapping, section, base_dir) for section in ("kernel_u", "kernel_v")}
     dx = _need_positive(mapping, "numerics", "dx")
-    try:
-        ku = validate_kernel(kernel_u, dx)
-        kv = validate_kernel(kernel_v, dx)
-    except Exception as exc:
-        raise ConfigInvalid(f"kernel rejected: {exc}", path="kernel_u/kernel_v")
-    L0max = max(ku.support_radius, kv.support_radius)
+    radii = []
+    for section, spec in specs.items():
+        try:
+            radii.append(validate_kernel(spec, dx).support_radius)
+        except Exception as exc:
+            raise ConfigInvalid(f"kernel rejected: {exc}", path=section)
+    L0max = max(radii)
 
     dt = _need_positive(mapping, "numerics", "dt")
     T = _number(mapping, "numerics", "T", 10.0)
@@ -380,8 +387,9 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     ode_u0 = float(_number(mapping, "ode", "u0", 0.1))
     ode_v0 = float(_number(mapping, "ode", "v0", 0.1))
-    if ode_u0 < 0 or ode_v0 < 0:
-        raise ConfigInvalid("ode initial data must be nonnegative", path="ode.u0")
+    for key, val in (("u0", ode_u0), ("v0", ode_v0)):
+        if val < 0:
+            raise ConfigInvalid("ode initial data must be nonnegative", path=f"ode.{key}")
     ode_T = float(_number(mapping, "ode", "T", 200.0))
     if ode_T < 0:
         raise ConfigInvalid(f"T must be nonnegative, got {ode_T!r}", path="ode.T")
@@ -409,8 +417,8 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     return ScenarioConfig(
         params=params,
-        kernel_u=kernel_u,
-        kernel_v=kernel_v,
+        kernel_u=specs["kernel_u"],
+        kernel_v=specs["kernel_v"],
         u_profile=u_prof,
         v_profile=v_prof,
         numerics=NumericsConfig(

@@ -15,8 +15,10 @@ The shifted matrix B = L + d1*I is entrywise nonnegative with positive
 diagonal, so its Perron root is the eigenvalue of largest real part.  Grids
 of DENSE_THRESHOLD nodes or more find it with ARPACK's implicitly restarted
 Arnoldi method on the matrix-free operator; smaller grids solve the dense
-matrix exactly.  Translation invariance is exact because every interval is
-normalised to left endpoint 0 before discretisation.
+matrix exactly.  This module imports scipy.sparse.linalg on the ARPACK
+path only, at its first call, so a process whose grids all stay below
+DENSE_THRESHOLD never loads it.  Translation invariance is exact because
+every interval is normalised to left endpoint 0 before discretisation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import DegenerateInterval, NoConvergence
 from .kernels import GridStencil, ValidatedKernel, grid_convolve, grid_stencil
@@ -118,6 +119,8 @@ def _arpack_solve(matvec, n: int) -> tuple[float, np.ndarray, int]:
     """ARPACK from the sine start, counting matvecs.  A fixed ``rng`` makes
     the random restart after a Krylov breakdown (a rank-one operator)
     reproducible."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+
     count = 0
 
     def counted(phi: np.ndarray) -> np.ndarray:

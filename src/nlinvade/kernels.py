@@ -35,6 +35,12 @@ dt*D, which brings the per-step effect back to rounding level.  The sum
 runs over the field minus its left extension value, so a stretch equal
 to that value (a far field at rest) adds no rounding at all.  Every other stencil is convolved directly
 or by overlap-add FFT, by tap count.
+
+Imports: scipy is loaded only by the branch that runs it.  The FFT
+branch of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) imports
+scipy.signal on its first call; validating a truncated gaussian imports
+scipy.special, whose `erf` its `cdf` keeps bound, so no step imports
+anything.  Uniform, triangular and tabulated kernels load neither.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.signal import oaconvolve
-from scipy.special import erf
 
 from .errors import (
     AsymmetricKernel,
@@ -150,11 +154,6 @@ class GridStencil:
     box: tuple[float, float] | None
 
 
-def _phi(z):
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-
-
 def _closed_form(spec: KernelSpec) -> ValidatedKernel:
     L0 = spec.L0
     if L0 is None or not np.isfinite(L0) or L0 <= 0:
@@ -187,6 +186,12 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             return np.where(s <= 0.0, left, right)
 
     elif spec.form == "truncated_gaussian":
+        from scipy.special import erf
+
+        def _phi(z):
+            """Standard normal CDF."""
+            return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
         sig = spec.sigma
         if sig is None or not np.isfinite(sig) or sig <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
@@ -409,6 +414,8 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     else:
         mode = "same"
     if masses.size > DIRECT_MAX_TAPS:
+        from scipy.signal import oaconvolve
+
         return oaconvolve(values, masses, mode=mode)
     if values.size < masses.size:  # np.convolve's "same" keeps the longer length
         return np.convolve(values, masses, mode="full")[half : half + values.size]

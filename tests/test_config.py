@@ -1,7 +1,7 @@
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlinvade.config import (
@@ -163,6 +163,38 @@ class TestBuild:
             build_scenario(mapping)
         assert err.value.path == "params.d1"
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"form": "uniform", "L0": 1.0, "sigma": 0.5}, "sigma"),
+            ({"form": "triangular", "table": "k.txt"}, "table"),
+            ({"form": "truncated_gaussian", "L0": 2.0, "sigma": 0.5, "table": "k.txt"}, "table"),
+            ({"form": "tabulated", "table": "k.txt", "L0": 1.0}, "L0"),
+            ({"sigma": 0}, "sigma"),  # the default form is uniform
+        ],
+    )
+    @pytest.mark.parametrize("section", ["kernel_u", "kernel_v"])
+    def test_kernel_key_not_read_by_its_form(self, section, body, key):
+        mapping = parse_config_text(MINIMAL)
+        mapping[section] = body
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "table, suffix",
+        [("-1 1\n0 0\n1 1\n", ""), ("0.0 one\n1.0 two\n", ".table")],
+        ids=["zero-at-origin", "garbled"],
+    )
+    @pytest.mark.parametrize("section", ["kernel_u", "kernel_v"])
+    def test_rejected_kernel_table(self, tmp_path, section, table, suffix):
+        (tmp_path / "k.txt").write_text(table)
+        mapping = parse_config_text(MINIMAL)
+        mapping[section] = {"form": "tabulated", "table": "k.txt"}
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping, base_dir=tmp_path)
+        assert err.value.path == section + suffix
+
     def test_gaussian_kernel_needs_sigma(self):
         mapping = parse_config_text(MINIMAL)
         mapping["kernel_u"] = {"form": "truncated_gaussian", "L0": 2.0}
@@ -271,3 +303,30 @@ class TestBuildFuzz:
                 build_scenario(mapping, base_dir=base_dir)
             except ConfigInvalid:
                 pass
+
+    @given(
+        target=st.sampled_from(sorted((s, k) for s in SECTIONS for k in KNOWN_KEYS[s])),
+        value=VALUES,
+    )
+    @example(target=("params", "mu"), value=-1.0)
+    @example(target=("ode", "v0"), value=-1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_single_fault_reported_at_its_key(self, target, value):
+        section, key = target
+        mapping = parse_config_text(MINIMAL)
+        mapping.setdefault(section, {})[key] = value
+        with tempfile.TemporaryDirectory() as base_dir:
+            try:
+                build_scenario(mapping, base_dir=base_dir)
+            except ConfigInvalid as err:
+                path = err.path
+            else:
+                return
+        if key in ("form", "u_profile", "v_profile"):
+            # the form decides which keys of its section are read
+            assert path.startswith(f"{section}.")
+        elif section == "params":
+            # the stability bound on numerics.dt depends on every parameter
+            assert path in (f"params.{key}", "numerics.dt")
+        else:
+            assert path == f"{section}.{key}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from nlinvade import eigenvalue
@@ -157,8 +158,9 @@ class TestErrors:
         def unconverged(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
+        # _arpack_solve imports eigs at call time, so patch it at its source.
         with monkeypatch.context() as m:
-            m.setattr(eigenvalue, "eigs", unconverged)
+            m.setattr(scipy.sparse.linalg, "eigs", unconverged)
             with pytest.raises(NoConvergence):
                 principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
         # A residual above RESIDUAL_TOL fails the returned pair on both paths.

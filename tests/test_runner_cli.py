@@ -233,6 +233,12 @@ class TestSweep:
         assert rows[1][header.index("status")] == "error"
         assert "stability" in rows[1][header.index("error")]
 
+    def test_axis_key_not_read_by_the_form(self, tmp_path):
+        text = BASE + "\n[sweep]\naxis.kernel_u.sigma = [0.5]\n"
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+        assert rows[0][header.index("status")] == "error"
+        assert "kernel_u.sigma: not read by kernel form 'uniform'" in rows[0][header.index("error")]
+
     def test_any_cell_exception_recorded_not_fatal(self, tmp_path, monkeypatch):
         real = runner.run_scenario
 
@@ -362,6 +368,15 @@ class TestCli:
         )
         assert rc == 0
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "assignment, path",
+        [("kernel_u.sigma=0", "kernel_u.sigma"), ("params.mu=-1", "params.mu")],
+    )
+    def test_config_error_names_its_key(self, tmp_path, capsys, assignment, path):
+        argv = ["simulate", "--config", str(config_file(tmp_path)), "--set", assignment, "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = config_file(tmp_path)

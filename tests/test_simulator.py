@@ -461,6 +461,31 @@ class TestRun:
         assert np.array_equal(res1.final_state.u, res2.final_state.u)
         assert np.array_equal(res1.final_state.v, res2.final_state.v)
 
+    def test_step_global_takes_state_and_dt(self, monkeypatch):
+        # The benchmark's node-step counter and tracer swap simulator.step for
+        # a wrapper of this signature; run must call it once per step.
+        dt, T = 1.0 / 64.0, 0.5  # exactly 32 steps
+        ref = run(make_state(params(mu=5.0)), T, dt, 0.125, profile_every=0.25)
+        calls = []
+
+        def counting_step(state, dt, /):
+            calls.append(state.t)
+            return step(state, dt)
+
+        monkeypatch.setattr(simulator, "step", counting_step)
+        res = run(make_state(params(mu=5.0)), T, dt, 0.125, profile_every=0.25)
+        assert calls == [k * dt for k in range(32)]
+        for name in ("t", "g_front", "h_front", "mass_u", "sup_u", "v_dev_L", "sup_v"):
+            assert np.array_equal(getattr(res.series, name), getattr(ref.series, name))
+        assert len(res.profiles) == len(ref.profiles)
+        for got, want in zip(res.profiles, ref.profiles):
+            assert got[0] == want[0]
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+        for name in ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths"):
+            assert getattr(res.final_state, name) == getattr(ref.final_state, name)
+        for name in ("u", "v", "x"):
+            assert np.array_equal(getattr(res.final_state, name), getattr(ref.final_state, name))
+
     def test_series_recorded(self):
         res = run(make_state(), 2.0, 0.01, 0.5)
         assert res.series.t[0] == 0.0
