@@ -281,26 +281,34 @@ def _table_profile(sec: dict, base_dir: Path, name: str) -> Profile:
 
 
 def _profiles(mapping: dict, base_dir: Path) -> tuple[Profile, Profile]:
+    """The u and v profiles of [initial]; a key that the chosen profile kinds
+    do not read is an error."""
     sec = mapping.get("initial", {})
     u_kind = sec.get("u_profile", "cosine")
+    if u_kind not in ("cosine", "table"):
+        raise ConfigInvalid(f"unknown u profile {u_kind!r}", path="initial.u_profile")
+    v_kind = sec.get("v_profile", "constant")
+    if v_kind not in ("constant", "table"):
+        raise ConfigInvalid(f"unknown v profile {v_kind!r}", path="initial.v_profile")
+    read = {"u_profile", "u_max" if u_kind == "cosine" else "u_table",
+            "v_profile", "v_value" if v_kind == "constant" else "v_table"}
+    for key in sec:
+        if key not in read:
+            name, kind = ("u", u_kind) if key.startswith("u_") else ("v", v_kind)
+            raise ConfigInvalid(f"not read by {name} profile {kind!r}", path=f"initial.{key}")
+
     if u_kind == "cosine":
         u_prof = Profile.cosine(_need_positive(mapping, "initial", "u_max", 1.0))
-    elif u_kind == "table":
-        u_prof = _table_profile(sec, base_dir, "u")
     else:
-        raise ConfigInvalid(f"unknown u profile {u_kind!r}", path="initial.u_profile")
-
-    v_kind = sec.get("v_profile", "constant")
+        u_prof = _table_profile(sec, base_dir, "u")
     if v_kind == "constant":
         value = _number(mapping, "initial", "v_value", 1.0)
         if value < 0:
             raise ConfigInvalid(f"v_value must be nonnegative, got {value!r}",
                                 path="initial.v_value")
         v_prof = Profile.constant(float(value))
-    elif v_kind == "table":
-        v_prof = _table_profile(sec, base_dir, "v")
     else:
-        raise ConfigInvalid(f"unknown v profile {v_kind!r}", path="initial.v_profile")
+        v_prof = _table_profile(sec, base_dir, "v")
     return u_prof, v_prof
 
 

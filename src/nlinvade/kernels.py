@@ -210,8 +210,17 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
 
+        # An array s takes the six operations of the scalar expression in
+        # place on one fresh buffer, which gives the same bytes.
         def cdf(s):
-            return np.minimum(np.maximum(0.5 + scale * erf(c * np.asarray(s, dtype=float)), 0.0), 1.0)
+            z = np.multiply(s, c, dtype=float)
+            if not z.ndim:  # a scalar s: numpy scalars take no out=
+                return np.minimum(np.maximum(0.5 + scale * erf(z), 0.0), 1.0)
+            erf(z, out=z)
+            z *= scale
+            z += 0.5
+            np.maximum(z, 0.0, out=z)
+            return np.minimum(z, 1.0, out=z)
 
     else:  # pragma: no cover - guarded by caller
         raise ValueError(f"unknown kernel form {spec.form!r}")
@@ -409,8 +418,12 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     if stencil.box is not None:
         return _box_convolve(values, half, *stencil.box, *ends)
     if edge:
-        values = np.concatenate([np.full(half, ends[0]), values, np.full(half, ends[1])])
-        mode = "valid"
+        n = values.size
+        ext = np.empty(n + 2 * half)
+        ext[:half] = ends[0]
+        ext[half : half + n] = values
+        ext[half + n :] = ends[1]
+        values, mode = ext, "valid"
     else:
         mode = "same"
     if masses.size > DIRECT_MAX_TAPS:

@@ -39,6 +39,17 @@ Every step reads one grid, the node coordinates `SimState.x`: built with
 the window, rebuilt only when it grows, and bisected to find the nodes
 strictly inside a front interval (`_inside`).
 
+The state record (`SimState`) is a slotted dataclass, built once per step.
+It is not frozen, but no code writes to a state once built: `step` returns
+a new record and leaves its input as it was, so states that a caller keeps
+(profiles, a reference run) stay valid.  States share ``x``, the kernels
+and the stencils, which nothing writes.  A step allocates the new u and v,
+the covered u of the band, the flux offsets and their cdf values, the two
+convolutions (with the edge-extended v for a non-flat stencil), and one
+short product each for the c2*u and c1*v terms; everything else runs in
+place on those arrays.  When no node lies inside the new front interval,
+the u convolution and the u update are skipped.
+
 `run` calls the module global `step` as ``step(state, dt)``, two
 positional arguments, once per step.  The benchmark's node-step counter
 (perfbench/run.py) and its tracer replace that global with a wrapper of
@@ -245,9 +256,13 @@ def _sample_v0(profile: Profile, x: np.ndarray) -> np.ndarray:
 
 # -- state -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimState:
     """Solver state: time, fronts, fields, grid, coefficients, kernels.
+
+    A slotted record, cheap to build on every step and never written once
+    built (see the module docstring); `dataclasses.replace` derives a
+    changed copy.
 
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
@@ -280,10 +295,6 @@ class SimState:
     @property
     def x_max(self) -> float:
         return float(self.x[-1])
-
-    @property
-    def support_radius_max(self) -> float:
-        return max(self.j1.support_radius, self.j2.support_radius)
 
     @property
     def h0(self) -> float:
@@ -341,9 +352,10 @@ def init_state(
 
 def _ensure_window(state: SimState) -> SimState:
     """Grow the window so both fronts keep EXPAND_MARGIN * L0 of clearance."""
-    margin = EXPAND_MARGIN * state.support_radius_max
-    grow_left = state.g_front - state.x_min < margin
-    grow_right = state.x_max - state.h_front < margin
+    x = state.x
+    margin = EXPAND_MARGIN * max(state.j1.support_radius, state.j2.support_radius)
+    grow_left = state.g_front - x.item(0) < margin
+    grow_right = x.item(-1) - state.h_front < margin
     if not (grow_left or grow_right):
         return state
     n = state.u.size
@@ -382,10 +394,10 @@ def _covered_u(state: SimState, lo: int, hi: int, ia: int, ib: int) -> np.ndarra
     can be partly covered, so only those two get a weight (by the
     `cell_weights` formula); every other cover is exactly dx.
     """
-    dx, g, h = state.dx, state.g_front, state.h_front
+    dx, g, h, xs = state.dx, state.g_front, state.h_front, state.x
     wu = state.u[lo:hi].copy()
-    for j in {ia, ib - 1} if ia < ib else ():
-        x = float(state.x[j])
+    for j in range(ia, ib, max(ib - ia - 1, 1)):  # ia and ib - 1, once each
+        x = xs.item(j)
         wu[j - lo] *= max(min(x + 0.5 * dx, h) - max(x - 0.5 * dx, g), 0.0) / dx
     return wu
 
@@ -418,9 +430,11 @@ def front_speeds(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> 
 def _flush(field: np.ndarray, t: float) -> int:
     """Raise on a blown-up field, flush its negatives to zero in place and
     return how many fell below GROSS_CLAMP."""
-    top = field.max(initial=0.0)
-    bottom = field.min(initial=0.0)
-    if not (top <= FIELD_CAP and bottom > -np.inf):  # also catches NaN
+    if not field.size:
+        return 0
+    top = np.maximum.reduce(field)
+    bottom = np.minimum.reduce(field)
+    if not (top <= FIELD_CAP and bottom > -math.inf):  # also catches NaN
         raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}", t=t)
     if bottom >= 0.0:
         return 0
@@ -435,7 +449,7 @@ def step(state: SimState, dt: float) -> SimState:
     Each field is updated in the factored form f * (A - B*f - C*other) + E*conv
     of f + dt * (D * (conv - f) + f * (a - b*f - c*other)).
     """
-    if dt <= 0 or not np.isfinite(dt):
+    if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive")
     c = state.coef
     u, v = state.u, state.v
@@ -452,26 +466,30 @@ def step(state: SimState, dt: float) -> SimState:
     conv_v = grid_convolve(v, state.st2, edge=True)
     v_new = v * (-dt * c.b2)
     v_new += 1.0 + dt * (c.a2 - c.D2)
-    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
+    if ia < ib:
+        v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
     v_new *= v
     conv_v *= dt * c.D2
     v_new += conv_v
 
     # the new u is zero outside (g_new, h_new) and, by the invariant,
     # outside [lo, hi)
-    conv_u = grid_convolve(wu, state.st1)
     a, b = _inside(state, g_new, h_new)
     a, b = max(a, lo), min(b, hi)
     u_new = np.zeros(n)
-    ub, out = u[a:b], u_new[a:b]
-    np.multiply(ub, -dt * c.b1, out=out)
-    out += 1.0 + dt * (c.a1 - c.D1)
-    out -= (dt * c.c1) * v[a:b]
-    out *= ub
-    out += (dt * c.D1) * conv_u[a - lo : b - lo]
-
     t_new = state.t + dt
-    clamps = state.clamp_count + _flush(out, t_new) + _flush(v_new, t_new)
+    clamps = state.clamp_count
+    if a < b:
+        conv = grid_convolve(wu, state.st1)[a - lo : b - lo]
+        ub, out = u[a:b], u_new[a:b]
+        np.multiply(ub, -dt * c.b1, out=out)
+        out += 1.0 + dt * (c.a1 - c.D1)
+        out -= (dt * c.c1) * v[a:b]
+        out *= ub
+        conv *= dt * c.D1
+        out += conv
+        clamps += _flush(out, t_new)
+    clamps += _flush(v_new, t_new)
     return _ensure_window(
         SimState(
             t=t_new,
@@ -596,9 +614,10 @@ def run(
     next_snap = snapshot_every
     next_profile = profile_every if profile_every else None
 
-    while state.t < T - 1e-12 * max(T, 1.0):
+    t_end = T - 1e-12 * max(T, 1.0)
+    while state.t < t_end:
         state = step(state, min(dt, T - state.t))
-        if state.t >= next_snap - 0.5 * dt and state.t < T - 1e-12 * max(T, 1.0):
+        if state.t >= next_snap - 0.5 * dt and state.t < t_end:
             record(state)
             while next_snap <= state.t + 0.5 * dt:
                 next_snap += snapshot_every

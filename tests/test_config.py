@@ -182,6 +182,44 @@ class TestBuild:
         assert err.value.path == f"{section}.{key}"
 
     @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"u_table": "u.txt"}, "u_table"),  # the default u profile is cosine
+            ({"u_profile": "cosine", "u_max": 2.0, "u_table": "u.txt"}, "u_table"),
+            ({"u_profile": "table", "u_table": "u.txt", "u_max": 2.0}, "u_max"),
+            ({"v_table": "v.txt"}, "v_table"),  # the default v profile is constant
+            ({"v_profile": "constant", "v_value": 0.5, "v_table": 3}, "v_table"),
+            ({"v_profile": "table", "v_table": "v.txt", "v_value": 1.0}, "v_value"),
+        ],
+    )
+    def test_initial_key_not_read_by_its_kind(self, tmp_path, body, key):
+        (tmp_path / "u.txt").write_text("-1 0\n0 1\n1 0\n")
+        (tmp_path / "v.txt").write_text("-9 1\n9 1\n")
+        mapping = parse_config_text(MINIMAL)
+        mapping["initial"] = body
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping, base_dir=tmp_path)
+        assert err.value.path == f"initial.{key}"
+        assert "not read by" in str(err.value)
+
+    def test_unread_initial_keys_of_a_bare_mapping(self):
+        mapping = {"initial": {"u_table": "nope.txt", "v_table": 3, "u_max": 2.0},
+                   "numerics": {"dx": 0.1, "dt": 0.02}}
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping)
+        assert err.value.path == "initial.u_table"
+
+    def test_table_profiles_build(self, tmp_path):
+        (tmp_path / "u.txt").write_text("-1 0\n0 1\n1 0\n")
+        (tmp_path / "v.txt").write_text("-9 0.5\n9 1\n")
+        mapping = parse_config_text(MINIMAL)
+        mapping["initial"] = {"u_profile": "table", "u_table": "u.txt",
+                              "v_profile": "table", "v_table": "v.txt"}
+        cfg = build_scenario(mapping, base_dir=tmp_path)
+        assert cfg.u_profile.kind == "table" and cfg.v_profile.kind == "table"
+        assert cfg.v_profile.table[0].tolist() == [-9.0, 0.5]
+
+    @pytest.mark.parametrize(
         "table, suffix",
         [("-1 1\n0 0\n1 1\n", ""), ("0.0 one\n1.0 two\n", ".table")],
         ids=["zero-at-origin", "garbled"],
@@ -278,6 +316,14 @@ def section_body(name):
 
 MAPPINGS = st.fixed_dictionaries({}, optional={name: section_body(name) for name in SECTIONS})
 
+# Keys that only a form or profile kind other than MINIMAL's reads: setting
+# one alone is a fault whatever its value.
+UNREAD_BY_MINIMAL = {
+    *((sec, key) for sec in ("kernel_u", "kernel_v") for key in ("sigma", "table")),
+    ("initial", "u_table"),
+    ("initial", "v_table"),
+}
+
 
 class TestBuildFuzz:
     @given(
@@ -310,6 +356,8 @@ class TestBuildFuzz:
     )
     @example(target=("params", "mu"), value=-1.0)
     @example(target=("ode", "v0"), value=-1.0)
+    @example(target=("initial", "u_table"), value="nope.txt")
+    @example(target=("initial", "v_table"), value=3)
     @settings(max_examples=400, deadline=None)
     def test_single_fault_reported_at_its_key(self, target, value):
         section, key = target
@@ -321,6 +369,7 @@ class TestBuildFuzz:
             except ConfigInvalid as err:
                 path = err.path
             else:
+                assert target not in UNREAD_BY_MINIMAL
                 return
         if key in ("form", "u_profile", "v_profile"):
             # the form decides which keys of its section are read

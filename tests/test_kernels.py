@@ -13,6 +13,7 @@ from nlinvade.errors import (
     ZeroMass,
 )
 from nlinvade.kernels import (
+    DIRECT_MAX_TAPS,
     KernelSpec,
     cell_weights,
     grid_convolve,
@@ -210,6 +211,19 @@ class TestCdfMatchesClipForm:
             assert np.max(np.abs(cdf(s) - ref(s))) <= GAUSSIAN_ULPS
 
 
+    @pytest.mark.parametrize("form", sorted(CDF_SPECS))
+    def test_array_call_matches_scalar_calls(self, form):
+        """An array call gives the bytes of one scalar call per entry and
+        leaves its argument unchanged."""
+        k = validate_kernel(CDF_SPECS[form], DX)
+        R = k.support_radius
+        s = np.concatenate([SPECIAL, [-R, R], np.random.default_rng(9).uniform(-1.5 * R, 1.5 * R, 300)])
+        before = s.tobytes()
+        got = k.cdf(s)
+        assert s.tobytes() == before
+        assert np.array_equal(got, np.array([k.cdf(float(v)) for v in s]), equal_nan=True)
+
+
 # (sigma, L0): narrow and wide supports, sigma small enough that erf
 # saturates at L0 and large enough that the kernel is nearly flat; at
 # (1, 1) and (0.5, 2) the unrounded 0.5 / erf(c * L0) leaves 5.6e-17 at -L0
@@ -331,6 +345,23 @@ class TestFlatStencil:
     )
     def test_other_kernels_not_flat(self, spec):
         assert grid_stencil(validate_kernel(spec, DX), DX).box is None
+
+
+class TestEdgeExtension:
+    # 7 and 491 taps convolve directly, 511 by FFT; 5 nodes is shorter
+    # than every stencil, 700 longer.
+    @pytest.mark.parametrize("half", [3, 245, 255])
+    @pytest.mark.parametrize("n", [5, 700])
+    def test_bytes_of_the_concatenated_extension(self, half, n):
+        from scipy.signal import oaconvolve
+
+        st_ = grid_stencil(validate_kernel(KernelSpec.triangular(1.0), DX), 1.0 / (half + 0.5))
+        assert st_.half == half and st_.box is None
+        values = np.random.default_rng(half + n).random(n)
+        ext = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+        conv = oaconvolve if st_.masses.size > DIRECT_MAX_TAPS else np.convolve
+        want = conv(ext, st_.masses, mode="valid")
+        assert grid_convolve(values, st_, edge=True).tobytes() == want.tobytes()
 
 
 class TestCellWeights:

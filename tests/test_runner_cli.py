@@ -239,6 +239,12 @@ class TestSweep:
         assert rows[0][header.index("status")] == "error"
         assert "kernel_u.sigma: not read by kernel form 'uniform'" in rows[0][header.index("error")]
 
+    def test_axis_initial_key_not_read_by_the_kind(self, tmp_path):
+        text = BASE + '\n[sweep]\naxis.initial.v_table = ["v.txt"]\n'
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+        assert rows[0][header.index("status")] == "error"
+        assert "initial.v_table: not read by v profile 'constant'" in rows[0][header.index("error")]
+
     def test_any_cell_exception_recorded_not_fatal(self, tmp_path, monkeypatch):
         real = runner.run_scenario
 

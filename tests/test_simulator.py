@@ -25,10 +25,14 @@ from nlinvade.kernels import (
 )
 from nlinvade import simulator
 from nlinvade.simulator import (
+    EXPAND_MARGIN,
+    FIELD_CAP,
     GROSS_CLAMP,
     GeneralParams,
     Profile,
+    SimState,
     _covered_u,
+    _flush,
     _inside,
     front_speeds,
     init_state,
@@ -293,6 +297,226 @@ class TestBandedStep:
             s = assert_matches_reference(s, 0.01)
 
 
+# -- bitwise oracle: the step as it was before its numpy calls were cut ------
+
+def reference_covered_u(state, lo, hi, ia, ib):
+    dx, g, h = state.dx, state.g_front, state.h_front
+    wu = state.u[lo:hi].copy()
+    for j in {ia, ib - 1} if ia < ib else ():
+        x = float(state.x[j])
+        wu[j - lo] *= max(min(x + 0.5 * dx, h) - max(x - 0.5 * dx, g), 0.0) / dx
+    return wu
+
+
+def reference_flush(field, t):
+    top = field.max(initial=0.0)
+    bottom = field.min(initial=0.0)
+    if not (top <= FIELD_CAP and bottom > -np.inf):
+        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}", t=t)
+    if bottom >= 0.0:
+        return 0
+    gross = int(np.count_nonzero(field < GROSS_CLAMP))
+    np.copyto(field, 0.0, where=field < 0.0)
+    return gross
+
+
+def reference_ensure_window(state):
+    margin = EXPAND_MARGIN * max(state.j1.support_radius, state.j2.support_radius)
+    grow_left = state.g_front - state.x_min < margin
+    grow_right = state.x_max - state.h_front < margin
+    if not (grow_left or grow_right):
+        return state
+    n = state.u.size
+    chunk = max(n // 2, 4 * max(state.st1.half, state.st2.half), 8)
+    u, v, i0 = state.u, state.v, state.i0
+    if grow_left:
+        u = np.concatenate([np.zeros(chunk), u])
+        v = np.concatenate([np.full(chunk, v[0]), v])
+        i0 -= chunk
+    if grow_right:
+        u = np.concatenate([u, np.zeros(chunk)])
+        v = np.concatenate([v, np.full(chunk, v[-1])])
+    x = (i0 + np.arange(u.size)) * state.dx
+    return replace(state, u=u, v=v, x=x, i0=i0, window_growths=state.window_growths + 1)
+
+
+def reference_step(state, dt):
+    """`step` before its per-step numpy calls were cut, with the helpers of
+    that version."""
+    if dt <= 0 or not np.isfinite(dt):
+        raise ValueError("dt must be positive")
+    c = state.coef
+    u, v = state.u, state.v
+    n = u.size
+
+    ia, ib = _inside(state, state.g_front, state.h_front)
+    lo, hi = max(ia - state.st1.half, 0), min(ib + state.st1.half, n)
+    wu = reference_covered_u(state, lo, hi, ia, ib)
+    g_rate, h_rate = front_speeds(state, wu, lo, ia, ib)
+    g_new = state.g_front + dt * g_rate
+    h_new = state.h_front + dt * h_rate
+
+    conv_v = grid_convolve(v, state.st2, edge=True)
+    v_new = v * (-dt * c.b2)
+    v_new += 1.0 + dt * (c.a2 - c.D2)
+    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
+    v_new *= v
+    conv_v *= dt * c.D2
+    v_new += conv_v
+
+    conv_u = grid_convolve(wu, state.st1)
+    a, b = _inside(state, g_new, h_new)
+    a, b = max(a, lo), min(b, hi)
+    u_new = np.zeros(n)
+    ub, out = u[a:b], u_new[a:b]
+    np.multiply(ub, -dt * c.b1, out=out)
+    out += 1.0 + dt * (c.a1 - c.D1)
+    out -= (dt * c.c1) * v[a:b]
+    out *= ub
+    out += (dt * c.D1) * conv_u[a - lo : b - lo]
+
+    t_new = state.t + dt
+    clamps = state.clamp_count + reference_flush(out, t_new) + reference_flush(v_new, t_new)
+    return reference_ensure_window(
+        replace(state, t=t_new, g_front=g_new, h_front=h_new, u=u_new, v=v_new, clamp_count=clamps)
+    )
+
+
+SCALARS = ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths")
+
+
+def assert_same_state(got, want):
+    for name in ("u", "v", "x"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in SCALARS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def assert_steps_match_reference(s, dts):
+    for dt in dts:
+        want = reference_step(s, dt)
+        got = step(s, dt)
+        assert_same_state(got, want)
+        s = got
+    return s
+
+
+def fronts_between(s, g, h):
+    """s with fronts (g, h) and no invader."""
+    return replace(s, u=np.zeros_like(s.u), g_front=g, h_front=h)
+
+
+def oracle_params(mu=5.0):
+    """Coefficients that are not powers of two, so that a changed order of
+    operations changes the rounding."""
+    return params(d1=1.3, d2=0.7, k=0.45, h_comp=0.6, gamma=1.1, mu=mu)
+
+
+def oracle_state(mu=5.0, dx=0.05, pad=3.0, k=UNI):
+    return init_state(oracle_params(mu), k, k, Profile.cosine(0.9), Profile.constant(0.95), dx, pad)
+
+
+class TestStepOracle:
+    """`step` against `reference_step`, bit for bit."""
+
+    @pytest.mark.parametrize("form", sorted(BAND_KERNELS))
+    def test_kernel_forms(self, form):
+        k = validate_kernel(BAND_KERNELS[form], 0.05)
+        assert_steps_match_reference(oracle_state(k=k), [0.02] * 40)
+
+    def test_general_params(self):
+        gp = GeneralParams(D1=1.7, D2=1.3, a1=1.9, b1=0.6, c1=0.45, a2=1.1, b2=1.2,
+                           c2=0.35, mu_hat=3.0, H0=0.8)
+        gauss = validate_kernel(BAND_KERNELS["gaussian"], 0.05)
+        s = init_state(gp, gauss, UNI, Profile.cosine(1.0), Profile.constant(0.9), 0.05, 3.0)
+        assert_steps_match_reference(s, [0.01] * 40)
+
+    def test_window_growth(self):
+        s = oracle_state(mu=20.0, pad=2.1)
+        s = assert_steps_match_reference(s, [0.005] * 60)
+        assert s.window_growths > 0
+
+    def test_clamps(self):
+        s = oracle_state()
+        s = assert_steps_match_reference(s, [1.5] * 3 + [0.02] * 40)
+        assert s.clamp_count > 0
+
+    def test_no_node_inside(self):
+        s = oracle_state(mu=2.0)
+        s = fronts_between(s, s.x[40] + 0.2 * s.dx, s.x[40] + 0.7 * s.dx)
+        out = assert_steps_match_reference(s, [0.02] * 40)
+        assert (out.g_front, out.h_front) == (s.g_front, s.h_front) and not out.u.any()
+
+    def test_one_node_inside(self):
+        s = oracle_state(mu=2.0)
+        s = bump_between(s, s.x[40] - 0.3 * s.dx, s.x[40] + 0.4 * s.dx)
+        assert _inside(s, s.g_front, s.h_front) == (40, 41) and s.u[40] > 0.0
+        assert_steps_match_reference(s, [0.02] * 40)
+
+    def test_empty_new_band(self):
+        # fronts on two neighbouring nodes: the band around them is not
+        # empty, but no node lies strictly inside the new interval
+        s = oracle_state(mu=2.0)
+        s = fronts_between(s, s.x[40], s.x[41])
+        ia, ib = _inside(s, s.g_front, s.h_front)
+        assert ia == ib == 41
+        assert_steps_match_reference(s, [0.02] * 40)
+
+    def test_front_past_the_window_edge(self):
+        s = oracle_state()
+        s = bump_between(s, s.x_min + 0.5 * s.dx, s.x_max - 0.2 * s.dx)
+        assert_steps_match_reference(s, [0.02] * 40)
+
+    def test_mu_zero(self):
+        s = assert_steps_match_reference(oracle_state(mu=0.0), [0.02] * 40)
+        assert (s.g_front, s.h_front) == (-1.0, 1.0)
+
+
+class TestStateRecord:
+    def test_step_leaves_its_input_unchanged(self):
+        s = make_state(params(mu=20.0), dx=0.05, pad=2.1)
+        for _ in range(40):
+            arrays = {name: getattr(s, name).copy() for name in ("u", "v", "x")}
+            scalars = {name: getattr(s, name) for name in SCALARS}
+            first = step(s, 0.02)
+            for name, a in arrays.items():
+                assert getattr(s, name).tobytes() == a.tobytes(), name
+            for name, value in scalars.items():
+                assert getattr(s, name) == value, name
+            assert_same_state(step(s, 0.02), first)
+            s = first
+        assert s.window_growths > 0
+
+    def test_replace_and_slots(self):
+        s = make_state()
+        moved = replace(s, h_front=2.0)
+        assert moved.h_front == 2.0 and s.h_front == 1.0 and moved.u is s.u
+        assert not hasattr(s, "__dict__") and "t" in SimState.__slots__
+
+
+class TestFlush:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(FIELD_CAP, np.inf)])
+    def test_blown_up_field_raises(self, bad):
+        field = np.linspace(0.0, 1.0, 7)
+        field[3] = bad
+        with pytest.raises(StabilityViolated):
+            _flush(field, 1.0)
+
+    def test_cap_itself_passes(self):
+        assert _flush(np.array([0.0, FIELD_CAP]), 1.0) == 0
+
+    def test_empty_field(self):
+        assert _flush(np.zeros(0), 1.0) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gross_count_and_zeroing(self, seed):
+        rng = np.random.default_rng(seed)
+        field = rng.choice([-1e-3, -1e-12, -2e-12, -1e-15, -0.0, 0.0, 0.5, 2.0], size=50)
+        want = field.copy()
+        assert _flush(field, 1.0) == reference_flush(want, 1.0)
+        assert field.tobytes() == want.tobytes()
+
+
 def whole_band_flux(s):
     """(g_rate, h_rate) summed over the whole window with `cell_weights`."""
     mu = reaction_coefficients(s.coef)[4]
@@ -509,7 +733,7 @@ class TestRun:
         s = make_state(p, dx=0.05, pad=2.1)
         res = run(s, 6.0, 0.005, 1.0)
         fs = res.final_state
-        margin = 2.0 * fs.support_radius_max
+        margin = 2.0 * max(fs.j1.support_radius, fs.j2.support_radius)
         assert fs.x_min <= fs.g_front - margin
         assert fs.x_max >= fs.h_front + margin
         assert fs.window_growths > 0
