@@ -382,13 +382,13 @@ def reference_step(state, dt):
     )
 
 
-SCALARS = ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths")
+STATE_SCALARS = ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths")
 
 
 def assert_same_state(got, want):
     for name in ("u", "v", "x"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in SCALARS:
+    for name in STATE_SCALARS:
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -412,8 +412,8 @@ def oracle_params(mu=5.0):
     return params(d1=1.3, d2=0.7, k=0.45, h_comp=0.6, gamma=1.1, mu=mu)
 
 
-def oracle_state(mu=5.0, dx=0.05, pad=3.0, k=UNI):
-    return init_state(oracle_params(mu), k, k, Profile.cosine(0.9), Profile.constant(0.95), dx, pad)
+def oracle_state(mu=5.0, pad=3.0, k=UNI):
+    return init_state(oracle_params(mu), k, k, Profile.cosine(0.9), Profile.constant(0.95), 0.05, pad)
 
 
 class TestStepOracle:
@@ -477,7 +477,7 @@ class TestStateRecord:
         s = make_state(params(mu=20.0), dx=0.05, pad=2.1)
         for _ in range(40):
             arrays = {name: getattr(s, name).copy() for name in ("u", "v", "x")}
-            scalars = {name: getattr(s, name) for name in SCALARS}
+            scalars = {name: getattr(s, name) for name in STATE_SCALARS}
             first = step(s, 0.02)
             for name, a in arrays.items():
                 assert getattr(s, name).tobytes() == a.tobytes(), name
