@@ -210,17 +210,17 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
 
-        # An array s takes the six operations of the scalar expression in
-        # place on one fresh buffer, which gives the same bytes.
+        # the six operations of 0.5 + scale * erf(c * s), clamped, run in
+        # place on one fresh buffer; [()] makes a 0-d result a numpy scalar,
+        # as the other cdfs return for a scalar s
         def cdf(s):
-            z = np.multiply(s, c, dtype=float)
-            if not z.ndim:  # a scalar s: numpy scalars take no out=
-                return np.minimum(np.maximum(0.5 + scale * erf(z), 0.0), 1.0)
+            z = np.array(s, dtype=float)
+            z *= c
             erf(z, out=z)
             z *= scale
             z += 0.5
             np.maximum(z, 0.0, out=z)
-            return np.minimum(z, 1.0, out=z)
+            return np.minimum(z, 1.0, out=z)[()]
 
     else:  # pragma: no cover - guarded by caller
         raise ValueError(f"unknown kernel form {spec.form!r}")

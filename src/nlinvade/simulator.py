@@ -47,8 +47,7 @@ and the stencils, which nothing writes.  A step allocates the new u and v,
 the covered u of the band, the flux offsets and their cdf values, the two
 convolutions (with the edge-extended v for a non-flat stencil), and one
 short product each for the c2*u and c1*v terms; everything else runs in
-place on those arrays.  When no node lies inside the new front interval,
-the u convolution and the u update are skipped.
+place on those arrays.
 
 `run` calls the module global `step` as ``step(state, dt)``, two
 positional arguments, once per step.  The benchmark's node-step counter
@@ -466,8 +465,7 @@ def step(state: SimState, dt: float) -> SimState:
     conv_v = grid_convolve(v, state.st2, edge=True)
     v_new = v * (-dt * c.b2)
     v_new += 1.0 + dt * (c.a2 - c.D2)
-    if ia < ib:
-        v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
+    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
     v_new *= v
     conv_v *= dt * c.D2
     v_new += conv_v
@@ -477,19 +475,17 @@ def step(state: SimState, dt: float) -> SimState:
     a, b = _inside(state, g_new, h_new)
     a, b = max(a, lo), min(b, hi)
     u_new = np.zeros(n)
+    ub, out = u[a:b], u_new[a:b]
+    np.multiply(ub, -dt * c.b1, out=out)
+    out += 1.0 + dt * (c.a1 - c.D1)
+    out -= (dt * c.c1) * v[a:b]
+    out *= ub
+    conv = grid_convolve(wu, state.st1)[a - lo : b - lo]
+    conv *= dt * c.D1
+    out += conv
+
     t_new = state.t + dt
-    clamps = state.clamp_count
-    if a < b:
-        conv = grid_convolve(wu, state.st1)[a - lo : b - lo]
-        ub, out = u[a:b], u_new[a:b]
-        np.multiply(ub, -dt * c.b1, out=out)
-        out += 1.0 + dt * (c.a1 - c.D1)
-        out -= (dt * c.c1) * v[a:b]
-        out *= ub
-        conv *= dt * c.D1
-        out += conv
-        clamps += _flush(out, t_new)
-    clamps += _flush(v_new, t_new)
+    clamps = state.clamp_count + _flush(out, t_new) + _flush(v_new, t_new)
     return _ensure_window(
         SimState(
             t=t_new,
