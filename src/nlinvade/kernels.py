@@ -16,11 +16,11 @@ unit mass so that convolving a constant field returns that constant to
 rounding accuracy.
 
 Cumulative mass: every `cdf` is one elementwise expression followed by a
-min/max clamp to [0, 1].  The truncated gaussian's is folded to
-0.5 + scale * erf(c * s), c = 1 / (sigma * sqrt(2)), with scale rounded up
-from 0.5 / erf(c * L0) so that the value is exactly 0 at and beyond -L0
-and exactly 1 at and beyond L0.  It agrees with the difference-of-Phi form
-(Phi(s / sigma) - Phi(-L0 / sigma)) / span to within 3 ulp of 1.
+min/max clamp to [0, 1].  The truncated gaussian's is folded to 0.5 +
+scale * math.erf(c * s), c = 1 / (sigma * sqrt(2)), with scale rounded up
+from 0.5 / math.erf(c * L0) so that the value is exactly 0 at and beyond
+-L0 and exactly 1 at and beyond L0.  It agrees with the difference-of-Phi
+form (Phi(s / sigma) - Phi(-L0 / sigma)) / span to within 3 ulp of 1.
 
 Convolution: `grid_convolve` is the one place that picks how a stencil is
 applied.  A flat stencil, whose interior taps are all equal and whose two
@@ -36,11 +36,9 @@ runs over the field minus its left extension value, so a stretch equal
 to that value (a far field at rest) adds no rounding at all.  Every other stencil is convolved directly
 or by overlap-add FFT, by tap count.
 
-Imports: scipy is loaded only by the branch that runs it.  The FFT
-branch of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) imports
-scipy.signal on its first call; validating a truncated gaussian imports
-scipy.special, whose `erf` its `cdf` keeps bound, so no step imports
-anything.  Uniform, triangular and tabulated kernels load neither.
+Imports: only two branches load scipy, on their first call: the FFT branch
+of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal, and
+the eigensolver's ARPACK path scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -186,11 +184,10 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             return np.where(s <= 0.0, left, right)
 
     elif spec.form == "truncated_gaussian":
-        from scipy.special import erf
 
         def _phi(z):
             """Standard normal CDF."""
-            return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+            return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
         sig = spec.sigma
         if sig is None or not np.isfinite(sig) or sig <= 0:
@@ -205,18 +202,16 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         # exactly 0 and 1 at and beyond -L0 and L0 (erf is odd and does not
         # decrease)
         c = 1.0 / (sig * math.sqrt(2.0))
-        edge = float(erf(c * L0))
+        edge = math.erf(c * L0)
         scale = 0.5 / edge
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
 
-        # the six operations of 0.5 + scale * erf(c * s), clamped, run in
-        # place on one fresh buffer; [()] makes a 0-d result a numpy scalar,
-        # as the other cdfs return for a scalar s
+        # erf mapped over c * s, then scaled and clamped in place; [()] makes a
+        # 0-d result a numpy scalar, as the other cdfs return for a scalar s
         def cdf(s):
-            z = np.array(s, dtype=float)
-            z *= c
-            erf(z, out=z)
+            z = np.multiply(s, c, dtype=float)
+            z = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
             z *= scale
             z += 0.5
             np.maximum(z, 0.0, out=z)
@@ -255,9 +250,8 @@ def _tabulated(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel:
 
     # Symmetry probe on the sample abscissae, their mirrors and midpoints.
     probes = np.unique(np.concatenate([xs, -xs, 0.5 * (xs[1:] + xs[:-1])]))
-    if grid_resolution > 0:
-        n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1
-        probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
+    n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1  # validate_kernel: > 0
+    probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
     asym = np.max(np.abs(raw(probes) - raw(-probes)), initial=0.0)
     if asym > SYMMETRY_TOL * max(peak, 1e-300):
         raise AsymmetricKernel(f"tabulated kernel asymmetric by {asym:.3e}")

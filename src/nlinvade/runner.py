@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -184,8 +182,8 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, v0_max: float, result, chec
 
 # -- parameter sweeps ---------------------------------------------------------
 
-SWEEP_HEADER_FIXED = [
-    "cell",
+# The columns of sweep.csv after "cell" and the axis values.
+SWEEP_FIELDS = [
     "status",
     "regime",
     "g_front",
@@ -198,14 +196,14 @@ SWEEP_HEADER_FIXED = [
 
 
 def _sweep_cell(args):
-    index, mapping, base_dir, cell_dir, check = args
+    mapping, base_dir, cell_dir, check = args
     try:
         cfg = build_scenario(mapping, base_dir)
         outcome = run_scenario(cfg, outdir=cell_dir, check_theorems=check)
     except Exception as exc:  # any failure stays in its row; the sweep goes on
-        row = dict.fromkeys(SWEEP_HEADER_FIXED[1:], "")
+        row = dict.fromkeys(SWEEP_FIELDS, "")
         row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        return index, row
+        return row
     rep = outcome.report
     margins = [
         c["margin"] for c in rep.get("theorem_checks", []) if isinstance(c.get("margin"), float)
@@ -216,7 +214,7 @@ def _sweep_cell(args):
         mass, sup = float(series.mass_u[-1]), float(series.sup_u[-1])
     else:
         mass = sup = ""
-    return index, {
+    return {
         "status": "ok" if outcome.exit_code == EXIT_OK else f"exit{outcome.exit_code}",
         "regime": rep.get("regime", ""),
         "g_front": fronts.get("g_front", ""),
@@ -261,17 +259,20 @@ def sweep(
         for path, value in zip(paths, combo):
             section, _, key = path.partition(".")
             mapping.setdefault(section, {})[key] = value
-        cell_dir = out / f"cell_{index:04d}"
-        tasks.append((index, mapping, str(base_dir), str(cell_dir), check_theorems))
+        tasks.append((mapping, str(base_dir), str(out / f"cell_{index:04d}"), check_theorems))
 
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if jobs > 1 else nullcontext()
-    with pool as workers:  # None when serial
-        results = dict((workers.map if workers else map)(_sweep_cell, tasks))
+    # Both maps yield in task order.  The pool's module loads
+    # multiprocessing, so only a parallel sweep imports it.
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    header = ["cell", *paths, *SWEEP_HEADER_FIXED[1:]]
-    rows = []
-    for index, combo in enumerate(combos):
-        r = results[index]
-        rows.append([index, *combo] + [r[k] for k in SWEEP_HEADER_FIXED[1:]])
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as workers:
+            results = list(workers.map(_sweep_cell, tasks))
+    else:
+        results = list(map(_sweep_cell, tasks))
+
+    header = ["cell", *paths, *SWEEP_FIELDS]
+    rows = [[index, *combo] + [r[k] for k in SWEEP_FIELDS]
+            for index, (combo, r) in enumerate(zip(combos, results))]
     write_sweep_csv(out / "sweep.csv", header, rows)
     return header, rows

@@ -1,8 +1,10 @@
 """Which scipy subpackages a fresh interpreter loads, per code path.
 
 Importing scipy.signal alone costs most of a second, so the package
-imports each scipy subpackage inside the branch that uses it.  Every case
-runs in its own interpreter and reports which watched modules it loaded.
+imports each scipy subpackage inside the branch that uses it, and the
+process pool only for a parallel sweep.  Uniform and truncated-gaussian
+runs load no scipy at all.  Every case runs in its own interpreter and
+reports which watched modules it loaded.
 """
 
 import json
@@ -14,7 +16,11 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy.signal", "scipy.sparse.linalg", "scipy.special")
+# "scipy" stands for every scipy module: each one imports the package.
+# concurrent.futures.process loads multiprocessing, which only a parallel
+# sweep uses.
+WATCHED = ("scipy", "scipy.signal", "scipy.sparse.linalg", "scipy.special",
+           "concurrent.futures.process")
 
 UNIFORM_RUN = """
 import tempfile
@@ -39,6 +45,35 @@ from nlinvade.kernels import KernelSpec, validate_kernel
 
 k = validate_kernel(KernelSpec.truncated_gaussian(1.0, 2.0), 0.05)
 k.cdf([0.0, 1.0])
+"""
+
+GAUSSIAN_SWEEP = """
+import tempfile
+from pathlib import Path
+from nlinvade.cli import main
+
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "sweep.cfg"
+    cfg.write_text('''
+[params]
+mu = 1.0
+[kernel_u]
+form = "truncated_gaussian"
+L0 = 2.0
+sigma = 1.0
+[kernel_v]
+form = "truncated_gaussian"
+L0 = 2.0
+sigma = 1.0
+[numerics]
+dx = 0.05
+dt = 0.02
+T = 0.5
+[sweep]
+axis.params.mu = [0.01, 10.0]
+''')
+    argv = ["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "sw"), "--jobs", "1", "--quiet"]
+    assert main(argv) == 0
 """
 
 EIGEN_16_NODES = """
@@ -79,10 +114,11 @@ def loaded(snippet: str) -> list[str]:
 
 
 # (snippet, modules it must load, modules it must not load); scipy.signal
-# itself imports the other two.
+# itself imports scipy.sparse.linalg and scipy.special.
 CASES = {
     "uniform-run": (UNIFORM_RUN, [], list(WATCHED)),
-    "gaussian-kernel": (GAUSSIAN_KERNEL, ["scipy.special"], ["scipy.signal", "scipy.sparse.linalg"]),
+    "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
+    "gaussian-sweep": (GAUSSIAN_SWEEP, [], list(WATCHED)),
     "eigen-16-nodes": (EIGEN_16_NODES, ["scipy.sparse.linalg"], ["scipy.signal"]),
     "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),
 }

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -284,7 +285,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        # sweep imports the pool class from concurrent.futures when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n"
         _, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=500)
         assert seen == [2]
@@ -492,6 +494,15 @@ snapshot_every = 0.25
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(config_file(tmp_path))])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_sweep_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        cfg = config_file(tmp_path, BASE + "\n[sweep]\naxis.params.mu = [0.5]\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_cli_benchmark_argv(self, tmp_path):
         # The argv the benchmark's sweep workload passes.
