@@ -27,13 +27,6 @@ from .output import fmt, sanitize, write_eigen_curve, write_report_json
 from .runner import EXIT_CONFIG, EXIT_NUMERICAL, run_scenario, sweep
 
 
-def _jobs(text: str) -> int:
-    """The ``--jobs`` worker count: an integer of at least 1, else a usage error."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
-
-
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nlinvade",
@@ -70,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
         if "--out" in flags:
             p.add_argument("--out", default=None, help="output directory override")
         if "--jobs" in flags:
-            p.add_argument("--jobs", type=_jobs, default=1, help="parallel sweep cells (>= 1)")
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells (>= 1)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     return ap
 
@@ -143,7 +136,9 @@ def _cmd_simulate(args, cfg, check: bool) -> int:
 
 def _cmd_sweep(args, cfg) -> int:
     base_dir = Path(args.config).parent
-    header, rows = sweep(cfg, outdir=args.out, jobs=args.jobs, base_dir=base_dir)
+    header, rows = sweep(
+        cfg, outdir=args.out, jobs=args.jobs, base_dir=base_dir
+    )
     _say(args, ",".join(header))
     for row in rows:
         _say(args, ",".join(str(c) for c in row))

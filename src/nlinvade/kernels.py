@@ -250,8 +250,9 @@ def _tabulated(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel:
 
     # Symmetry probe on the sample abscissae, their mirrors and midpoints.
     probes = np.unique(np.concatenate([xs, -xs, 0.5 * (xs[1:] + xs[:-1])]))
-    n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1  # validate_kernel: > 0
-    probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
+    if grid_resolution > 0:
+        n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1
+        probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
     asym = np.max(np.abs(raw(probes) - raw(-probes)), initial=0.0)
     if asym > SYMMETRY_TOL * max(peak, 1e-300):
         raise AsymmetricKernel(f"tabulated kernel asymmetric by {asym:.3e}")

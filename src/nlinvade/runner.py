@@ -242,6 +242,8 @@ def sweep(
     axes = cfg.sweep_axes
     if not axes:
         raise ConfigInvalid("no sweep axes configured", path="sweep")
+    if jobs < 1:
+        raise ConfigInvalid(f"--jobs must be at least 1, got {jobs}")
     paths = list(axes.keys())
     grids = [axes[p] for p in paths]
     total = int(np.prod([len(g) for g in grids]))

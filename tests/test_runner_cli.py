@@ -5,7 +5,7 @@ import pytest
 
 from nlinvade.cli import main
 from nlinvade.config import build_scenario, parse_config_text
-from nlinvade.errors import GridTooLarge
+from nlinvade.errors import ConfigInvalid, GridTooLarge
 from nlinvade.output import TIMESERIES_HEADER
 from nlinvade import runner
 from nlinvade.eigenvalue import RESIDUAL_TOL
@@ -224,6 +224,13 @@ class TestSweep:
         text = BASE + "\n[sweep]\ncap = 2\naxis.params.mu = [0.1, 1.0, 10.0]\n"
         with pytest.raises(GridTooLarge):
             sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        text = BASE + "\n[sweep]\naxis.params.mu = [0.5]\n"
+        with pytest.raises(ConfigInvalid, match="--jobs must be at least 1"):
+            sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=jobs)
+        assert not (tmp_path / "sw").exists()
 
     def test_cell_error_recorded_not_fatal(self, tmp_path):
         # Second mu value drives dt over the stability bound for h_comp=2.
@@ -495,13 +502,12 @@ snapshot_every = 0.25
             main([*argv, "--config", str(config_file(tmp_path))])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-    def test_sweep_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
         cfg = config_file(tmp_path, BASE + "\n[sweep]\naxis.params.mu = [0.5]\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
     def test_sweep_cli_benchmark_argv(self, tmp_path):
