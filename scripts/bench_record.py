@@ -6,6 +6,8 @@ twice: untraced (--trace 0, the end-to-end metrics) and then traced
 file it writes at the repository root holds:
 
 - the commit, and whether tracked files differed from it;
+- the source line count (`source_lines`, as `git ls-files src | xargs wc -l`
+  totals it);
 - the environment record of the benchmark runs (from
   .bench_out/<workload>/seed<N>-trace<T>/run.json);
 - for each workload and trace setting, the verdict and the metrics;
@@ -37,6 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def source_lines() -> int:
+    """Newline count of the tracked files under src/."""
+    return sum((ROOT / name).read_bytes().count(b"\n") for name in git("ls-files", "src").splitlines())
 
 
 def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -98,6 +105,7 @@ def main(argv=None) -> int:
     record = {
         "commit": commit,
         "dirty": dirty,
+        "source_lines": source_lines(),
         "recorded_utc": now.strftime("%Y-%m-%dT%H:%M:%SZ"),
         "seed": args.seed,
         "seconds": {"trace0": args.seconds, "trace1": args.trace_seconds},

@@ -3,9 +3,10 @@
 Subpackage map:
   kernels     dispersal kernels, validation, quadrature stencils
   eigenvalue  principal eigenvalue of the dispersal operator on an interval
-  dynamics    spatially homogeneous system: equilibria, classification,
+  dynamics    parameter records (reduced and general form) and the
+              spatially homogeneous system: equilibria, classification,
               plateau level, bound iteration
-  simulator   the coupled free-boundary field solver (reduced and general form)
+  simulator   the coupled free-boundary field solver
   diagnostics regime detection, consistency checks, their tolerance record
   config      scenario configuration (sectioned key=value text)
   runner      scenario execution, parameter sweeps, file emission

@@ -3,9 +3,10 @@
 The format is a flat TOML-like dialect: ``[section]`` headers, one
 ``key = value`` per line, ``#`` comments.  Values are booleans
 (true/false), integers, floats, bare or quoted strings, and flat lists
-``[a, b, c]``.  Keys may be dotted (used by sweep axes).  Parsing then
-serialising is idempotent on the normalised form, which keeps configs
-diff-friendly and sweep overrides deterministic.
+``[a, b, c]``.  Keys may be dotted (used by sweep axes).  A key set twice
+in one section, also in a repeated ``[section]`` block, is an error.
+Parsing then serialising is idempotent on the normalised form, which keeps
+configs diff-friendly and sweep overrides deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvalidInitialU, InvalidInitialV
 from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
-from .simulator import Profile, stability_bound
+from .simulator import Profile, init_state, stability_bound
 
 # -- scalar grammar --------------------------------------------------------
 
@@ -92,6 +93,7 @@ def format_value(value) -> str:
 def parse_config_text(text: str) -> dict:
     """Parse sectioned key=value text into {section: {key: value}}."""
     mapping: dict[str, dict] = {}
+    first_line: dict[tuple[str, str], int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -120,7 +122,11 @@ def parse_config_text(text: str) -> dict:
         if section is None:
             raise ConfigInvalid(f"key outside any [section] on line {lineno}: {raw!r}")
         key, _, val = line.partition("=")
-        mapping[section][key.strip()] = parse_value(val)
+        key = key.strip()
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigInvalid(f"set twice, on lines {first} and {lineno}", path=f"{section}.{key}")
+        mapping[section][key] = parse_value(val)
     return mapping
 
 
@@ -342,13 +348,13 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     specs = {section: _kernel_spec(mapping, section, base_dir) for section in ("kernel_u", "kernel_v")}
     dx = _need_positive(mapping, "numerics", "dx")
-    radii = []
+    kernels = {}
     for section, spec in specs.items():
         try:
-            radii.append(validate_kernel(spec, dx).support_radius)
+            kernels[section] = validate_kernel(spec, dx)
         except Exception as exc:
             raise ConfigInvalid(f"kernel rejected: {exc}", path=section)
-    L0max = max(radii)
+    L0max = max(k.support_radius for k in kernels.values())
 
     dt = _need_positive(mapping, "numerics", "dt")
     T = _number(mapping, "numerics", "T", 10.0)
@@ -384,6 +390,18 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         )
 
     u_prof, v_prof = _profiles(mapping, base_dir)
+    if "table" in (u_prof.kind, v_prof.kind):
+        # A table is checked by sampling the profiles as the run will.  The
+        # checks above cover the cosine and constant kinds, so they skip this.
+        try:
+            init_state(params, kernels["kernel_u"], kernels["kernel_v"], u_prof, v_prof,
+                       dx, window_pad)
+        except InvalidInitialU as exc:
+            # a cosine u fails here only on a subnormal u_max
+            key = "u_table" if u_prof.kind == "table" else "u_max"
+            raise ConfigInvalid(str(exc), path=f"initial.{key}")
+        except InvalidInitialV as exc:
+            raise ConfigInvalid(str(exc), path="initial.v_table")
 
     lengths = _get(mapping, "eigen", "lengths", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(lengths, list) or not lengths or not all(

@@ -12,6 +12,14 @@ on the spreading side.
 
 The reaction coefficient is called ``h_comp`` throughout: the plain symbol
 h is reserved for the right front position in the field model.
+
+The field model also runs in un-reduced form (`GeneralParams`: arbitrary
+diffusivities and linear reaction coefficients).  Both parameter records
+answer `general()`, the validated general-form coefficients that the
+stepping core reads: the reduced system is the general one with
+a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h_comp.
+`reduce_general` maps a general record to the reduced one together with
+the exact field and time scalings (`ScalingTransform`).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssumptionViolated, NotInTheta2, StepTooLarge
+from .errors import AssumptionViolated, NonPositiveParameter, NotInTheta2, StepTooLarge
 
 THETA1 = "theta1"
 THETA2 = "theta2"
@@ -59,6 +67,13 @@ class ModelParams:
     def d1_tilde(self) -> float:
         return self.d1 + self.k - 1.0
 
+    def general(self) -> GeneralParams:
+        """The validated coefficients of the general form (ValueError if invalid)."""
+        validate_params(self)
+        return GeneralParams(D1=self.d1, D2=self.d2, a1=1.0, b1=1.0, c1=self.k,
+                             a2=self.gamma, b2=self.gamma, c2=self.gamma * self.h_comp,
+                             mu_hat=self.mu, H0=self.h0)
+
 
 def validate_params(params: ModelParams) -> ModelParams:
     for name in ("d1", "d2", "k", "h_comp", "gamma", "h0"):
@@ -68,6 +83,60 @@ def validate_params(params: ModelParams) -> ModelParams:
     if not np.isfinite(params.mu) or params.mu < 0:
         raise ValueError(f"parameter mu must be nonnegative, got {params.mu}")
     return params
+
+
+@dataclass(frozen=True)
+class GeneralParams:
+    """Coefficients of the un-reduced system."""
+
+    D1: float
+    D2: float
+    a1: float
+    b1: float
+    c1: float
+    a2: float
+    b2: float
+    c2: float
+    mu_hat: float
+    H0: float
+
+    def general(self) -> GeneralParams:
+        """This record, once every coefficient is checked positive and finite."""
+        for name, val in vars(self).items():
+            if not np.isfinite(val) or val <= 0:
+                raise NonPositiveParameter(f"general parameter {name} must be positive, got {val}")
+        return self
+
+
+@dataclass(frozen=True)
+class ScalingTransform:
+    """Exact map between the general and reduced solutions.
+
+    reduced u(t, x) = u_scale * U(t / time_scale, x), likewise for v; the
+    fronts carry over unscaled at matched times t = time_scale * tau.
+    """
+
+    u_scale: float
+    v_scale: float
+    time_scale: float
+
+
+def reduce_general(general: GeneralParams) -> tuple[ModelParams, ScalingTransform]:
+    """Reduce the general parameterisation to the normalised one."""
+    g = general.general()
+    params = ModelParams(
+        d1=g.D1 / g.a1,
+        d2=g.D2 / g.a1,
+        gamma=g.a2 / g.a1,
+        k=g.a2 * g.c1 / (g.a1 * g.b2),
+        h_comp=g.a1 * g.c2 / (g.a2 * g.b1),
+        mu=g.mu_hat / g.b1,
+        h0=g.H0,
+    )
+    transform = ScalingTransform(
+        u_scale=g.b1 / g.a1, v_scale=g.b2 / g.a2, time_scale=g.a1
+    )
+    return params, transform
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,11 @@ stencil is applied (prefix sums for flat stencils such as the uniform
 kernel's, direct or FFT otherwise), so this module holds no convolution
 switch of its own.
 
-The same stepping core also runs the un-reduced parameterisation
-(arbitrary linear reaction coefficients); `reduce_general` maps such a
-parameter set to the reduced one together with the exact field/time
-scalings, and the pair of runs is compared in the test-suite.
+The same stepping core runs the reduced (`ModelParams`) and the un-reduced
+(`GeneralParams`) parameterisation alike: `init_state` and
+`stability_bound` read only ``params.general()``, the validated
+general-form coefficients.  Both records, the reduction `reduce_general`
+and its `ScalingTransform` live in `dynamics` and are importable from here.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ModelParams, validate_params
+from .dynamics import GeneralParams, ScalingTransform, reduce_general  # noqa: F401 (re-exported)
 from .errors import (
     InvalidInitialU,
     InvalidInitialV,
-    NonPositiveParameter,
     StabilityViolated,
     WindowTooSmall,
 )
@@ -107,89 +107,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# -- parameter containers -------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneralParams:
-    """Coefficients of the un-reduced system."""
-
-    D1: float
-    D2: float
-    a1: float
-    b1: float
-    c1: float
-    a2: float
-    b2: float
-    c2: float
-    mu_hat: float
-    H0: float
-
-
-@dataclass(frozen=True)
-class ScalingTransform:
-    """Exact map between the general and reduced solutions.
-
-    reduced u(t, x) = u_scale * U(t / time_scale, x), likewise for v; the
-    fronts carry over unscaled at matched times t = time_scale * tau.
-    """
-
-    u_scale: float
-    v_scale: float
-    time_scale: float
-
-
-def reduce_general(general: GeneralParams) -> tuple[ModelParams, ScalingTransform]:
-    """Reduce the general parameterisation to the normalised one."""
-    for name in ("D1", "D2", "a1", "b1", "c1", "a2", "b2", "c2", "mu_hat", "H0"):
-        val = getattr(general, name)
-        if not np.isfinite(val) or val <= 0:
-            raise NonPositiveParameter(f"general parameter {name} must be positive, got {val}")
-    g = general
-    params = ModelParams(
-        d1=g.D1 / g.a1,
-        d2=g.D2 / g.a1,
-        gamma=g.a2 / g.a1,
-        k=g.a2 * g.c1 / (g.a1 * g.b2),
-        h_comp=g.a1 * g.c2 / (g.a2 * g.b1),
-        mu=g.mu_hat / g.b1,
-        h0=g.H0,
-    )
-    transform = ScalingTransform(
-        u_scale=g.b1 / g.a1, v_scale=g.b2 / g.a2, time_scale=g.a1
-    )
-    return params, transform
-
-
-def _coefficients(params) -> GeneralParams:
-    """Validate either parameter kind and resolve it to the general form.
-
-    The stepping core reads only this record: the reduced system is the
-    general one with a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h.
-    """
-    if isinstance(params, ModelParams):
-        validate_params(params)
-        return GeneralParams(
-            D1=params.d1,
-            D2=params.d2,
-            a1=1.0,
-            b1=1.0,
-            c1=params.k,
-            a2=params.gamma,
-            b2=params.gamma,
-            c2=params.gamma * params.h_comp,
-            mu_hat=params.mu,
-            H0=params.h0,
-        )
-    if isinstance(params, GeneralParams):
-        reduce_general(params)  # validates positivity
-        return params
-    raise TypeError("params must be ModelParams or GeneralParams")
-
+# -- step restriction ------------------------------------------------------
 
 def stability_bound(params) -> float:
     """Conservative explicit-step cap for either parameter kind, independent
     of the grid."""
-    c = _coefficients(params)
+    c = params.general()
     return 0.2 / (c.D1 + c.D2 + (c.a2 + c.c2 + 2.0 * c.b2) + (c.a1 + c.c1 + 2.0 * c.b1))
 
 
@@ -319,7 +242,7 @@ def init_state(
     The window spans at least [-h0 - window_pad, h0 + window_pad] and is
     widened immediately if that leaves a front within the expansion margin.
     """
-    coef = _coefficients(params)
+    coef = params.general()
     h0 = coef.H0
     if dx <= 0 or not np.isfinite(dx):
         raise ValueError("dx must be positive")

@@ -72,6 +72,20 @@ class TestGrammar:
         with pytest.raises(ConfigInvalid):
             parse_config_text("[params]\njust a line\n")
 
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("[params]\nmu = 1.0\nmu = 50.0\n", (2, 3)),
+            ("[params]\nmu = 1.0\n[ode]\nT = 1.0\n[params]\nmu = 7.0\n", (2, 6)),
+        ],
+        ids=["one-block", "repeated-block"],
+    )
+    def test_key_set_twice(self, text, lines):
+        with pytest.raises(ConfigInvalid) as err:
+            parse_config_text(text)
+        assert err.value.path == "params.mu"
+        assert f"lines {lines[0]} and {lines[1]}" in str(err.value)
+
     def test_round_trip_idempotent(self):
         mapping = parse_config_text(MINIMAL)
         text1 = serialize_config_mapping(mapping)
@@ -218,6 +232,26 @@ class TestBuild:
         cfg = build_scenario(mapping, base_dir=tmp_path)
         assert cfg.u_profile.kind == "table" and cfg.v_profile.kind == "table"
         assert cfg.v_profile.table[0].tolist() == [-9.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "key, table",
+        [
+            ("u_table", "-1 0 0\n0 1 1\n1 0 0\n"),
+            ("u_table", "-2 1\n0 1\n2 1\n"),
+            ("u_table", "-1 0\n0 0\n1 0\n"),
+            ("v_table", "-9 1 1\n9 1 1\n"),
+            ("v_table", "-9 -1\n9 1\n"),
+        ],
+        ids=["u-three-columns", "u-not-vanishing-outside", "u-zero-inside",
+             "v-three-columns", "v-negative"],
+    )
+    def test_rejected_initial_table(self, tmp_path, key, table):
+        (tmp_path / "t.txt").write_text(table)
+        mapping = parse_config_text(MINIMAL)
+        mapping["initial"] = {f"{key[0]}_profile": "table", key: "t.txt"}
+        with pytest.raises(ConfigInvalid) as err:
+            build_scenario(mapping, base_dir=tmp_path)
+        assert err.value.path == f"initial.{key}"
 
     @pytest.mark.parametrize(
         "table, suffix",

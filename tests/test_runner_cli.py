@@ -49,6 +49,10 @@ GAUSSIAN = BASE.replace('form = "uniform"', 'form = "truncated_gaussian"\nsigma 
 # BASE sampled once a unit of time: 4 samples, too few for regime detection.
 SHORT = BASE.replace("snapshot_every = 0.25", "snapshot_every = 1.0")
 
+# BASE with v far above its carrying capacity: the first step leaves the
+# field cap, a numerical failure (exit 3).
+BLOW_UP = BASE + "\n[initial]\nv_value = 20.0\n"
+
 # A spreading run with k >= 1, outside the spreading checks' scope.
 STRONG_K = (BASE.replace("k = 0.5", "k = 1.1").replace("h_comp = 0.5", "h_comp = 3.0")
             .replace("mu = 1.0", "mu = 5.0").replace("h0 = 1.0", "h0 = 2.0")
@@ -184,10 +188,7 @@ class TestRunScenario:
         assert outcome.exit_code == 4
 
     def test_numerical_failure_report_keys(self, tmp_path):
-        table = tmp_path / "u0.txt"
-        table.write_text("-1.0 0.0\n-0.5 1.0\n0.0 0.0\n0.5 1.0\n1.0 0.0\n")
-        text = BASE + f'\n[initial]\nu_profile = "table"\nu_table = "{table.name}"\n'
-        cfg = build_scenario(parse_config_text(text), base_dir=tmp_path)
+        cfg = scenario(BLOW_UP)
         out = tmp_path / "fail"
         outcome = run_scenario(cfg, outdir=out, check_theorems=True)
         assert outcome.exit_code == 3 and outcome.result is None
@@ -469,18 +470,23 @@ snapshot_every = 0.25
         assert audit["leakage"]["front_mass_outside_left"] == 0.0
 
     def test_numerical_failure_exit_3(self, tmp_path):
-        # A u0 table with an interior zero violates the initial support
-        # condition at init time, after config validation has passed.
-        table = tmp_path / "u0.txt"
-        table.write_text("-1.0 0.0\n-0.5 1.0\n0.0 0.0\n0.5 1.0\n1.0 0.0\n")
-        text = BASE + f'\n[initial]\nu_profile = "table"\nu_table = "{table.name}"\n'
-        cfg = config_file(tmp_path, text)
+        cfg = config_file(tmp_path, BLOW_UP)
         out = tmp_path / "fail"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
         assert rc == 3
         report = json.loads((out / "report.json").read_text())
         assert report["regime"] == "error"
-        assert "InvalidInitialU" in report["error"]
+        assert "StabilityViolated" in report["error"]
+
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_bad_initial_table_exit_2(self, tmp_path, capsys, command):
+        # A table that the initial sampling rejects is a config error, found
+        # before any command runs.
+        (tmp_path / "u0.txt").write_text("-1.0 0.0 0.0\n0.0 1.0 1.0\n1.0 0.0 0.0\n")
+        text = BASE + '\n[initial]\nu_profile = "table"\nu_table = "u0.txt"\n'
+        cfg = config_file(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: initial.u_table:")
 
     def test_verify_exit_4_on_undecided(self, tmp_path):
         cfg = config_file(tmp_path)

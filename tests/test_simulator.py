@@ -790,6 +790,9 @@ class TestReduceGeneral:
         assert p.d1 == 1.0 and p.d2 == 1.0 and p.gamma == 1.0
         assert p.k == 0.5 and p.h_comp == 0.7 and p.mu == 2.0 and p.h0 == 1.0
         assert tr.u_scale == 1.0 and tr.v_scale == 1.0 and tr.time_scale == 1.0
+        assert gp.general() is gp
+        q = params(d1=0.4, d2=1.3, k=0.3, h_comp=1.7, gamma=1.0, mu=2.0, h0=0.6)
+        assert reduce_general(q.general())[0] == q
 
     def test_time_dilation(self):
         gp = GeneralParams(D1=2.0, D2=2.0, a1=2.0, b1=1.0, c1=1.0, a2=2.0, b2=1.0,
@@ -803,6 +806,11 @@ class TestReduceGeneral:
                            c2=1.0, mu_hat=1.0, H0=1.0)
         with pytest.raises(NonPositiveParameter):
             reduce_general(gp)
+        for name in vars(gp):
+            zero = replace(gp, **{"a1": 1.0, name: 0.0})
+            for check in (reduce_general, GeneralParams.general):
+                with pytest.raises(NonPositiveParameter):
+                    check(zero)
 
     def test_dual_run_equivalence_short(self):
         gp = GeneralParams(D1=2.0, D2=2.0, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.0,
@@ -831,6 +839,9 @@ class TestStabilityBound:
     def test_formula(self):
         p = params(d1=1.0, d2=1.0, k=0.5, h_comp=0.5, gamma=1.0)
         assert stability_bound(p) == pytest.approx(0.2 / 9.0)
+        q = params(d1=0.3, d2=1.7, k=0.45, h_comp=2.2, gamma=0.7)
+        assert stability_bound(q) == 0.2 / (0.3 + 1.7 + (0.7 + 0.7 * 2.2 + 2.0 * 0.7) + (1.0 + 0.45 + 2.0))
+        assert stability_bound(q.general()) == stability_bound(q)
 
     def test_h2_scenario_below_002(self):
         p = params(d1=1.0, d2=1.0, k=0.5, h_comp=2.0, gamma=1.0)
@@ -840,6 +851,7 @@ class TestStabilityBound:
         gp = GeneralParams(D1=2.0, D2=1.5, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.2,
                            c2=0.4, mu_hat=3.0, H0=0.8)
         assert stability_bound(gp) == pytest.approx(0.2 / 10.8)
+        assert stability_bound(gp.general()) == stability_bound(gp)
 
     def test_run_above_bound_raises(self):
         gp = GeneralParams(D1=2.0, D2=1.5, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.2,
