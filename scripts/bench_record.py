@@ -8,6 +8,8 @@ file it writes at the repository root holds:
 - the commit, and whether tracked files differed from it;
 - the source line count (`source_lines`, as `git ls-files src | xargs wc -l`
   totals it);
+- the config key count (`config_keys`, the total of `config.KNOWN_KEYS`
+  read from this checkout's src/);
 - the environment record of the benchmark runs (from
   .bench_out/<workload>/seed<N>-trace<T>/run.json);
 - for each workload and trace setting, the verdict and the metrics;
@@ -44,6 +46,14 @@ def git(*args: str) -> str:
 def source_lines() -> int:
     """Newline count of the tracked files under src/."""
     return sum((ROOT / name).read_bytes().count(b"\n") for name in git("ls-files", "src").splitlines())
+
+
+def config_keys() -> int:
+    """Number of keys the config sections accept, summed over sections."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from nlinvade.config import KNOWN_KEYS
+
+    return sum(len(keys) for keys in KNOWN_KEYS.values())
 
 
 def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -106,6 +116,7 @@ def main(argv=None) -> int:
         "commit": commit,
         "dirty": dirty,
         "source_lines": source_lines(),
+        "config_keys": config_keys(),
         "recorded_utc": now.strftime("%Y-%m-%dT%H:%M:%SZ"),
         "seed": args.seed,
         "seconds": {"trace0": args.seconds, "trace1": args.trace_seconds},

@@ -6,7 +6,7 @@ The format is a flat TOML-like dialect: ``[section]`` headers, one
 ``[a, b, c]``.  Keys may be dotted (used by sweep axes).  A key set twice
 in one section, also in a repeated ``[section]`` block, is an error.
 Parsing then serialising is idempotent on the normalised form, which keeps
-configs diff-friendly and sweep overrides deterministic.
+configs diff-friendly.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def parse_config_text(text: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "#" in line and not line.startswith("["):
+        if "#" in line:
             # strip trailing comments outside quotes
             out, quoted = [], False
             for ch in line:

@@ -6,9 +6,9 @@ consistency checks of a finished run against the model's proven necessary
 conditions and limit profiles.  Whether the invader's range stays bounded
 is undecidable from finite data, so detection is an explicit
 trailing-window surrogate, and ``undecided`` is a first-class outcome.
-The detection thresholds and check tolerances come from one
-`DiagnosticsConfig` record (the ``[diagnostics]`` config section), whose
-field defaults are the only copy of each default.
+The detection thresholds come from one `DiagnosticsConfig` record (the
+``[diagnostics]`` config section); the verification gates are fixed module
+constants, so no config can loosen a check.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ from .simulator import SimState, TimeSeries
 
 TRAILING_FRACTION = 0.2
 PLATEAU_TOL = 1e-2  # |u - plateau level| below which a node matches the plateau
+EIGEN_TOL = 5e-3  # allowed excess of lambda_p over k - 1
+CENTER_TOL = 1e-2  # sup distance of the centre (u, v) from the spreading limit
+SUP_U_TOL = 5e-2  # final sup u of a cleanly extinct invader
+V_RECOVERY_TOL = 5e-2  # |v - 1| outside the final range, integrated and sup
+MASS_DECAY_FACTOR = 100.0  # least ratio of peak to final invader mass
+COMPARISON_SLACK = 5e-3  # slack on the native upper bound
 
 VANISHING = "vanishing"
 SPREADING = "spreading"
@@ -41,7 +47,8 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True, kw_only=True)
 class DiagnosticsConfig:
-    """Detection thresholds, check tolerances and the dt-halving switch.
+    """Detection thresholds, two h0-scaled half-widths and the dt-halving
+    switch: what a scenario may set.  The verification gates are constants.
 
     ``L_dev`` (the half-width of the native-deviation metric) and
     ``compact_halfwidth`` (of the native-recovery check) scale with h0, so
@@ -52,12 +59,6 @@ class DiagnosticsConfig:
     eps_mass: float = 1e-3
     L_dev: float
     compact_halfwidth: float
-    eigen_tol: float = 5e-3
-    center_tol: float = 1e-2
-    sup_u_tol: float = 5e-2
-    v_recovery_tol: float = 5e-2
-    mass_decay_factor: float = 100.0
-    comparison_slack: float = 5e-3
     dt_halving: bool = False
 
 
@@ -141,11 +142,9 @@ class TheoremCheck:
         }
 
 
-def comparison_bound_check(
-    series: TimeSeries, v0_max: float, gamma: float, slack: float
-) -> TheoremCheck:
-    """The native upper bound: sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t) + slack
-    with k1 = v0_max + 1.
+def comparison_bound_check(series: TimeSeries, v0_max: float, gamma: float) -> TheoremCheck:
+    """The native upper bound: sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t)
+    + COMPARISON_SLACK with k1 = v0_max + 1.
 
     The record's ``worst_violation`` is the largest excess over the bound
     (positive means violated); its margin is minus that excess.
@@ -153,7 +152,7 @@ def comparison_bound_check(
     if series.t.size == 0:
         raise ValueError("series is empty")
     k1 = v0_max + 1.0
-    bound = 1.0 + (k1 - 1.0) * np.exp(-gamma * series.t) + slack
+    bound = 1.0 + (k1 - 1.0) * np.exp(-gamma * series.t) + COMPARISON_SLACK
     worst = float(np.max(series.sup_v - bound))
     return TheoremCheck(
         "native_upper_bound", worst <= 0.0, -worst, {"worst_violation": worst, "v0_max": v0_max}
@@ -220,12 +219,12 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_eigenvalue_bound",
-                passed=eig_margin >= -tol.eigen_tol,
+                passed=eig_margin >= -EIGEN_TOL,
                 margin=eig_margin,
                 details={
                     "lambda_p": eig.lambda_p,
                     "interval": [g_est, h_est],
-                    "tolerance": tol.eigen_tol,
+                    "tolerance": EIGEN_TOL,
                     "method": eig.method,
                     "iterations": eig.iterations,
                     "residual": eig.residual,
@@ -239,10 +238,10 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_mass_decay",
-                passed=final <= peak / tol.mass_decay_factor,
+                passed=final <= peak / MASS_DECAY_FACTOR,
                 margin=min(ratio, 1e12),
                 details={"peak_mass": peak, "final_mass": final,
-                         "required_factor": tol.mass_decay_factor},
+                         "required_factor": MASS_DECAY_FACTOR},
             )
         )
 
@@ -258,8 +257,8 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_native_recovery",
-                passed=integral < tol.v_recovery_tol and sup_dev < tol.v_recovery_tol,
-                margin=tol.v_recovery_tol - max(integral, sup_dev),
+                passed=integral < V_RECOVERY_TOL and sup_dev < V_RECOVERY_TOL,
+                margin=V_RECOVERY_TOL - max(integral, sup_dev),
                 details=details,
             )
         )
@@ -269,8 +268,8 @@ def verify_theorems(
             checks.append(
                 TheoremCheck(
                     name="vanishing_invader_sup",
-                    passed=report.final_sup_u < tol.sup_u_tol,
-                    margin=tol.sup_u_tol - report.final_sup_u,
+                    passed=report.final_sup_u < SUP_U_TOL,
+                    margin=SUP_U_TOL - report.final_sup_u,
                     details={"final_sup_u": report.final_sup_u, "route": "clean_extinction"},
                 )
             )
@@ -317,8 +316,8 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="spreading_center_limit",
-                passed=dist < tol.center_tol,
-                margin=tol.center_tol - dist,
+                passed=dist < CENTER_TOL,
+                margin=CENTER_TOL - dist,
                 details={
                     "center_u": u_c,
                     "center_v": v_c,

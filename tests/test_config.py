@@ -63,6 +63,8 @@ class TestGrammar:
     def test_inline_comment(self):
         mapping = parse_config_text("[params]\nd1 = 2.0  # diffusivity\n")
         assert mapping["params"]["d1"] == 2.0
+        mapping = parse_config_text("[params] # the model\nd1 = 1.0")
+        assert mapping == {"params": {"d1": 1.0}}
 
     def test_malformed(self):
         with pytest.raises(ConfigInvalid):

@@ -170,7 +170,7 @@ class TestDetectRegime:
 class TestComparisonBound:
     def test_flat_native_holds(self):
         series = synthetic_series()
-        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
+        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
         assert check.name == "native_upper_bound"
         assert check.passed
         assert check.details["worst_violation"] <= 0.0
@@ -179,7 +179,7 @@ class TestComparisonBound:
     def test_fabricated_violation(self):
         series = synthetic_series(sup_v_fn=lambda t: np.where(t == 10.0, 2.0, 1.0))
         assert 10.0 in series.t
-        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0, slack=TOL.comparison_slack)
+        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
         assert not check.passed
         worst = check.details["worst_violation"]
         assert worst == pytest.approx(1.0 - np.exp(-10.0) - 5e-3, abs=1e-12)

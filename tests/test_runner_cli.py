@@ -242,11 +242,15 @@ class TestSweep:
         assert rows[1][header.index("status")] == "error"
         assert "stability" in rows[1][header.index("error")]
 
-    def test_axis_key_not_read_by_the_form(self, tmp_path):
+    def test_axis_key_not_read_by_the_form(self, tmp_path, capsys):
         text = BASE + "\n[sweep]\naxis.kernel_u.sigma = [0.5]\n"
         header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
         assert rows[0][header.index("status")] == "error"
         assert "kernel_u.sigma: not read by kernel form 'uniform'" in rows[0][header.index("error")]
+        # a check tolerance is no config key, so an axis over one is a config error
+        gate = config_file(tmp_path, BASE + "\n[sweep]\naxis.diagnostics.center_tol = [10]\n")
+        assert main(["sweep", "--config", str(gate), "--out", str(tmp_path / "gate")]) == 2
+        assert "sweep.axis.diagnostics.center_tol" in capsys.readouterr().err
 
     def test_axis_initial_key_not_read_by_the_kind(self, tmp_path):
         text = BASE + '\n[sweep]\naxis.initial.v_table = ["v.txt"]\n'
@@ -387,7 +391,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "assignment, path",
-        [("kernel_u.sigma=0", "kernel_u.sigma"), ("params.mu=-1", "params.mu")],
+        [("kernel_u.sigma=0", "kernel_u.sigma"), ("params.mu=-1", "params.mu"),
+         ("diagnostics.center_tol=10", "diagnostics.center_tol"),
+         ("diagnostics.comparison_slack=1", "diagnostics.comparison_slack")],
     )
     def test_config_error_names_its_key(self, tmp_path, capsys, assignment, path):
         argv = ["simulate", "--config", str(config_file(tmp_path)), "--set", assignment, "--quiet"]
