@@ -43,11 +43,11 @@ def _parser() -> argparse.ArgumentParser:
          "equilibria, competition case and F-root classification"),
         ("ode", _cmd_ode, ("--out",),
          "integrate the spatially homogeneous system"),
-        ("simulate", partial(_cmd_simulate, check=False), ("--out",),
+        ("simulate", partial(_cmd_run, check=False), ("--out",),
          "run the free-boundary scenario and emit files"),
         ("sweep", _cmd_sweep, ("--out", "--jobs"),
          "Cartesian parameter sweep over the configured axes"),
-        ("verify", partial(_cmd_simulate, check=True), ("--out",),
+        ("verify", partial(_cmd_run, check=True), ("--out",),
          "simulate and gate the exit code on the consistency checks"),
     ]:
         p = sub.add_parser(name, help=desc)
@@ -125,7 +125,7 @@ def _cmd_ode(args, cfg) -> int:
     return 0
 
 
-def _cmd_simulate(args, cfg, check: bool) -> int:
+def _cmd_run(args, cfg, check: bool) -> int:
     outcome = run_scenario(cfg, outdir=args.out, check_theorems=check)
     _say(args, f"regime: {outcome.report.get('regime')}")
     for entry in outcome.report.get("theorem_checks", []):
