@@ -142,6 +142,8 @@ class GridStencil:
     raw discrete mass divided out during normalisation.  ``box`` holds the
     (inner, end) tap weights of a flat stencil, with
     (2 * half - 1) * inner + 2 * end = 1, and is None for any other stencil.
+    ``reversed_masses`` is a contiguous copy of ``masses`` in reverse order,
+    the operand of the direct convolution's correlate call.
     """
 
     half: int
@@ -150,6 +152,7 @@ class GridStencil:
     densities: np.ndarray
     mass_correction: float
     box: tuple[float, float] | None
+    reversed_masses: np.ndarray = field(repr=False)
 
 
 def _closed_form(spec: KernelSpec) -> ValidatedKernel:
@@ -207,15 +210,21 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
 
-        # erf mapped over c * s, then scaled and clamped in place; [()] makes a
-        # 0-d result a numpy scalar, as the other cdfs return for a scalar s
+        # erf mapped over c * s, then scaled and clamped in place.  Input other
+        # than a 1-D float64 array (the flux offsets) runs flat in float64 and
+        # takes its shape back; [()] makes a 0-d result a numpy scalar, as the
+        # other cdfs return for a scalar s
         def cdf(s):
-            z = np.multiply(s, c, dtype=float)
-            z = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
+            shape = None
+            if type(s) is not np.ndarray or s.ndim != 1 or s.dtype != np.float64:
+                s = np.asarray(s, dtype=float)
+                shape, s = s.shape, s.ravel()
+            z = np.fromiter(map(math.erf, (s * c).tolist()), float, s.size)
             z *= scale
             z += 0.5
             np.maximum(z, 0.0, out=z)
-            return np.minimum(z, 1.0, out=z)[()]
+            np.minimum(z, 1.0, out=z)
+            return z if shape is None else z.reshape(shape)[()]
 
     else:  # pragma: no cover - guarded by caller
         raise ValueError(f"unknown kernel form {spec.form!r}")
@@ -370,6 +379,7 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
         densities=densities,
         mass_correction=raw_mass,
         box=box,
+        reversed_masses=masses[::-1].copy(),
     )
 
 
@@ -388,7 +398,7 @@ def _box_convolve(
     np.subtract(values, left, out=ext[half : half + n])
     if right != left:
         ext[half + n :] = right - left
-    c = np.cumsum(ext)
+    c = np.add.accumulate(ext)
     out = c[2 * half - 1 : 2 * half - 1 + n] - c[:n]  # sums of ext[j+1 : j+2*half]
     out *= inner
     ends = ext[:n] + ext[2 * half :]
@@ -407,6 +417,12 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     continues its end values.  A flat stencil (``stencil.box``) is applied
     from a prefix sum in O(n); any other one directly up to
     DIRECT_MAX_TAPS taps and by overlap-add FFT beyond.
+
+    The direct path calls ``np.correlate(values, stencil.reversed_masses,
+    mode)``, which is the correlation np.convolve itself runs, less its
+    Python wrapper and its per-call reversal of the masses.  A field
+    shorter than the stencil keeps np.convolve, whose "same" output would
+    take the stencil's length.
     """
     masses, half = stencil.masses, stencil.half
     ends = (values[0], values[-1]) if edge else (0.0, 0.0)
@@ -427,5 +443,5 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
         return oaconvolve(values, masses, mode=mode)
     if values.size < masses.size:  # np.convolve's "same" keeps the longer length
         return np.convolve(values, masses, mode="full")[half : half + values.size]
-    return np.convolve(values, masses, mode=mode)
+    return np.correlate(values, stencil.reversed_masses, mode)
 

@@ -55,13 +55,6 @@ class RunOutcome:
     result: object = None  # RunResult when the simulation completed
 
 
-def _advance(cfg: ScenarioConfig, state0, dt: float):
-    """Run the scenario from ``state0`` to T at step ``dt``."""
-    num = cfg.numerics
-    return run(state0, num.T, dt, num.snapshot_every, metrics_L=cfg.diagnostics.L_dev,
-               profile_every=num.profile_every or None)
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     outdir: Optional[str | Path] = None,
@@ -86,21 +79,22 @@ def run_scenario(
         },
     }
 
+    # A failure in diagnosis (the eigensolve, the dt-halving run) still
+    # writes the completed run's files next to a report stating the error.
+    num = cfg.numerics
     result = None
     try:
-        ku = validate_kernel(cfg.kernel_u, cfg.numerics.dx)
-        kv = validate_kernel(cfg.kernel_v, cfg.numerics.dx)
-        state0 = init_state(
-            cfg.params, ku, kv, cfg.u_profile, cfg.v_profile,
-            cfg.numerics.dx, cfg.numerics.window_pad,
-        )
-        result = _advance(cfg, state0, cfg.numerics.dt)
+        ku = validate_kernel(cfg.kernel_u, num.dx)
+        kv = validate_kernel(cfg.kernel_v, num.dx)
+        state0 = init_state(cfg.params, ku, kv, cfg.u_profile, cfg.v_profile, num.dx, num.window_pad)
+        result = run(state0, num.T, num.dt, num.snapshot_every, metrics_L=cfg.diagnostics.L_dev,
+                     profile_every=num.profile_every or None)
+        _diagnose(cfg, report, ku, state0, result, check_theorems)
     except NlinvadeError as exc:
         report["regime"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_NUMERICAL
     else:
-        _diagnose(cfg, report, ku, state0, result, check_theorems)
         failed = any(not c["pass"] for c in report["theorem_checks"])
         exit_code = EXIT_CHECKS if check_theorems and failed else EXIT_OK
 
@@ -121,7 +115,8 @@ def run_scenario(
 
 
 def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theorems: bool):
-    """Fill the regime, fronts, checks and audit of a completed run into ``report``."""
+    """Fill the regime, fronts, audit and checks of a completed run into
+    ``report``, in that order, so that a failing check leaves the rest."""
     series = result.series
     final = result.final_state
     try:
@@ -133,6 +128,20 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theor
     report["fronts"] = {"g_front": final.g_front, "h_front": final.h_front}
     for key in ("g_inf_est", "h_inf_est", "trailing_front_rate"):
         report["fronts"][key] = getattr(regime, key, None)
+
+    audit = report["numerics_audit"]
+    audit.update(
+        {
+            "clamp_count": final.clamp_count,
+            "leakage": window_leakage(final),
+            "window_growths": final.window_growths,
+            "steps": final.steps,
+            "node_steps": final.node_steps,
+            "final_window": [final.x_min, final.x_max],
+            "stencil_mass_correction_u": final.st1.mass_correction,
+            "stencil_mass_correction_v": final.st2.mass_correction,
+        }
+    )
 
     checks, error = [], None
     if report["regime"] != UNDECIDED:
@@ -148,20 +157,11 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theor
     checks.append(comparison_bound_check(series, v0_max, cfg.params.gamma))
     report["theorem_checks"] = [c.to_record() for c in checks]
 
-    audit = report["numerics_audit"]
-    audit.update(
-        {
-            "clamp_count": final.clamp_count,
-            "leakage": window_leakage(final),
-            "window_growths": final.window_growths,
-            "final_window": [final.x_min, final.x_max],
-            "stencil_mass_correction_u": final.st1.mass_correction,
-            "stencil_mass_correction_v": final.st2.mass_correction,
-        }
-    )
-
     if cfg.diagnostics.dt_halving:
-        half = _advance(cfg, state0, cfg.numerics.dt / 2.0).final_state
+        # only the final state is read, so the halving run keeps no profiles
+        num = cfg.numerics
+        half = run(state0, num.T, num.dt / 2.0, num.snapshot_every,
+                   metrics_L=cfg.diagnostics.L_dev).final_state
         rel = max(
             abs(final.h_front - half.h_front) / abs(half.h_front),
             abs(final.g_front - half.g_front) / abs(half.g_front),
@@ -171,6 +171,8 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theor
             "dt": [final.g_front, final.h_front],
             "dt_half": [half.g_front, half.h_front],
         }
+        audit["dt_halving_steps"] = half.steps
+        audit["dt_halving_node_steps"] = half.node_steps
 
 
 # -- parameter sweeps ---------------------------------------------------------

@@ -35,19 +35,26 @@ licenses three shortcuts in `step`:
   within that radius of h, and likewise for g.  Both tails' offsets,
   x - h and g - x, go to the kernel cdf in one call (`front_speeds`).
 
-Every step reads one grid, the node coordinates `SimState.x`: built with
-the window, rebuilt only when it grows, and bisected to find the nodes
-strictly inside a front interval (`_inside`).
+Every step reads one grid, the node coordinates `SimState.x`, and the
+same values as a Python list, `SimState.x_list`: both are built with the
+window and rebuilt only when it grows.  `_inside` bisects the list to find
+the nodes strictly inside a front interval; a list item costs about a
+third of an array item, and the step takes four bisections.
 
 The state record (`SimState`) is a slotted dataclass, built once per step.
 It is not frozen, but no code writes to a state once built: `step` returns
 a new record and leaves its input as it was, so states that a caller keeps
-(profiles, a reference run) stay valid.  States share ``x``, the kernels
-and the stencils, which nothing writes.  A step allocates the new u and v,
-the covered u of the band, the flux offsets and their cdf values, the two
-convolutions (with the edge-extended v for a non-flat stencil), and one
-short product each for the c2*u and c1*v terms; everything else runs in
-place on those arrays.
+(profiles, a reference run) stay valid.  States share ``x``, ``x_list``,
+the kernels and the stencils, which nothing writes.  A step allocates one
+zeroed buffer of 2n values whose halves are the new u and v (the new state
+holds views of them), the covered u of the band, the flux offsets and
+their cdf values, the two convolutions (with the edge-extended v for a
+non-flat stencil), and one short product each for the c2*u and c1*v
+terms; everything else runs in place on those arrays.  The new u is zero
+before its band, so one `_flush` from the band's first node to the
+buffer's end checks and clamps both fields with one max and one min
+reduction; the zeros it also reads move neither the bounds nor the clamp
+count.
 
 `run` calls the module global `step` as ``step(state, dt)``, two
 positional arguments, once per step.  The benchmark's node-step counter
@@ -188,9 +195,12 @@ class SimState:
 
     ``i0`` is the lattice index of the first node (nodes are (i0 + j) * dx),
     kept as an integer so window growth reproduces node positions exactly.
-    ``x`` holds those node coordinates (`_nodes`); it is built with the
-    window and rebuilt only when the window grows.
+    ``x`` holds those node coordinates (`_nodes`) and ``x_list`` the same
+    values as a list; both are built with the window and rebuilt only when
+    the window grows.
     ``clamp_count`` accumulates gross negative undershoots flushed to zero.
+    ``steps`` and ``node_steps`` count the steps since the initial state
+    and the window sizes they stepped (taken before any growth).
     ``coef`` holds the model coefficients in general form.
     """
 
@@ -200,6 +210,7 @@ class SimState:
     u: np.ndarray
     v: np.ndarray
     x: np.ndarray
+    x_list: list
     i0: int
     dx: float
     j1: ValidatedKernel
@@ -209,6 +220,8 @@ class SimState:
     coef: GeneralParams
     clamp_count: int = 0
     window_growths: int = 0
+    steps: int = 0
+    node_steps: int = 0
 
     @property
     def x_min(self) -> float:
@@ -261,6 +274,7 @@ def init_state(
         u=u0,
         v=v0,
         x=x,
+        x_list=x.tolist(),
         i0=i0,
         dx=dx,
         j1=j1,
@@ -291,7 +305,8 @@ def _ensure_window(state: SimState) -> SimState:
         u = np.concatenate([u, np.zeros(chunk)])
         v = np.concatenate([v, np.full(chunk, v[-1])])
     x = _nodes(i0, u.size, state.dx)
-    return replace(state, u=u, v=v, x=x, i0=i0, window_growths=state.window_growths + 1)
+    return replace(state, u=u, v=v, x=x, x_list=x.tolist(), i0=i0,
+                   window_growths=state.window_growths + 1)
 
 
 # -- dynamics --------------------------------------------------------------
@@ -300,10 +315,10 @@ def _inside(state: SimState, a: float, b: float) -> tuple[int, int]:
     """Index range [ia, ib) of the nodes strictly inside (a, b), clipped to
     the window.
 
-    Two bisections of the increasing node coordinates `state.x`, so the
-    range is exactly ``np.nonzero((x > a) & (x < b))``.
+    Two bisections of the increasing node coordinates `state.x_list`, so
+    the range is exactly ``np.nonzero((x > a) & (x < b))``.
     """
-    x = state.x
+    x = state.x_list
     ia = bisect_right(x, a)
     return ia, max(bisect_left(x, b), ia)
 
@@ -385,19 +400,13 @@ def step(state: SimState, dt: float) -> SimState:
     g_new = state.g_front + dt * g_rate
     h_new = state.h_front + dt * h_rate
 
-    conv_v = grid_convolve(v, state.st2, edge=True)
-    v_new = v * (-dt * c.b2)
-    v_new += 1.0 + dt * (c.a2 - c.D2)
-    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
-    v_new *= v
-    conv_v *= dt * c.D2
-    v_new += conv_v
-
-    # the new u is zero outside (g_new, h_new) and, by the invariant,
-    # outside [lo, hi)
+    # one buffer holds both new fields, u in [0, n) and v in [n, 2n); the
+    # new u is zero outside (g_new, h_new) and, by the invariant, outside
+    # [lo, hi)
+    fields = np.zeros(2 * n)
+    u_new, v_new = fields[:n], fields[n:]
     a, b = _inside(state, g_new, h_new)
     a, b = max(a, lo), min(b, hi)
-    u_new = np.zeros(n)
     ub, out = u[a:b], u_new[a:b]
     np.multiply(ub, -dt * c.b1, out=out)
     out += 1.0 + dt * (c.a1 - c.D1)
@@ -407,25 +416,25 @@ def step(state: SimState, dt: float) -> SimState:
     conv *= dt * c.D1
     out += conv
 
+    conv_v = grid_convolve(v, state.st2, edge=True)
+    np.multiply(v, -dt * c.b2, out=v_new)
+    v_new += 1.0 + dt * (c.a2 - c.D2)
+    v_new[ia:ib] -= (dt * c.c2) * u[ia:ib]
+    v_new *= v
+    conv_v *= dt * c.D2
+    v_new += conv_v
+
+    # u is zero before a, so one flush from a covers u's band and all of v
     t_new = state.t + dt
-    clamps = state.clamp_count + _flush(out, t_new) + _flush(v_new, t_new)
+    clamps = state.clamp_count + _flush(fields[a:], t_new)
+    # positional in field order: 18 keywords cost about 1.3 us a call, 2 %
+    # of a step on a 200-node window
     return _ensure_window(
         SimState(
-            t=t_new,
-            g_front=g_new,
-            h_front=h_new,
-            u=u_new,
-            v=v_new,
-            x=state.x,
-            i0=state.i0,
-            dx=state.dx,
-            j1=state.j1,
-            j2=state.j2,
-            st1=state.st1,
-            st2=state.st2,
-            coef=c,
-            clamp_count=clamps,
-            window_growths=state.window_growths,
+            t_new, g_new, h_new, u_new, v_new,
+            state.x, state.x_list, state.i0, state.dx,
+            state.j1, state.j2, state.st1, state.st2, c,
+            clamps, state.window_growths, state.steps + 1, state.node_steps + n,
         )
     )
 

@@ -5,9 +5,9 @@ import pytest
 
 from nlinvade.cli import main
 from nlinvade.config import build_scenario, parse_config_text
-from nlinvade.errors import ConfigInvalid, GridTooLarge
-from nlinvade.output import TIMESERIES_HEADER
-from nlinvade import runner
+from nlinvade.errors import ConfigInvalid, GridTooLarge, NoConvergence, StabilityViolated
+from nlinvade.output import TIMESERIES_HEADER, snapshot_name
+from nlinvade import diagnostics, runner
 from nlinvade.eigenvalue import RESIDUAL_TOL
 from nlinvade.runner import run_scenario, sweep
 
@@ -45,6 +45,10 @@ VANISHING = (BASE.replace("d1 = 1.0", "d1 = 1.2").replace("mu = 1.0", "mu = 0.01
              .replace("h0 = 1.0", "h0 = 0.2").replace("T = 3.0", "T = 20.0"))
 
 GAUSSIAN = BASE.replace('form = "uniform"', 'form = "truncated_gaussian"\nsigma = 0.5')
+
+# VANISHING with truncated-gaussian kernels: the verdict runs the eigensolve.
+GAUSSIAN_VANISHING = (VANISHING.replace('form = "uniform"', 'form = "truncated_gaussian"\nsigma = 1.0')
+                      .replace("mu = 0.01", "mu = 0.05").replace("T = 20.0", "T = 30.0"))
 
 # BASE sampled once a unit of time: 4 samples, too few for regime detection.
 SHORT = BASE.replace("snapshot_every = 0.25", "snapshot_every = 1.0")
@@ -95,6 +99,8 @@ class TestRunScenario:
         assert "clamp_count" in audit
         assert "leakage" in audit
         assert "dt_halving_rel_front_change" in audit
+        assert audit["steps"] == 150 and audit["node_steps"] > 0
+        assert "dt_halving_steps" not in audit and "dt_halving_node_steps" not in audit
 
     @pytest.mark.parametrize("text", [BASE, GAUSSIAN], ids=["uniform", "truncated_gaussian"])
     def test_byte_identical_reruns(self, tmp_path, text):
@@ -207,9 +213,71 @@ class TestRunScenario:
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"
         outcome = run_scenario(scenario(text), outdir=tmp_path / "run", check_theorems=False)
-        rel = outcome.report["numerics_audit"]["dt_halving_rel_front_change"]
+        audit = outcome.report["numerics_audit"]
+        rel = audit["dt_halving_rel_front_change"]
         assert rel is not None
         assert rel < 0.02
+        final = outcome.result.final_state
+        assert (audit["steps"], audit["node_steps"]) == (final.steps, final.node_steps)
+        assert audit["steps"] == 150 and audit["dt_halving_steps"] == 300
+        assert audit["node_steps"] >= 150 * outcome.result.profiles[0][1].size
+        assert audit["dt_halving_node_steps"] >= 2 * audit["node_steps"]
+
+    def test_dt_halving_run_keeps_no_profiles(self, tmp_path, monkeypatch):
+        """Only the halving run's final state is read, so it keeps the first
+        and last profile alone; the main run keeps its profile_every ones."""
+        runs, real = [], runner.run
+
+        def recording_run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            runs.append((args[2], len(result.profiles)))
+            return result
+
+        monkeypatch.setattr(runner, "run", recording_run)
+        text = (BASE.replace("T = 3.0", "T = 12.0")
+                .replace("snapshot_every = 0.25", "snapshot_every = 0.25\nprofile_every = 5.0")
+                + "\n[diagnostics]\ndt_halving = true\n")
+        out = tmp_path / "run"
+        run_scenario(scenario(text), outdir=out, check_theorems=False)
+        assert runs == [(0.02, 4), (0.01, 2)]
+        assert sorted(p.name for p in out.glob("snapshot_t*.txt")) == [
+            snapshot_name(t) for t in (0.0, 5.0, 10.0, 12.0)]
+
+    @pytest.mark.parametrize("where", ["eigensolve", "dt_halving"])
+    def test_failed_diagnosis_keeps_the_run(self, tmp_path, monkeypatch, where):
+        """A numerical failure after the main run (the vanishing eigensolve,
+        the dt-halving run) exits 3 with the completed run's files written
+        and the error in report.json."""
+        if where == "eigensolve":
+            def failing_solver(*args, **kwargs):
+                raise NoConvergence("forced for the test")
+
+            monkeypatch.setattr(diagnostics, "principal_eigenvalue", failing_solver)
+            text = GAUSSIAN_VANISHING
+        else:
+            real = runner.run
+
+            def failing_halving(state, T, dt, *args, **kwargs):
+                if dt < 0.02:
+                    raise StabilityViolated("forced for the test", t=0.0)
+                return real(state, T, dt, *args, **kwargs)
+
+            monkeypatch.setattr(runner, "run", failing_halving)
+            text = BASE + "\n[diagnostics]\ndt_halving = true\n"
+        out = tmp_path / "run"
+        outcome = run_scenario(scenario(text), outdir=out, check_theorems=True)
+        assert outcome.exit_code == 3 and outcome.result is not None
+        names = sorted(p.name for p in out.iterdir())
+        assert names[:2] == ["profile.svg", "report.json"] and names[-1] == "timeseries.csv"
+        assert len(list(out.glob("snapshot_t*.txt"))) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["regime"] == "error"
+        assert report["error"] == ("NoConvergence: forced for the test" if where == "eigensolve"
+                                   else "StabilityViolated: forced for the test")
+        assert report["numerics_audit"]["steps"] == outcome.result.final_state.steps
+        assert main(["verify", "--config", str(config_file(tmp_path, text)),
+                     "--out", str(tmp_path / "cli"), "--quiet"]) == 3
+        assert (tmp_path / "cli" / "timeseries.csv").exists()
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nlinvade.errors import (
 from nlinvade.kernels import (
     DIRECT_MAX_TAPS,
     KernelSpec,
+    ValidatedKernel,
     cell_weights,
     grid_convolve,
     grid_stencil,
@@ -471,6 +473,40 @@ class TestStepOracle:
         s = assert_steps_match_reference(oracle_state(mu=0.0), [0.02] * 40)
         assert (s.g_front, s.h_front) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("edge", [False, True], ids=["u", "v"])
+    def test_one_field_blown_up_raises(self, monkeypatch, bad, edge):
+        """A NaN or +inf in the new u band alone, or in the new v alone,
+        raises with the message of the reference's flush."""
+        def poisoned(values, stencil, edge=False, _edge=edge):
+            out = grid_convolve(values, stencil, edge=edge)
+            if edge == _edge:
+                out[out.size // 2] = bad
+            return out
+
+        s = oracle_state()
+        monkeypatch.setattr(simulator, "grid_convolve", poisoned)
+        message = f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t=0.02"
+        with pytest.raises(StabilityViolated, match=re.escape(message)):
+            step(s, 0.02)
+
+    def test_clamps_split_across_both_fields(self, monkeypatch):
+        """A step whose gross undershoots fall in both fields counts the sum
+        of the reference's two per-field counts."""
+        counts, flush = [], reference_flush
+
+        def counting_flush(field, t):
+            counts.append(flush(field, t))
+            return counts[-1]
+
+        monkeypatch.setitem(globals(), "reference_flush", counting_flush)
+        s = oracle_state()
+        want = reference_step(s, 2.0)
+        got = step(s, 2.0)
+        assert_same_state(got, want)
+        assert len(counts) == 2 and min(counts) > 0
+        assert got.clamp_count - s.clamp_count == sum(counts)
+
 
 class TestStateRecord:
     def test_step_leaves_its_input_unchanged(self):
@@ -650,12 +686,45 @@ class TestInsideRange:
         """Fronts on, next to and between nodes, inside or outside the window."""
         a, b = position(dx, *pa), position(dx, *pb)
         x = (i0 + np.arange(n)) * dx
-        ia, ib = _inside(SimpleNamespace(x=x), a, b)
+        ia, ib = _inside(SimpleNamespace(x_list=x.tolist()), a, b)
         assert 0 <= ia <= ib <= n
         assert list(range(ia, ib)) == list(np.nonzero((x > a) & (x < b))[0])
 
 
+def asymmetric_stencil(half):
+    """A stencil of 2 * half + 1 taps whose masses are not symmetric, from a
+    tabulated density that rises from left to right."""
+    table = np.array([[-1.0, 0.5], [0.0, 1.0], [1.0, 1.7]])
+    kernel = ValidatedKernel(
+        form="tabulated", support_radius=1.0,
+        evaluate=lambda x: np.interp(np.asarray(x, dtype=float), table[:, 0], table[:, 1],
+                                     left=0.0, right=0.0),
+        cdf=None,
+    )
+    st_ = grid_stencil(kernel, 1.0 / (half + 0.5))
+    assert st_.half == half and st_.box is None
+    assert not np.array_equal(st_.masses, st_.masses[::-1])
+    return st_
+
+
 class TestGridConvolve:
+    @pytest.mark.parametrize("edge", [False, True])
+    @pytest.mark.parametrize("n", [6, 7, 8, 300])
+    def test_direct_path_bytes_of_np_convolve(self, n, edge):
+        """The direct path's correlate call against the np.convolve call it
+        replaces, on a 7-tap asymmetric stencil and fields shorter than,
+        as long as and longer than the stencil."""
+        st_ = asymmetric_stencil(3)
+        values = np.random.default_rng(n).random(n) + 0.5
+        if edge:
+            ext = np.concatenate([np.full(3, values[0]), values, np.full(3, values[-1])])
+            want = np.convolve(ext, st_.masses, mode="valid")
+        elif n < st_.masses.size:
+            want = np.convolve(values, st_.masses, mode="full")[3 : 3 + n]
+        else:
+            want = np.convolve(values, st_.masses, mode="same")
+        assert grid_convolve(values, st_, edge=edge).tobytes() == want.tobytes()
+
     # 7 and 491 taps convolve directly, 511 by FFT; 5 nodes is shorter
     # than every stencil, 700 longer.
     @pytest.mark.parametrize("half", [3, DIRECT_MAX_TAPS // 2 - 5, DIRECT_MAX_TAPS // 2 + 5])
@@ -705,10 +774,27 @@ class TestRun:
         for got, want in zip(res.profiles, ref.profiles):
             assert got[0] == want[0]
             assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
-        for name in ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths"):
+        for name in ("t", "g_front", "h_front", "i0", "clamp_count", "window_growths",
+                     "steps", "node_steps"):
             assert getattr(res.final_state, name) == getattr(ref.final_state, name)
         for name in ("u", "v", "x"):
             assert np.array_equal(getattr(res.final_state, name), getattr(ref.final_state, name))
+
+    def test_work_counters(self, monkeypatch):
+        """``steps`` and ``node_steps`` count what a wrapper of `step` sees,
+        also across window growths."""
+        sizes = []
+
+        def counting_step(state, dt, /):
+            sizes.append(state.u.size)
+            return step(state, dt)
+
+        monkeypatch.setattr(simulator, "step", counting_step)
+        s0 = make_state(params(mu=20.0), pad=2.1)
+        assert (s0.steps, s0.node_steps) == (0, 0)
+        final = run(s0, 0.4, 0.005, 0.1).final_state
+        assert final.window_growths > 0 and len(set(sizes)) > 1
+        assert (final.steps, final.node_steps) == (len(sizes), sum(sizes))
 
     def test_series_recorded(self):
         res = run(make_state(), 2.0, 0.01, 0.5)
