@@ -127,6 +127,8 @@ def _cmd_ode(args, cfg) -> int:
 
 def _cmd_run(args, cfg, check: bool) -> int:
     outcome = run_scenario(cfg, outdir=args.out, check_theorems=check)
+    if "error" in outcome.report:
+        print(f"numerical failure: {outcome.report['error']}", file=sys.stderr)
     _say(args, f"regime: {outcome.report.get('regime')}")
     for entry in outcome.report.get("theorem_checks", []):
         _say(args, f"  check {entry['name']}: {'pass' if entry['pass'] else 'FAIL'}")

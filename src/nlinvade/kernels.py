@@ -26,15 +26,18 @@ Convolution: `grid_convolve` is the one place that picks how a stencil is
 applied.  A flat stencil, whose interior taps are all equal and whose two
 end taps may be partial (the uniform kernel, or a constant tabulated one),
 is applied from one prefix sum of the extended field in O(n) instead of
-O(n*m).  A prefix sum over n values of size O(1) rounds each window sum at
-the size of the running total, so it loses about log10(n) digits against a
-direct sum: up to 6e-14 relative at 3 000 nodes and 4e-13 at 30 000
-(random values in [0.5, 1.5], 81 and 2 001 taps, against an
-extended-precision sum).  A field update multiplies the convolution by
-dt*D, which brings the per-step effect back to rounding level.  The sum
-runs over the field minus its left extension value, so a stretch equal
-to that value (a far field at rest) adds no rounding at all.  Every other stencil is convolved directly
-or by overlap-add FFT, by tap count.
+O(n*m), except where direct correlation measured faster (FLAT_DIRECT):
+any field for up to 11 taps, up to 320 nodes for up to 81 taps, up to 96
+for up to 161, and never beyond.  A prefix sum over n values of size O(1)
+rounds each window sum at the size of the running total, so it loses
+about log10(n) digits against a direct sum: up to 6e-14 relative at 3 000
+nodes and 4e-13 at 30 000 (random values in [0.5, 1.5], 81 and 2 001
+taps, against an extended-precision sum).  A field update multiplies the
+convolution by dt*D, which brings the per-step effect back to rounding
+level.  The sum runs over the field minus its left extension value, so a
+stretch equal to that value (a far field at rest) adds no rounding at
+all.  Every other stencil is convolved directly or by overlap-add FFT, by
+tap count.
 
 Imports: only two branches load scipy, on their first call: the FFT branch
 of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal, and
@@ -51,6 +54,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricKernel,
+    GridTooLarge,
     NegativeDensity,
     ZeroAtOrigin,
     ZeroMass,
@@ -81,6 +85,19 @@ DIRECT_MAX_TAPS = 500
 # covers and by the unit-sum pin on the centre tap: at most 4.6 ulps over
 # 40 000 random (L0, dx) pairs with 1 to 2 000 taps.
 FLAT_TOL = 8.0 * np.finfo(float).eps
+
+# A flat stencil is still convolved directly where that measured faster
+# than the prefix sum: on fields of at most ``nodes`` nodes for stencils of
+# at most ``taps`` taps.  Over interleaved calls, edge off and on, direct
+# won at every size from 16 to 262 144 nodes up to 11 taps; it first lost
+# at 384-768 nodes for 13 to 81 taps, at 160-384 for 121 and 161, and at
+# 24-256 from 241 taps on.  The table is in CHANGES.md.
+FLAT_DIRECT = ((11, math.inf), (81, 320), (161, 96))
+
+# Most nodes of any grid the package allocates: a stencil, an eigensolver
+# interval or an initial simulation window.  One float array of this size
+# is 8 MB, and ARPACK's 20 basis vectors 160 MB.
+MAX_GRID_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -142,8 +159,11 @@ class GridStencil:
     raw discrete mass divided out during normalisation.  ``box`` holds the
     (inner, end) tap weights of a flat stencil, with
     (2 * half - 1) * inner + 2 * end = 1, and is None for any other stencil.
-    ``reversed_masses`` is a contiguous copy of ``masses`` in reverse order,
-    the operand of the direct convolution's correlate call.
+    ``direct_up_to`` is the longest field convolved directly: a flat
+    stencil's FLAT_DIRECT limit (0 when its taps are past the table), and
+    inf for any other stencil.  ``reversed_masses`` is a contiguous copy of
+    ``masses`` in reverse order, the operand of the direct convolution's
+    correlate call.
     """
 
     half: int
@@ -152,6 +172,7 @@ class GridStencil:
     densities: np.ndarray
     mass_correction: float
     box: tuple[float, float] | None
+    direct_up_to: float
     reversed_masses: np.ndarray = field(repr=False)
 
 
@@ -310,6 +331,16 @@ def validate_kernel(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel
     raise ValueError(f"unknown kernel form {spec.form!r}")
 
 
+def check_grid_size(count: float, what: str) -> None:
+    """Raise GridTooLarge when ``what`` needs more than MAX_GRID_NODES nodes.
+
+    ``count`` is a float computed before any conversion to int, so an
+    extent / spacing ratio that overflows to inf, or is NaN, raises too.
+    """
+    if not count <= MAX_GRID_NODES:
+        raise GridTooLarge(f"{what} needs {count:.3g} nodes, more than {MAX_GRID_NODES}")
+
+
 def cell_weights(nodes: np.ndarray, dx: float, a: float, b: float) -> np.ndarray:
     """Length of each node cell covered by [a, b].
 
@@ -345,6 +376,8 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
     if dx <= 0 or not np.isfinite(dx):
         raise ValueError("dx must be positive")
     R = kernel.support_radius
+    check_grid_size(2.0 * R / dx + 1.0,
+                    f"a {kernel.form} stencil of radius {R:g} at spacing {dx:g}")
     half = int(math.ceil(R / dx + 0.5)) - 1
     half = max(half, 0)
     offsets = np.arange(-half, half + 1) * dx
@@ -368,10 +401,11 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
     masses[half] += 1.0 - masses.sum()  # pin the sum to exactly 1
     with np.errstate(divide="ignore", invalid="ignore"):
         densities = np.where(cover > 0, masses / np.maximum(cover, 1e-300), 0.0)
-    box = None
+    box, direct_up_to = None, math.inf
     if half > 0 and np.ptp(masses[1:-1]) <= FLAT_TOL and abs(masses[-1] - masses[0]) <= FLAT_TOL:
         end = float(masses[0])
         box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
+        direct_up_to = max((nodes for taps, nodes in FLAT_DIRECT if masses.size <= taps), default=0)
     return GridStencil(
         half=half,
         masses=masses,
@@ -379,6 +413,7 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
         densities=densities,
         mass_correction=raw_mass,
         box=box,
+        direct_up_to=direct_up_to,
         reversed_masses=masses[::-1].copy(),
     )
 
@@ -415,8 +450,10 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     Output j is centred on input j, also when the stencil is longer than
     the field.  Beyond its ends the field is zero, or with ``edge`` it
     continues its end values.  A flat stencil (``stencil.box``) is applied
-    from a prefix sum in O(n); any other one directly up to
-    DIRECT_MAX_TAPS taps and by overlap-add FFT beyond.
+    from a prefix sum in O(n) on fields longer than
+    ``stencil.direct_up_to`` nodes and directly on shorter ones; any other
+    stencil directly up to DIRECT_MAX_TAPS taps and by overlap-add FFT
+    beyond.
 
     The direct path calls ``np.correlate(values, stencil.reversed_masses,
     mode)``, which is the correlation np.convolve itself runs, less its
@@ -426,7 +463,7 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     """
     masses, half = stencil.masses, stencil.half
     ends = (values[0], values[-1]) if edge else (0.0, 0.0)
-    if stencil.box is not None:
+    if values.size > stencil.direct_up_to:
         return _box_convolve(values, half, *stencil.box, *ends)
     if edge:
         n = values.size

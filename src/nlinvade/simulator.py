@@ -94,6 +94,7 @@ from .kernels import (
     GridStencil,
     ValidatedKernel,
     cell_weights,
+    check_grid_size,
     grid_convolve,
     grid_stencil,
 )
@@ -262,7 +263,10 @@ def init_state(
     if window_pad <= 0 or not np.isfinite(window_pad):
         raise ValueError("window_pad must be positive")
 
-    n_half = int(math.ceil((h0 + window_pad) / dx))
+    reach = h0 + window_pad
+    check_grid_size(2.0 * reach / dx + 1.0,
+                    f"the initial window [{-reach:g}, {reach:g}] at spacing {dx:g}")
+    n_half = int(math.ceil(reach / dx))
     i0 = -n_half
     x = _nodes(i0, 2 * n_half + 1, dx)
     u0 = _sample_u0(u0_profile, x, h0)

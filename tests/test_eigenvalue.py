@@ -97,9 +97,11 @@ class TestInvariants:
             assert -d1 < val < 0.0
 
     def test_power_matches_dense(self, monkeypatch):
-        # Both solver paths on the same operator; at 16-20 nodes ARPACK's
-        # Krylov space spans the whole grid.
-        for kernel, nodes in itertools.product((UNI, GAUSS), (16, 17, 20, 21, 400)):
+        # Both solver paths on the same operator, from the smallest ARPACK
+        # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
+        # agree far inside 1e-11 (measured gaps up to 3.1e-15).
+        n0 = eigenvalue.DENSE_THRESHOLD
+        for kernel, nodes in itertools.product((UNI, GAUSS), (n0, n0 + 1, n0 + 4, n0 + 5, 400)):
             dx = kernel.support_radius / 40
             interval = (0.0, (nodes - 1) * dx)
             arpack = principal_eigenvalue(kernel, 1.0, interval, dx)
@@ -107,17 +109,52 @@ class TestInvariants:
                 m.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
                 dense = principal_eigenvalue(kernel, 1.0, interval, dx)
             assert (arpack.nodes.size, arpack.method, dense.method) == (nodes, "arpack", "dense")
-            assert arpack.lambda_p == pytest.approx(dense.lambda_p, abs=1e-8)
+            assert arpack.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
+
+    @pytest.mark.parametrize("kernel", [UNI, GAUSS], ids=["uniform", "gaussian"])
+    def test_dense_below_the_crossover(self, kernel):
+        # The measured dense/ARPACK crossover (eigenvalue module docstring).
+        assert eigenvalue.DENSE_THRESHOLD == 57
+        dx = kernel.support_radius / 40
+        for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
+                              (eigenvalue.DENSE_THRESHOLD, "arpack")):
+            res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
+            assert (res.nodes.size, res.method) == (nodes, method)
+            assert (res.iterations > 0) == (method == "arpack")
+
+    def test_arpack_stopping_tolerance(self, monkeypatch):
+        # ARPACK stops at ARPACK_TOL, not machine precision: on 1 281 nodes
+        # that saves restarts (measured 51 -> 31 matvecs) and moves lambda
+        # by rounding only.
+        assert eigenvalue.ARPACK_TOL == 1e-12
+        calls = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+        interval = (0.0, 32.0)
+        res = principal_eigenvalue(UNI, 1.0, interval, 0.025)
+        monkeypatch.setattr(eigenvalue, "ARPACK_TOL", 0.0)
+        exact = principal_eigenvalue(UNI, 1.0, interval, 0.025)
+        assert calls == [1e-12, 0.0]
+        assert res.nodes.size == 1281 and res.iterations < exact.iterations
+        assert res.lambda_p == pytest.approx(exact.lambda_p, abs=1e-11)
+        assert res.residual <= eigenvalue.RESIDUAL_TOL
 
     @pytest.mark.parametrize(
-        "kernel, length",
-        [(UNI, 1.0), (UNI, 20.0), (GAUSS, 6.0)],
+        "kernel, length, cells",
+        [(UNI, 1.0, 64), (UNI, 20.0, 40), (GAUSS, 6.0, 40)],
         ids=["uniform-rank-one", "uniform", "gaussian"],
     )
-    def test_arpack_deterministic(self, kernel, length):
+    def test_arpack_deterministic(self, kernel, length, cells):
         # The rank-one interval (l <= L0) breaks the Krylov space down after
-        # one step, so ARPACK restarts from a random vector.
-        dx = kernel.support_radius / 40
+        # one step, so ARPACK restarts from a random vector.  At dx = L0/64
+        # it has 65 nodes, above DENSE_THRESHOLD; with an unseeded restart
+        # its matvec count ranged over 29-36 in ten calls.
+        dx = kernel.support_radius / cells
         first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         eigen_curve(UNI, 0.7, [0.5, 3.0, 0.9], 0.025)

@@ -8,10 +8,14 @@ from scipy.special import erf
 
 from nlinvade.errors import (
     AsymmetricKernel,
+    GridTooLarge,
     NegativeDensity,
     ZeroAtOrigin,
     ZeroMass,
 )
+from dataclasses import replace
+
+from nlinvade import kernels
 from nlinvade.kernels import (
     DIRECT_MAX_TAPS,
     KernelSpec,
@@ -313,6 +317,26 @@ class TestFlatStencil:
         assert got.shape == (n,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    # (half, direct_up_to): each FLAT_DIRECT band's last tap count and the
+    # first past it, up to a stencil past the table.
+    @pytest.mark.parametrize(
+        "half, limit", [(5, math.inf), (6, 320), (40, 320), (41, 96), (80, 96), (81, 0), (1000, 0)]
+    )
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_direct_where_measured_faster(self, half, limit, edge):
+        st_ = grid_stencil(validate_kernel(KernelSpec.uniform(1.0), 1.0 / half), 1.0 / half)
+        assert st_.half == half and st_.box is not None and st_.direct_up_to == limit
+        direct = replace(st_, direct_up_to=math.inf)
+        sizes = {2, 50, 4000} | ({limit, limit + 1} - {0, math.inf})
+        for n in sorted(sizes):
+            values = np.random.default_rng(n).random(n) + 0.5
+            ends = (values[0], values[-1]) if edge else (0.0, 0.0)
+            if n <= limit:
+                want = grid_convolve(values, direct, edge=edge)
+            else:
+                want = kernels._box_convolve(values, half, *st_.box, *ends)
+            assert grid_convolve(values, st_, edge=edge).tobytes() == want.tobytes(), n
+
     @pytest.mark.parametrize("dx, half", FLAT_GRIDS)
     def test_end_taps(self, dx, half):
         st_ = grid_stencil(validate_kernel(KernelSpec.uniform(1.0), dx), dx)
@@ -362,6 +386,20 @@ class TestEdgeExtension:
         conv = oaconvolve if st_.masses.size > DIRECT_MAX_TAPS else np.convolve
         want = conv(ext, st_.masses, mode="valid")
         assert grid_convolve(values, st_, edge=True).tobytes() == want.tobytes()
+
+
+class TestGridSize:
+    def test_cap(self):
+        kernels.check_grid_size(float(kernels.MAX_GRID_NODES), "a grid")
+        for count in (kernels.MAX_GRID_NODES + 1.0, math.inf, math.nan):
+            with pytest.raises(GridTooLarge, match="a grid needs"):
+                kernels.check_grid_size(count, "a grid")
+
+    def test_stencil_checked_before_allocation(self):
+        # 2e12 taps at 1e-12; at 1e-320 the radius over the spacing is inf.
+        for dx in (1e-12, 1e-320):
+            with pytest.raises(GridTooLarge, match="uniform stencil of radius 1 "):
+                grid_stencil(uniform_kernel(), dx)
 
 
 class TestCellWeights:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import tracemalloc
 
 import pytest
 
@@ -431,6 +432,33 @@ class TestCli:
         assert float(l) == 1.0
         assert float(lam) < 0.0
         assert len(lam.replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+    @pytest.mark.parametrize(
+        "command, assignment, grid",
+        [
+            ("eigen-curve", "eigen.lengths=[1e-9]", "a uniform stencil"),
+            ("eigen-curve", "eigen.lengths=[1e300]", "an interval of length 1e+300"),
+            ("eigen-curve", "numerics.dx=1e-300", "an interval of length 1 "),
+            ("simulate", "numerics.dx=1e-300", "the initial window"),
+        ],
+    )
+    def test_oversized_grid_exit_3(self, tmp_path, capsys, command, assignment, grid):
+        # The node count is checked before any array is allocated: l = 1e-9
+        # asks for a 6e9-tap stencil at spacing l/3, the others for grids of
+        # 1e300 nodes or more.
+        cfg = config_file(tmp_path, BASE.replace("dx = 0.1", "dx = 0.05"))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet",
+                "--set", assignment]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: GridTooLarge: {grid}")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_ode(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[ode]\nu0 = 0.1\nv0 = 0.1\nT = 50.0\ndt = 0.01\n")
