@@ -99,7 +99,7 @@ class TestInvariants:
     def test_power_matches_dense(self, monkeypatch):
         # Both solver paths on the same operator, from the smallest ARPACK
         # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
-        # agree far inside 1e-11 (measured gaps up to 3.1e-15).
+        # agree far inside 1e-11 (measured gaps up to 1.1e-15 here).
         n0 = eigenvalue.DENSE_THRESHOLD
         for kernel, nodes in itertools.product((UNI, GAUSS), (n0, n0 + 1, n0 + 4, n0 + 5, 400)):
             dx = kernel.support_radius / 40

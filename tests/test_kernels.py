@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from nlinvade.errors import (
     ZeroAtOrigin,
     ZeroMass,
 )
-from dataclasses import replace
-
 from nlinvade import kernels
 from nlinvade.kernels import (
     DIRECT_MAX_TAPS,
