@@ -3,7 +3,9 @@
 
 Prints a table for the built-in kernels and writes one two-column text
 file per kernel (length, lambda_p) into --out.  The values increase
-strictly with length from -d1 toward 0.
+strictly with length from -d1 toward 0; the script exits with code 1,
+naming the kernel, when a curve is not strictly increasing or leaves
+(-d1, 0).
 
 Usage:
   python scripts/eigen_length_scan.py [--d1 1.0] [--out out/eigen_scan]
@@ -48,7 +50,16 @@ def main() -> int:
         row = f"{length:10.4g}" + "".join(f"{curves[n][i][1]:22.12e}" for n in catalog)
         print(row)
     print(f"curves written to {out} (17 significant digits)")
-    return 0
+    failures = []
+    for name, curve in curves.items():
+        values = [lam for _, lam in curve]
+        if not all(a < b for a, b in zip(values, values[1:])):
+            failures.append(f"{name}: lambda_p is not strictly increasing in length")
+        if not all(-args.d1 < lam < 0.0 for lam in values):
+            failures.append(f"{name}: lambda_p leaves (-d1, 0) = ({-args.d1:g}, 0)")
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

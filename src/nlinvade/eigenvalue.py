@@ -21,32 +21,50 @@ call, so a process whose grids all stay below DENSE_THRESHOLD never loads
 it.  Translation invariance is exact because every interval is normalised
 to left endpoint 0 before discretisation.
 
-Cost per solve in ms by node count (d1 = 1, dx = L0/40, the uniform
+ARPACK's Krylov basis is sized to the interval's length in kernel widths,
+r = (n - 1) / half for n nodes under a stencil of half-width ``half``
+nodes: ncv = min(20, max(8, ceil(r) + 4)) vectors.  Its matvec count at
+ARPACK_TOL depends on r, not on n (the counts were identical at
+dx = L0/40 and L0/13), and eigs' default of 20 vectors paid 21 matvecs on
+short intervals that converge in 9.  From r = 16 on the basis stays at
+20: there 16 vectors were up to 1.14 times and 8 vectors up to 1.83 times
+slower, from the extra restarts.
+
+Cost per solve in ms by r and node count (d1 = 1, dx = L0/40, the uniform
 kernel with L0 = 1 and the truncated gaussian with sigma = 1, L0 = 2;
-medians of interleaved solves on a shared 2-vCPU x86-64 VM, one BLAS
-thread; ARPACK matvec counts in brackets):
+medians of 21 interleaved solves on a shared 2-vCPU x86-64 VM, one BLAS
+thread; ARPACK stopped at ARPACK_TOL, matvec counts in brackets):
 
-    nodes  kernel    dense   ARPACK tol=0   ARPACK tol=1e-12
-       25  uniform    0.44     1.10 (21)      1.10 (21)
-       25  gaussian   0.52     1.26 (21)      1.23 (21)
-       57  uniform    0.91     0.93 (21)      0.91 (21)
-       57  gaussian   1.43     1.36 (21)      1.31 (21)
-       81  uniform    3.85     1.29 (21)      1.26 (21)
-      161  uniform   11.99     1.35 (21)      1.32 (21)
-      641  uniform       -     1.51 (31)      1.08 (21)
-     1281  uniform       -     3.12 (51)      1.96 (31)
-     1281  gaussian      -     5.43 (51)      4.56 (41)
+        r  nodes  kernel    basis  dense   ARPACK ncv=20  ARPACK sized
+      0.6     25  uniform       8   0.49     1.20 (21)     0.59 (9)
+     0.85     35  uniform       8   0.44     0.76 (21)     0.41 (9)
+      1.4     57  uniform       8   0.87     0.82 (21)     0.45 (9)
+        2     81  uniform       8   4.04     1.30 (21)     0.72 (9)
+        4    161  uniform       8   8.32     1.06 (21)     0.59 (13)
+        8    321  uniform      12      -     1.56 (21)     1.08 (13)
+       11    441  uniform      15      -     0.95 (21)     0.72 (16)
+       14    561  uniform      18      -     1.01 (21)     0.91 (19)
+       16    641  uniform      20      -     1.09 (21)     1.02 (21)
+       32   1281  uniform      20      -     1.99 (31)     1.99 (31)
+      0.6     25  gaussian      8   0.34     0.74 (21)     0.46 (9)
+     0.85     35  gaussian      8   0.70     1.14 (21)     0.66 (9)
+      1.4     57  gaussian      8   1.38     1.26 (21)     0.71 (9)
+        4    161  gaussian      8   8.86     1.16 (21)     0.67 (9)
+       11    441  gaussian     15      -     0.88 (21)     0.70 (16)
+       32   1281  gaussian     20      -     2.68 (41)     2.80 (41)
 
-Dense time over ARPACK time, the median of interleaved pairs, crossed 1
-between 56 nodes (0.97-0.99) and 58 (1.03-1.05) for both kernels, hence
-DENSE_THRESHOLD = 57.  Stopping at 1e-12 instead of machine precision
-saves restarts on long intervals only; it moved lambda by at most 1.8e-15
-on these grids, and the residuals stayed at or below 1e-12, four orders
-under RESIDUAL_TOL.
+Dense time over sized-ARPACK time, the median of 100 interleaved pairs,
+crossed 1 between 33 nodes (uniform 0.95, gaussian 0.89) and 36 (1.08,
+1.03) at dx = L0/40, and between 33 (1.00, 0.99) and 35 (1.04, 1.04) at
+dx = L0/13, hence DENSE_THRESHOLD = 35.  Stopping at 1e-12 instead of
+machine precision saves restarts on long intervals only; it moved lambda
+by at most 1.8e-15, and the residuals on these grids stayed at or below
+1.2e-12, four orders under RESIDUAL_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +72,10 @@ import numpy as np
 from .errors import DegenerateInterval, NoConvergence
 from .kernels import GridStencil, ValidatedKernel, check_grid_size, grid_convolve, grid_stencil
 
-# Fewest nodes solved by ARPACK: the measured dense/ARPACK crossover
-# (module docstring).  Smaller grids take the dense path.
-DENSE_THRESHOLD = 57
+# Fewest nodes solved by ARPACK: the measured crossover of dense and
+# sized-basis ARPACK time (module docstring).  Smaller grids take the
+# dense path.
+DENSE_THRESHOLD = 35
 # Largest residual max|B phi - rho phi| accepted for a returned pair.
 RESIDUAL_TOL = 1e-8
 # Relative accuracy at which ARPACK stops (its ``tol``; 0 is machine
@@ -146,10 +165,17 @@ def _dense_solve(B: np.ndarray) -> tuple[float, np.ndarray, int]:
     return float(vals[k].real), vecs[:, k], 0
 
 
-def _arpack_solve(matvec, n: int) -> tuple[float, np.ndarray, int]:
-    """ARPACK from the sine start, counting matvecs.  A fixed ``rng`` makes
-    the random restart after a Krylov breakdown (a rank-one operator)
-    reproducible."""
+def _basis_size(n: int, half: int) -> int:
+    """ARPACK's Krylov basis for ``n`` nodes under a stencil of half-width
+    ``half``: ceil(r) + 4 vectors, r = (n - 1) / half the interval's length
+    in kernel widths, kept within [8, 20] (module docstring)."""
+    return min(20, max(8, math.ceil((n - 1) / max(half, 1)) + 4))
+
+
+def _arpack_solve(matvec, n: int, ncv: int) -> tuple[float, np.ndarray, int]:
+    """ARPACK from the sine start with an ``ncv``-vector basis, counting
+    matvecs.  A fixed ``rng`` makes the random restart after a Krylov
+    breakdown (a rank-one operator) reproducible."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
     count = 0
@@ -163,7 +189,7 @@ def _arpack_solve(matvec, n: int) -> tuple[float, np.ndarray, int]:
     v0 /= v0.max()
     op = LinearOperator((n, n), matvec=counted, dtype=float)
     try:
-        vals, vecs = eigs(op, k=1, which="LR", v0=v0, tol=ARPACK_TOL, rng=0)
+        vals, vecs = eigs(op, k=1, which="LR", v0=v0, ncv=ncv, tol=ARPACK_TOL, rng=0)
     except (ArpackNoConvergence, ArpackError) as exc:
         raise NoConvergence(f"ARPACK failed: {exc}") from exc
     return float(vals[0].real), vecs[:, 0], count
@@ -193,7 +219,7 @@ def principal_eigenvalue(
         rho, vec, iterations = _dense_solve(B)
     else:
         method, apply = "arpack", _matvec_factory(n, h, d1, st)
-        rho, vec, iterations = _arpack_solve(apply, n)
+        rho, vec, iterations = _arpack_solve(apply, n, _basis_size(n, st.half))
     phi, residual = _perron(rho, vec, apply)
 
     nodes = interval[0] + np.arange(n) * h

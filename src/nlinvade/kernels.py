@@ -96,7 +96,7 @@ FLAT_DIRECT = ((11, math.inf), (81, 320), (161, 96))
 
 # Most nodes of any grid the package allocates: a stencil, an eigensolver
 # interval or an initial simulation window.  One float array of this size
-# is 8 MB, and ARPACK's 20 basis vectors 160 MB.
+# is 8 MB, and ARPACK's basis, at most 20 vectors, 160 MB.
 MAX_GRID_NODES = 10**6
 
 

@@ -14,6 +14,7 @@ from nlinvade.kernels import KernelSpec, validate_kernel
 
 UNI = validate_kernel(KernelSpec.uniform(1.0), 0.025)
 GAUSS = validate_kernel(KernelSpec.truncated_gaussian(1.0, 2.0), 0.05)
+TRI = validate_kernel(KernelSpec.triangular(1.0), 0.025)
 
 
 def lam(kernel, d1, interval, dx):
@@ -99,7 +100,7 @@ class TestInvariants:
     def test_power_matches_dense(self, monkeypatch):
         # Both solver paths on the same operator, from the smallest ARPACK
         # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
-        # agree far inside 1e-11 (measured gaps up to 1.1e-15 here).
+        # agree far inside 1e-11 (measured gaps up to 2.4e-15 here).
         n0 = eigenvalue.DENSE_THRESHOLD
         for kernel, nodes in itertools.product((UNI, GAUSS), (n0, n0 + 1, n0 + 4, n0 + 5, 400)):
             dx = kernel.support_radius / 40
@@ -113,8 +114,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("kernel", [UNI, GAUSS], ids=["uniform", "gaussian"])
     def test_dense_below_the_crossover(self, kernel):
-        # The measured dense/ARPACK crossover (eigenvalue module docstring).
-        assert eigenvalue.DENSE_THRESHOLD == 57
+        # The measured dense/ARPACK crossover with the sized Krylov basis
+        # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
+        # 21-node solves whose checks pass on dense rounding stay dense.
+        assert eigenvalue.DENSE_THRESHOLD == 35
+        assert eigenvalue.DENSE_THRESHOLD > 21
         dx = kernel.support_radius / 40
         for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
                               (eigenvalue.DENSE_THRESHOLD, "arpack")):
@@ -144,6 +148,36 @@ class TestInvariants:
         assert res.lambda_p == pytest.approx(exact.lambda_p, abs=1e-11)
         assert res.residual <= eigenvalue.RESIDUAL_TOL
 
+    def test_krylov_basis_sized_to_the_interval(self, monkeypatch):
+        # eigs gets ceil(r) + 4 basis vectors, r = (n - 1) / half the length
+        # in kernel widths, within [8, 20]; from r = 16 on it keeps 20.
+        calls = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs["ncv"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+        for length in (2.0, 11.0, 16.0, 32.0):  # r at dx = L0/40
+            assert principal_eigenvalue(UNI, 1.0, (0.0, length), 0.025).method == "arpack"
+        assert calls == [8, 15, 20, 20]
+
+    @pytest.mark.parametrize("r", [1, 2, 4, 8, 11, 14, 16, 32])
+    @pytest.mark.parametrize("kernel", [UNI, TRI, GAUSS], ids=["uniform", "triangular", "gaussian"])
+    def test_sized_basis_matches_twenty(self, monkeypatch, kernel, r):
+        # Against eigs' default 20-vector basis: lambda agrees to rounding
+        # (measured gaps up to 3.1e-15), and the sized basis never needs
+        # more matvecs (9-19 against 21 below r = 16, equal from there).
+        dx = kernel.support_radius / 40
+        interval = (0.0, r * kernel.support_radius)
+        sized = principal_eigenvalue(kernel, 1.0, interval, dx)
+        monkeypatch.setattr(eigenvalue, "_basis_size", lambda n, half: 20)
+        full = principal_eigenvalue(kernel, 1.0, interval, dx)
+        assert (sized.method, full.method) == ("arpack", "arpack")
+        assert sized.lambda_p == pytest.approx(full.lambda_p, abs=1e-11)
+        assert sized.iterations <= full.iterations
+
     @pytest.mark.parametrize(
         "kernel, length, cells",
         [(UNI, 1.0, 64), (UNI, 20.0, 40), (GAUSS, 6.0, 40)],
@@ -153,7 +187,8 @@ class TestInvariants:
         # The rank-one interval (l <= L0) breaks the Krylov space down after
         # one step, so ARPACK restarts from a random vector.  At dx = L0/64
         # it has 65 nodes, above DENSE_THRESHOLD; with an unseeded restart
-        # its matvec count ranged over 29-36 in ten calls.
+        # and its 8-vector basis the matvec count ranged over 10-15 in ten
+        # calls.
         dx = kernel.support_radius / cells
         first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
