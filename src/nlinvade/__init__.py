@@ -9,7 +9,9 @@ Subpackage map:
   simulator   the coupled free-boundary field solver
   diagnostics regime detection, consistency checks, their tolerance record
   config      scenario configuration (sectioned key=value text)
-  runner      scenario execution, parameter sweeps, file emission
+  runner      scenario execution and parameter sweeps
+  output      owner of every file format: tables, JSON reports, SVG plots
+  errors      the exception types shared across the package
   cli         command-line entry points
 """
 

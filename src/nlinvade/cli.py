@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -23,7 +22,7 @@ from .dynamics import equilibria_and_class, ode_trajectory, theta_classify
 from .eigenvalue import eigen_curve
 from .errors import ConfigInvalid, NlinvadeError
 from .kernels import validate_kernel
-from .output import fmt, sanitize, write_eigen_curve, write_report_json
+from .output import fmt, report_text, write_eigen_curve, write_ode_csv, write_report_json
 from .runner import EXIT_CONFIG, EXIT_NUMERICAL, run_scenario, sweep
 
 
@@ -98,13 +97,10 @@ def _cmd_eigen_curve(args, cfg) -> int:
 
 
 def _cmd_classify(args, cfg) -> int:
-    theta = theta_classify(cfg.params)
     eq = equilibria_and_class(cfg.params)
-    record = theta.to_record()
-    record["competition_case"] = eq.competition_case
-    record["R_star"] = list(eq.R_star) if eq.R_star else None
-    text = json.dumps(sanitize(record), indent=2, sort_keys=True)
-    print(text)
+    record = {**theta_classify(cfg.params).to_record(), "competition_case": eq.competition_case,
+              "R_star": list(eq.R_star) if eq.R_star else None}
+    print(report_text(record), end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -116,10 +112,7 @@ def _cmd_ode(args, cfg) -> int:
     traj = ode_trajectory(cfg.params, cfg.ode_init, cfg.ode_T, cfg.ode_dt)
     out = Path(args.out or cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["t,u,v"]
-    for t, u, v in zip(traj.t, traj.u, traj.v):
-        lines.append(f"{fmt(t)},{fmt(u)},{fmt(v)}")
-    (out / "ode.csv").write_text("\n".join(lines) + "\n")
+    write_ode_csv(out / "ode.csv", traj)
     _say(args, f"final state u={fmt(traj.final[0])} v={fmt(traj.final[1])}")
     _say(args, f"wrote {out / 'ode.csv'}")
     return 0
@@ -137,10 +130,7 @@ def _cmd_run(args, cfg, check: bool) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    base_dir = Path(args.config).parent
-    header, rows = sweep(
-        cfg, outdir=args.out, jobs=args.jobs, base_dir=base_dir
-    )
+    header, rows = sweep(cfg, outdir=args.out, jobs=args.jobs, base_dir=Path(args.config).parent)
     _say(args, ",".join(header))
     for row in rows:
         _say(args, ",".join(str(c) for c in row))

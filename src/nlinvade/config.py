@@ -109,8 +109,6 @@ def parse_config_text(text: str) -> dict:
                     break
                 out.append(ch)
             line = "".join(out).strip()
-            if not line:
-                continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigInvalid(f"malformed section header on line {lineno}: {raw!r}")

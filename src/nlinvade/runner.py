@@ -190,15 +190,21 @@ SWEEP_FIELDS = [
 ]
 
 
-def _sweep_cell(args):
-    mapping, base_dir, cell_dir, check = args
+def _row_or_error(call, *args):
+    """``call(*args)``, or the error row of the exception it raises."""
     try:
-        cfg = build_scenario(mapping, base_dir)
-        outcome = run_scenario(cfg, outdir=cell_dir, check_theorems=check)
-    except Exception as exc:  # any failure stays in its row; the sweep goes on
-        row = dict.fromkeys(SWEEP_FIELDS, "")
-        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        return row
+        return call(*args)
+    except Exception as exc:  # a failed cell stays in its row; the sweep goes on
+        return {**dict.fromkeys(SWEEP_FIELDS, ""), "status": "error",
+                "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _sweep_cell(args):
+    return _row_or_error(_cell_row, *args)
+
+
+def _cell_row(mapping, base_dir, cell_dir, check) -> dict:
+    outcome = run_scenario(build_scenario(mapping, base_dir), outdir=cell_dir, check_theorems=check)
     rep = outcome.report
     margins = [
         c["margin"] for c in rep.get("theorem_checks", []) if isinstance(c.get("margin"), float)
@@ -250,21 +256,24 @@ def sweep(
 
     tasks = []
     combos = list(itertools.product(*grids))
+    base = {section: keys for section, keys in cfg.mapping.items() if section != "sweep"}
     for index, combo in enumerate(combos):
-        mapping = copy.deepcopy(cfg.mapping)
-        mapping.pop("sweep", None)
+        mapping = copy.deepcopy(base)
         for path, value in zip(paths, combo):
             section, _, key = path.partition(".")
             mapping.setdefault(section, {})[key] = value
         tasks.append((mapping, str(base_dir), str(out / f"cell_{index:04d}"), check_theorems))
 
-    # Both maps yield in task order.  The pool's module loads
-    # multiprocessing, so only a parallel sweep imports it.
+    # Rows keep task order; only a parallel sweep imports the pool (it loads
+    # multiprocessing).  A dying worker breaks the pool, and each cell it cannot
+    # run reads as an error row; futures are read after shutdown without waiting,
+    # since a submit racing the break can leave one never resolved (TimeoutError).
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as workers:
-            results = list(workers.map(_sweep_cell, tasks))
+            futures = [_row_or_error(workers.submit, _sweep_cell, task) for task in tasks]
+        results = [f if isinstance(f, dict) else _row_or_error(f.result, 0) for f in futures]
     else:
         results = list(map(_sweep_cell, tasks))
 

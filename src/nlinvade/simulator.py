@@ -526,17 +526,12 @@ def run(
         metrics_L = min(2.0 * state.h0, min(-state.x_min, state.x_max))
     v_deviation(state, metrics_L)  # raises WindowTooSmall up front
 
-    rows = {k: [] for k in ("t", "g", "h", "mass", "sup_u", "v_dev", "sup_v")}
-    profiles = []
+    rows, profiles = [], []
 
     def record(s: SimState):
-        rows["t"].append(s.t)
-        rows["g"].append(s.g_front)
-        rows["h"].append(s.h_front)
-        rows["mass"].append(integrate_u(s))
-        rows["sup_u"].append(float(s.u.max(initial=0.0)))
-        rows["v_dev"].append(v_deviation(s, metrics_L))
-        rows["sup_v"].append(float(s.v.max(initial=0.0)))
+        # one row per instant, in TimeSeries field order
+        rows.append((s.t, s.g_front, s.h_front, integrate_u(s), float(s.u.max(initial=0.0)),
+                     v_deviation(s, metrics_L), float(s.v.max(initial=0.0))))
 
     def keep_profile(s: SimState):
         profiles.append((s.t, s.x.copy(), s.u.copy(), s.v.copy()))
@@ -562,13 +557,5 @@ def run(
         record(state)
         keep_profile(state)
 
-    series = TimeSeries(
-        t=np.array(rows["t"]),
-        g_front=np.array(rows["g"]),
-        h_front=np.array(rows["h"]),
-        mass_u=np.array(rows["mass"]),
-        sup_u=np.array(rows["sup_u"]),
-        v_dev_L=np.array(rows["v_dev"]),
-        sup_v=np.array(rows["sup_v"]),
-    )
+    series = TimeSeries(*map(np.array, zip(*rows)))
     return RunResult(series=series, profiles=profiles, final_state=state)

@@ -1,13 +1,16 @@
 import concurrent.futures
 import json
+import multiprocessing
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from nlinvade.cli import main
 from nlinvade.config import build_scenario, parse_config_text
 from nlinvade.errors import ConfigInvalid, GridTooLarge, NoConvergence, StabilityViolated
-from nlinvade.output import TIMESERIES_HEADER, snapshot_name
+from nlinvade.output import TIMESERIES_HEADER, snapshot_name, write_rows
 from nlinvade import diagnostics, runner
 from nlinvade.eigenvalue import RESIDUAL_TOL
 from nlinvade.runner import run_scenario, sweep
@@ -72,6 +75,24 @@ def config_file(tmp_path, text=BASE, name="scenario.cfg"):
 
 def scenario(text=BASE):
     return build_scenario(parse_config_text(text))
+
+
+@pytest.mark.parametrize(
+    "rows, header, sep, text",
+    [
+        ([(np.float64(0.1), 0.1, 3, True, "x")], "a,b,c,d,e", ",",
+         "a,b,c,d,e\n0.10000000000000001,0.10000000000000001,3,True,x\n"),
+        ([(np.float64(0.1), 0.1, 3, True, "x"), (np.float32(0.1), -2.5, 0, False, "")], None, ",",
+         "0.10000000000000001,0.10000000000000001,3,True,x\n0.10000000149011612,-2.5,0,False,\n"),
+        ([(1.0, np.float64(1 / 3), "y")], "# x u v", " ", "# x u v\n1 0.33333333333333331 y\n"),
+        ([], None, ",", "\n"),
+        ([], "t,u,v", ",", "t,u,v\n"),
+    ],
+    ids=["header", "no-header", "space-separated", "empty", "header-only"],
+)
+def test_write_rows_bytes(tmp_path, rows, header, sep, text):
+    write_rows(tmp_path / "rows.txt", rows, header, sep)
+    assert (tmp_path / "rows.txt").read_bytes() == text.encode()
 
 
 class TestRunScenario:
@@ -363,8 +384,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                done = concurrent.futures.Future()
+                done.set_result(fn(task))
+                return done
 
         # sweep imports the pool class from concurrent.futures when jobs > 1
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -372,6 +395,30 @@ class TestSweep:
         _, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=500)
         assert seen == [2]
         assert len(rows) == 2
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched run_scenario")
+    @pytest.mark.parametrize("cells", [3, 3000])
+    def test_dying_worker_recorded_not_fatal(self, tmp_path, monkeypatch, cells):
+        # The worker running cell 1 ends without a word and breaks the pool.
+        # With 3000 cells that happens, in practice, while cells are still
+        # being submitted, so submit itself raises for the rest.
+        def dying(cfg, **kwargs):
+            if cfg.params.mu == 2.0:
+                os._exit(1)
+            return runner.RunOutcome(exit_code=0, report={}, outdir=None)
+
+        monkeypatch.setattr(runner, "run_scenario", dying)
+        mus = [0.5, 2.0] + [3.0 + i for i in range(cells - 2)]
+        text = BASE + f"\n[sweep]\ncap = {cells}\naxis.params.mu = {mus}\n"
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=2)
+        status, error = header.index("status"), header.index("error")
+        assert [r[0] for r in rows] == list(range(cells))
+        assert rows[1][status] == "error"
+        assert rows[1][error].startswith("BrokenProcessPool: ")
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + cells
+        assert lines[2].startswith("1,2,error,")
 
     def test_mu_dichotomy(self, tmp_path):
         # Small front response pins the invader (vanishing); a large one
@@ -420,6 +467,11 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["competition_case"] == "weak"
         assert record["verdict_roots"] == "theta1"
+
+    def test_classify_out_prints_the_file(self, tmp_path, capsys):
+        out = tmp_path / "cls"
+        assert main(["classify", "--config", str(config_file(tmp_path)), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "classify.json").read_text()
 
     def test_eigen_curve_file_format(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[eigen]\nlengths = [1.0, 2.0]\n")
