@@ -3,8 +3,12 @@
 The format is a flat TOML-like dialect: ``[section]`` headers, one
 ``key = value`` per line, ``#`` comments.  Values are booleans
 (true/false), integers, floats, bare or quoted strings, and flat lists
-``[a, b, c]``.  Keys may be dotted (used by sweep axes).  A key set twice
-in one section, also in a repeated ``[section]`` block, is an error.
+``[a, b, c]`` split at their commas (a nested list is an error).  Keys may
+be dotted (used by sweep axes).  A key set twice in one section, also in a
+repeated ``[section]`` block, is an error.  A number must be finite and
+positive; ``params.mu``, ``numerics.T`` and ``profile_every``,
+``initial.v_value`` and ``ode.u0``, ``v0`` and ``T`` may also be zero, and
+``sweep.cap`` is an integer of at least 1.
 Parsing then serialising is idempotent on the normalised form, which keeps
 configs diff-friendly.
 """
@@ -60,27 +64,14 @@ def format_scalar(value) -> str:
     return text if bare_ok else f'"{text}"'
 
 
-def _split_list(body: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
-    return [p for p in (q.strip() for q in parts) if p]
-
-
-def parse_value(text: str):
+def parse_value(text: str, path: str | None = None):
+    """A scalar, or a flat list of scalars; a nested list is ConfigInvalid."""
     tok = text.strip()
     if tok.startswith("[") and tok.endswith("]"):
-        return [parse_scalar(p) for p in _split_list(tok[1:-1])]
+        items = [p.strip() for p in tok[1:-1].split(",")]
+        if any(p.startswith("[") for p in items):
+            raise ConfigInvalid(f"lists are flat, got {tok}", path=path)
+        return [parse_scalar(p) for p in items if p]
     return parse_scalar(tok)
 
 
@@ -124,7 +115,7 @@ def parse_config_text(text: str) -> dict:
         first = first_line.setdefault((section, key), lineno)
         if first != lineno:
             raise ConfigInvalid(f"set twice, on lines {first} and {lineno}", path=f"{section}.{key}")
-        mapping[section][key] = parse_value(val)
+        mapping[section][key] = parse_value(val, f"{section}.{key}")
     return mapping
 
 
@@ -150,7 +141,7 @@ def apply_override(mapping: dict, assignment: str) -> None:
     section, _, key = path.partition(".")
     if section not in SECTIONS:
         raise ConfigInvalid(f"unknown section {section!r}", path=path)
-    mapping.setdefault(section, {})[key] = parse_value(val)
+    mapping.setdefault(section, {})[key] = parse_value(val, path)
 
 
 # -- scenario objects --------------------------------------------------------
@@ -212,36 +203,26 @@ def _finite(val) -> bool:
         return False
 
 
-def _number(mapping: dict, section: str, key: str, default=None, kind=(int, float)):
-    """The finite number (of type ``kind``) at section.key, else ConfigInvalid."""
-    val = mapping.get(section, {}).get(key, default)
+def _number(val, path: str, low=0, closed=False, kind=(int, float)):
+    """``val`` as a finite number above ``low``, or at least ``low`` if ``closed``
+    (an int if ``kind`` is int, else a float); else ConfigInvalid at ``path``."""
     if val is None:
-        raise ConfigInvalid("required value missing", path=f"{section}.{key}")
+        raise ConfigInvalid("required value missing", path=path)
     if isinstance(val, bool) or not isinstance(val, kind):
         what = "an integer" if kind is int else "a number"
-        raise ConfigInvalid(f"expected {what}, got {val!r}", path=f"{section}.{key}")
+        raise ConfigInvalid(f"expected {what}, got {val!r}", path=path)
     if not _finite(val):
-        raise ConfigInvalid(f"must be finite, got {val}", path=f"{section}.{key}")
-    return val
+        raise ConfigInvalid(f"must be finite, got {val}", path=path)
+    if val < low or (val == low and not closed):
+        raise ConfigInvalid(f"must be {'at least' if closed else 'above'} {low}, got {val}", path=path)
+    return val if kind is int else float(val)
 
 
-def _boolean(mapping: dict, section: str, key: str, default: bool) -> bool:
-    """The true/false value at section.key, else ConfigInvalid."""
-    val = mapping.get(section, {}).get(key, default)
+def _boolean(val, path: str) -> bool:
+    """``val`` if it is true or false, else ConfigInvalid at ``path``."""
     if not isinstance(val, bool):
-        raise ConfigInvalid(f"expected true or false, got {val!r}", path=f"{section}.{key}")
+        raise ConfigInvalid(f"expected true or false, got {val!r}", path=path)
     return val
-
-
-def _need_positive(mapping: dict, section: str, key: str, default=None) -> float:
-    val = _number(mapping, section, key, default)
-    if val <= 0:
-        raise ConfigInvalid(f"must be a positive number, got {val}", path=f"{section}.{key}")
-    return float(val)
-
-
-def _get(mapping: dict, section: str, key: str, default):
-    return mapping.get(section, {}).get(key, default)
 
 
 def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
@@ -262,8 +243,8 @@ def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
         if not isinstance(path, str):
             raise ConfigInvalid("tabulated kernel needs table = <path>", path=f"{section}.table")
         return KernelSpec.tabulated(_load_table(base_dir, path, f"{section}.table"))
-    L0 = _need_positive(mapping, section, "L0", 1.0)
-    sigma = _need_positive(mapping, section, "sigma") if form == "truncated_gaussian" else None
+    L0 = _number(sec.get("L0", 1.0), f"{section}.L0")
+    sigma = _number(sec.get("sigma"), f"{section}.sigma") if form == "truncated_gaussian" else None
     return KernelSpec(form=form, L0=L0, sigma=sigma)
 
 
@@ -301,18 +282,10 @@ def _profiles(mapping: dict, base_dir: Path) -> tuple[Profile, Profile]:
             name, kind = ("u", u_kind) if key.startswith("u_") else ("v", v_kind)
             raise ConfigInvalid(f"not read by {name} profile {kind!r}", path=f"initial.{key}")
 
-    if u_kind == "cosine":
-        u_prof = Profile.cosine(_need_positive(mapping, "initial", "u_max", 1.0))
-    else:
-        u_prof = _table_profile(sec, base_dir, "u")
-    if v_kind == "constant":
-        value = _number(mapping, "initial", "v_value", 1.0)
-        if value < 0:
-            raise ConfigInvalid(f"v_value must be nonnegative, got {value!r}",
-                                path="initial.v_value")
-        v_prof = Profile.constant(float(value))
-    else:
-        v_prof = _table_profile(sec, base_dir, "v")
+    u_prof = (Profile.cosine(_number(sec.get("u_max", 1.0), "initial.u_max"))
+              if u_kind == "cosine" else _table_profile(sec, base_dir, "u"))
+    v_prof = (Profile.constant(_number(sec.get("v_value", 1.0), "initial.v_value", closed=True))
+              if v_kind == "constant" else _table_profile(sec, base_dir, "v"))
     return u_prof, v_prof
 
 
@@ -336,16 +309,15 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             if key not in KNOWN_KEYS[section]:
                 raise ConfigInvalid("unknown key", path=f"{section}.{key}")
 
-    values = {}
-    for f in fields(ModelParams):
-        read = _number if f.name == "mu" else _need_positive  # mu may be zero
-        values[f.name] = float(read(mapping, "params", f.name, f.default))
-    if values["mu"] < 0:
-        raise ConfigInvalid(f"must be a nonnegative number, got {values['mu']}", path="params.mu")
-    params = ModelParams(**values)
+    sec = mapping.get("params", {})
+    params = ModelParams(**{  # mu = 0 freezes the fronts
+        f.name: _number(sec.get(f.name, f.default), f"params.{f.name}", closed=f.name == "mu")
+        for f in fields(ModelParams)
+    })
 
     specs = {section: _kernel_spec(mapping, section, base_dir) for section in ("kernel_u", "kernel_v")}
-    dx = _need_positive(mapping, "numerics", "dx")
+    num = mapping.get("numerics", {})
+    dx = _number(num.get("dx"), "numerics.dx")
     kernels = {}
     for section, spec in specs.items():
         try:
@@ -354,32 +326,29 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             raise ConfigInvalid(f"kernel rejected: {exc}", path=section)
     L0max = max(k.support_radius for k in kernels.values())
 
-    dt = _need_positive(mapping, "numerics", "dt")
-    T = _number(mapping, "numerics", "T", 10.0)
-    if T < 0:
-        raise ConfigInvalid(f"T must be nonnegative, got {T!r}", path="numerics.T")
+    dt = _number(num.get("dt"), "numerics.dt")
+    T = _number(num.get("T", 10.0), "numerics.T", closed=True)
     bound = stability_bound(params)
     if dt > bound:
         raise ConfigInvalid(
             f"dt={dt} exceeds the stability bound {bound:.6g} for these parameters",
             path="numerics.dt",
         )
-    snapshot_every = _need_positive(mapping, "numerics", "snapshot_every", max(float(T) / 100.0, dt) if T else 1.0)
-    profile_every = float(_number(mapping, "numerics", "profile_every", 0.0))
-    if profile_every < 0:
-        raise ConfigInvalid("profile_every must be >= 0", path="numerics.profile_every")
+    snapshot_every = _number(num.get("snapshot_every", max(T / 100.0, dt) if T else 1.0),
+                             "numerics.snapshot_every")
+    profile_every = _number(num.get("profile_every", 0.0), "numerics.profile_every", closed=True)
     default_pad = max(2.5 * L0max, params.h0, 10 * dx)
-    window_pad = _need_positive(mapping, "numerics", "window_pad", default_pad)
+    window_pad = _number(num.get("window_pad", default_pad), "numerics.window_pad")
 
     # Every default is on DiagnosticsConfig except the two that scale with h0.
     h0_scaled = {"L_dev": min(2.0 * params.h0, params.h0 + window_pad),
                  "compact_halfwidth": 2.0 * params.h0}
-    diag_values = {}
-    for f in fields(DiagnosticsConfig):
-        read = _boolean if isinstance(f.default, bool) else _need_positive
-        default = h0_scaled.get(f.name, f.default)
-        diag_values[f.name] = read(mapping, "diagnostics", f.name, default)
-    diag = DiagnosticsConfig(**diag_values)
+    sec = mapping.get("diagnostics", {})
+    diag = DiagnosticsConfig(**{
+        f.name: (_boolean if isinstance(f.default, bool) else _number)(
+            sec.get(f.name, h0_scaled.get(f.name, f.default)), f"diagnostics.{f.name}")
+        for f in fields(DiagnosticsConfig)
+    })
     if diag.L_dev > params.h0 + window_pad:
         raise ConfigInvalid(
             f"L_dev={diag.L_dev} does not fit the initial window half-width "
@@ -401,23 +370,15 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         except InvalidInitialV as exc:
             raise ConfigInvalid(str(exc), path="initial.v_table")
 
-    lengths = _get(mapping, "eigen", "lengths", [1.0, 2.0, 4.0, 8.0])
-    if not isinstance(lengths, list) or not lengths or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) and v > 0
-        for v in lengths
-    ):
-        raise ConfigInvalid("lengths must be a nonempty list of finite positive numbers",
-                            path="eigen.lengths")
+    lengths = mapping.get("eigen", {}).get("lengths", [1.0, 2.0, 4.0, 8.0])
+    if not isinstance(lengths, list) or not lengths:
+        raise ConfigInvalid(f"expected a nonempty list, got {lengths!r}", path="eigen.lengths")
+    lengths = tuple(_number(v, "eigen.lengths") for v in lengths)
 
-    ode_u0 = float(_number(mapping, "ode", "u0", 0.1))
-    ode_v0 = float(_number(mapping, "ode", "v0", 0.1))
-    for key, val in (("u0", ode_u0), ("v0", ode_v0)):
-        if val < 0:
-            raise ConfigInvalid("ode initial data must be nonnegative", path=f"ode.{key}")
-    ode_T = float(_number(mapping, "ode", "T", 200.0))
-    if ode_T < 0:
-        raise ConfigInvalid(f"T must be nonnegative, got {ode_T!r}", path="ode.T")
-    ode_dt = _need_positive(mapping, "ode", "dt", 0.01)
+    ode = mapping.get("ode", {})
+    ode_init = tuple(_number(ode.get(key, 0.1), f"ode.{key}", closed=True) for key in ("u0", "v0"))
+    ode_T = _number(ode.get("T", 200.0), "ode.T", closed=True)
+    ode_dt = _number(ode.get("dt", 0.01), "ode.dt")
 
     axes = {}
     for key, val in mapping.get("sweep", {}).items():
@@ -431,9 +392,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         if not isinstance(val, list) or not val:
             raise ConfigInvalid("axis values must be a nonempty list", path=f"sweep.{key}")
         axes[path] = list(val)
-    cap = _number(mapping, "sweep", "cap", 256, kind=int)
-    if cap < 1:
-        raise ConfigInvalid(f"cap must be at least 1, got {cap}", path="sweep.cap")
+    cap = _number(mapping.get("sweep", {}).get("cap", 256), "sweep.cap", low=1, closed=True, kind=int)
 
     normalized = copy.deepcopy(mapping)
     normalized.setdefault("numerics", {}).setdefault("snapshot_every", snapshot_every)
@@ -445,14 +404,12 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         kernel_v=specs["kernel_v"],
         u_profile=u_prof,
         v_profile=v_prof,
-        numerics=NumericsConfig(
-            dx=dx, dt=dt, T=float(T), snapshot_every=snapshot_every,
-            profile_every=profile_every, window_pad=window_pad,
-        ),
+        numerics=NumericsConfig(dx=dx, dt=dt, T=T, snapshot_every=snapshot_every,
+                                profile_every=profile_every, window_pad=window_pad),
         diagnostics=diag,
-        outdir=str(_get(mapping, "output", "directory", "out")),
-        eigen_lengths=tuple(float(v) for v in lengths),
-        ode_init=(ode_u0, ode_v0),
+        outdir=str(mapping.get("output", {}).get("directory", "out")),
+        eigen_lengths=lengths,
+        ode_init=ode_init,
         ode_T=ode_T,
         ode_dt=ode_dt,
         sweep_axes=axes,
