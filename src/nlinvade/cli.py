@@ -67,9 +67,9 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _say(args, *message):
+def _say(args, *message, end="\n"):
     if not args.quiet:
-        print(*message)
+        print(*message, end=end)
 
 
 def _cmd_validate_kernel(args, cfg) -> int:
@@ -100,7 +100,7 @@ def _cmd_classify(args, cfg) -> int:
     eq = equilibria_and_class(cfg.params)
     record = {**theta_classify(cfg.params).to_record(), "competition_case": eq.competition_case,
               "R_star": list(eq.R_star) if eq.R_star else None}
-    print(report_text(record), end="")
+    _say(args, report_text(record), end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -195,14 +195,6 @@ class ScenarioConfig:
     mapping: dict = field(repr=False, compare=False, default_factory=dict)
 
 
-def _finite(val) -> bool:
-    """math.isfinite, also for an int beyond the float range."""
-    try:
-        return math.isfinite(val)
-    except OverflowError:
-        return False
-
-
 def _number(val, path: str, low=0, closed=False, kind=(int, float)):
     """``val`` as a finite number above ``low``, or at least ``low`` if ``closed``
     (an int if ``kind`` is int, else a float); else ConfigInvalid at ``path``."""
@@ -211,7 +203,11 @@ def _number(val, path: str, low=0, closed=False, kind=(int, float)):
     if isinstance(val, bool) or not isinstance(val, kind):
         what = "an integer" if kind is int else "a number"
         raise ConfigInvalid(f"expected {what}, got {val!r}", path=path)
-    if not _finite(val):
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigInvalid(f"must be finite, got {val}", path=path)
     if val < low or (val == low and not closed):
         raise ConfigInvalid(f"must be {'at least' if closed else 'above'} {low}, got {val}", path=path)
@@ -282,10 +278,14 @@ def _profiles(mapping: dict, base_dir: Path) -> tuple[Profile, Profile]:
             name, kind = ("u", u_kind) if key.startswith("u_") else ("v", v_kind)
             raise ConfigInvalid(f"not read by {name} profile {kind!r}", path=f"initial.{key}")
 
-    u_prof = (Profile.cosine(_number(sec.get("u_max", 1.0), "initial.u_max"))
-              if u_kind == "cosine" else _table_profile(sec, base_dir, "u"))
-    v_prof = (Profile.constant(_number(sec.get("v_value", 1.0), "initial.v_value", closed=True))
-              if v_kind == "constant" else _table_profile(sec, base_dir, "v"))
+    if u_kind == "cosine":
+        u_prof = Profile.cosine(_number(sec.get("u_max", 1.0), "initial.u_max"))
+    else:
+        u_prof = _table_profile(sec, base_dir, "u")
+    if v_kind == "constant":
+        v_prof = Profile.constant(_number(sec.get("v_value", 1.0), "initial.v_value", closed=True))
+    else:
+        v_prof = _table_profile(sec, base_dir, "v")
     return u_prof, v_prof
 
 
@@ -404,8 +404,10 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         kernel_v=specs["kernel_v"],
         u_profile=u_prof,
         v_profile=v_prof,
-        numerics=NumericsConfig(dx=dx, dt=dt, T=T, snapshot_every=snapshot_every,
-                                profile_every=profile_every, window_pad=window_pad),
+        numerics=NumericsConfig(
+            dx=dx, dt=dt, T=T, snapshot_every=snapshot_every,
+            profile_every=profile_every, window_pad=window_pad,
+        ),
         diagnostics=diag,
         outdir=str(mapping.get("output", {}).get("directory", "out")),
         eigen_lengths=lengths,

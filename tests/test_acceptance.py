@@ -258,12 +258,27 @@ class TestVanishingRun:
             "vanishing_native_recovery",
         ]
         ok = p.d1 > 1.0 - p.k and all(checks[n]["pass"] for n in needed)
+        mass = checks["vanishing_mass_decay"]["details"]
+        factor = mass["peak_mass"] / mass["final_mass"] if mass["final_mass"] > 0 else float("inf")
         detail = (
             f"mu={mu}, eigen margin {checks['vanishing_eigenvalue_bound']['margin']:.3f}, "
-            f"mass factor {checks['vanishing_mass_decay']['margin']:.3g}, "
+            f"mass factor {factor:.3g}, "
             f"recovery margin {checks['vanishing_native_recovery']['margin']:.3g}"
         )
         report("vanishing_consistency", ok, detail)
+
+
+class TestCheckMargins:
+    def test_margin_sign_matches_verdict(self, weak_run, exclusion_run, vanishing_run, twin_run):
+        # Every margin is tolerance minus excess: >= 0 on a pass, <= 0 or None on a fail.
+        bad = [
+            f"{label}: {c['name']} pass={c['pass']} margin={c['margin']}"
+            for label, outcome in [("weak", weak_run[1]), ("exclusion", exclusion_run[1]),
+                                   ("vanishing", vanishing_run[1]), ("twin_reduced", twin_run[5])]
+            for c in outcome.report["theorem_checks"]
+            if not (c["margin"] >= 0.0 if c["pass"] else c["margin"] is None or c["margin"] <= 0.0)
+        ]
+        report("check_margin_sign", not bad, "; ".join(bad) or "margin sign agrees on 4 runs")
 
 
 class TestStructuralInvariants:

@@ -54,6 +54,14 @@ class TestGrammar:
     def test_lists(self):
         assert parse_value("[1, 2.5, x]") == [1, 2.5, "x"]
         assert parse_value("[]") == []
+        assert parse_value("[a[1], b]") == ["a[1]", "b"]
+
+    def test_lists_are_flat(self):
+        with pytest.raises(ConfigInvalid, match="lists are flat"):
+            parse_value("[[1, 2], 3]")
+        with pytest.raises(ConfigInvalid) as err:
+            parse_config_text("[sweep]\naxis.params.mu = [1, [2]]\n")
+        assert err.value.path == "sweep.axis.params.mu"
 
     def test_comments_and_sections(self):
         mapping = parse_config_text(MINIMAL)
@@ -171,6 +179,23 @@ class TestBuild:
         cfg = build_scenario(mapping)
         assert cfg.sweep_axes == {"params.mu": [0.1, 1.0, 10.0]}
         assert cfg.sweep_cap == 16
+
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("params", "mu", 0, lambda cfg: cfg.params.mu),
+            ("numerics", "T", 0, lambda cfg: cfg.numerics.T),
+            ("numerics", "profile_every", 0, lambda cfg: cfg.numerics.profile_every),
+            ("initial", "v_value", 0, lambda cfg: cfg.v_profile.amplitude),
+            ("ode", "u0", 0, lambda cfg: cfg.ode_init[0]),
+            ("sweep", "cap", 1, lambda cfg: cfg.sweep_cap),
+        ],
+        ids=["mu", "T", "profile_every", "v_value", "ode.u0", "cap"],
+    )
+    def test_closed_lower_bound_accepted(self, section, key, value, field):
+        mapping = parse_config_text(MINIMAL)
+        mapping.setdefault(section, {})[key] = value
+        assert field(build_scenario(mapping)) == value
 
     def test_nonpositive_param(self):
         mapping = parse_config_text(MINIMAL)

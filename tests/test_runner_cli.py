@@ -162,6 +162,25 @@ class TestRunScenario:
         assert details["iterations"] == 0
         assert 0.0 <= details["residual"] <= RESIDUAL_TOL
 
+    def test_failed_check_margin_not_positive(self, tmp_path):
+        # A small invader at a short horizon: the run is classed vanishing,
+        # but its mass has not yet fallen a hundredfold from the peak.
+        text = (VANISHING.replace("T = 20.0", "T = 6.0")
+                + "\n[initial]\nu_max = 0.05\n[sweep]\naxis.params.mu = [0.01]\n")
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw")
+        row = dict(zip(header, rows[0]))
+        assert (row["status"], row["regime"]) == ("exit4", "vanishing")
+        assert row["min_check_margin"] <= 0.0
+        report = json.loads((tmp_path / "sw" / "cell_0000" / "report.json").read_text())
+        checks = {c["name"]: c for c in report["theorem_checks"]}
+        decay = checks["vanishing_mass_decay"]
+        assert not decay["pass"] and decay["margin"] < 0.0
+        assert decay["margin"] == pytest.approx(decay["details"]["peak_mass"]
+                                                / diagnostics.MASS_DECAY_FACTOR
+                                                - decay["details"]["final_mass"])
+        for check in checks.values():
+            assert check["margin"] >= 0.0 if check["pass"] else check["margin"] <= 0.0
+
     @pytest.mark.parametrize("halfwidth", [None, 50.0])
     def test_recovery_halfwidth_clipped_to_window(self, tmp_path, halfwidth):
         text = VANISHING
@@ -332,6 +351,17 @@ class TestSweep:
         assert rows[1][header.index("status")] == "error"
         assert "stability" in rows[1][header.index("error")]
 
+    def test_numerical_failure_row(self, tmp_path):
+        # v_value = 20 leaves the field cap on the first step: exit 3, no series.
+        text = BASE + "\n[sweep]\naxis.initial.v_value = [1.0, 20.0]\n"
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+        row = dict(zip(header, rows[1]))
+        assert (row["status"], row["regime"]) == ("exit3", "error")
+        for key in ("g_front", "h_front", "mass_u", "sup_u", "min_check_margin"):
+            assert row[key] == ""
+        assert row["error"].startswith("StabilityViolated")
+        assert rows[0][header.index("status")] == "ok"
+
     def test_axis_key_not_read_by_the_form(self, tmp_path, capsys):
         text = BASE + "\n[sweep]\naxis.kernel_u.sigma = [0.5]\n"
         header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
@@ -473,6 +503,13 @@ class TestCli:
         assert main(["classify", "--config", str(config_file(tmp_path)), "--out", str(out)]) == 0
         assert capsys.readouterr().out == (out / "classify.json").read_text()
 
+    def test_classify_quiet_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "cls"
+        argv = ["classify", "--config", str(config_file(tmp_path)), "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads((out / "classify.json").read_text())["competition_case"] == "weak"
+
     def test_eigen_curve_file_format(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[eigen]\nlengths = [1.0, 2.0]\n")
         out = tmp_path / "eig"
@@ -541,7 +578,11 @@ class TestCli:
         "assignment, path",
         [("kernel_u.sigma=0", "kernel_u.sigma"), ("params.mu=-1", "params.mu"),
          ("diagnostics.center_tol=10", "diagnostics.center_tol"),
-         ("diagnostics.comparison_slack=1", "diagnostics.comparison_slack")],
+         ("diagnostics.comparison_slack=1", "diagnostics.comparison_slack"),
+         ("numerics.dx=0", "numerics.dx"), ("params.d1=0", "params.d1"),
+         ("numerics.T=-1", "numerics.T"), ("initial.v_value=-1", "initial.v_value"),
+         ("numerics.profile_every=-0.5", "numerics.profile_every"), ("ode.u0=-1", "ode.u0"),
+         ("sweep.cap=0", "sweep.cap")],
     )
     def test_config_error_names_its_key(self, tmp_path, capsys, assignment, path):
         argv = ["simulate", "--config", str(config_file(tmp_path)), "--set", assignment, "--quiet"]
