@@ -5,7 +5,7 @@ Subpackage map:
   eigenvalue  principal eigenvalue of the dispersal operator on an interval
   dynamics    parameter records (reduced and general form) and the
               spatially homogeneous system: equilibria, classification,
-              plateau level, bound iteration
+              plateau level
   simulator   the coupled free-boundary field solver
   diagnostics regime detection, consistency checks, their tolerance record
   config      scenario configuration (sectioned key=value text)

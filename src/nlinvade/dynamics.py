@@ -4,11 +4,10 @@ Covers the plain two-species ODE
 
     u' = u (1 - u - k v),      v' = gamma v (1 - v - h_comp u),
 
-its equilibria and competition-case labels, the quadratic F(s) whose root
-structure on [0, 1] splits parameter space into the clean-extinction class
-(theta1) and the class admitting an exceptional plateau (theta2), the
-plateau abscissa x_* and level, and the alternating bound iteration used
-on the spreading side.
+its interior equilibrium and competition-case labels, the quadratic F(s)
+whose root structure on [0, 1] splits parameter space into the
+clean-extinction class (theta1) and the class admitting an exceptional
+plateau (theta2), and the plateau abscissa x_* and level.
 
 The reaction coefficient is called ``h_comp`` throughout: the plain symbol
 h is reserved for the right front position in the field model.
@@ -18,8 +17,6 @@ diffusivities and linear reaction coefficients).  Both parameter records
 answer `general()`, the validated general-form coefficients that the
 stepping core reads: the reduced system is the general one with
 a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h_comp.
-`reduce_general` maps a general record to the reduced one together with
-the exact field and time scalings (`ScalingTransform`).
 """
 
 from __future__ import annotations
@@ -109,50 +106,17 @@ class GeneralParams:
 
 
 @dataclass(frozen=True)
-class ScalingTransform:
-    """Exact map between the general and reduced solutions.
-
-    reduced u(t, x) = u_scale * U(t / time_scale, x), likewise for v; the
-    fronts carry over unscaled at matched times t = time_scale * tau.
-    """
-
-    u_scale: float
-    v_scale: float
-    time_scale: float
-
-
-def reduce_general(general: GeneralParams) -> tuple[ModelParams, ScalingTransform]:
-    """Reduce the general parameterisation to the normalised one."""
-    g = general.general()
-    params = ModelParams(
-        d1=g.D1 / g.a1,
-        d2=g.D2 / g.a1,
-        gamma=g.a2 / g.a1,
-        k=g.a2 * g.c1 / (g.a1 * g.b2),
-        h_comp=g.a1 * g.c2 / (g.a2 * g.b1),
-        mu=g.mu_hat / g.b1,
-        h0=g.H0,
-    )
-    transform = ScalingTransform(
-        u_scale=g.b1 / g.a1, v_scale=g.b2 / g.a2, time_scale=g.a1
-    )
-    return params, transform
-
-
-@dataclass(frozen=True)
 class EquilibriumSet:
-    R0: tuple[float, float]
-    R1: tuple[float, float]
-    R2: tuple[float, float]
     R_star: Optional[tuple[float, float]]
     competition_case: str
 
 
 def equilibria_and_class(params: ModelParams) -> EquilibriumSet:
-    """All equilibria of the plain ODE and the competition-case label.
+    """The interior equilibrium of the plain ODE and the competition-case label.
 
     Depends only on (k, h_comp).  The interior equilibrium exists exactly
-    when k and h_comp sit on the same side of 1.
+    when k and h_comp sit on the same side of 1; the trivial ones (0, 0),
+    (1, 0) and (0, 1) always do.
     """
     k, h = params.k, params.h_comp
     if k == 1.0 or h == 1.0:
@@ -170,9 +134,7 @@ def equilibria_and_class(params: ModelParams) -> EquilibriumSet:
     if max(k, h) < 1.0 or min(k, h) > 1.0:
         denom = 1.0 - h * k
         r_star = ((1.0 - k) / denom, (1.0 - h) / denom)
-    return EquilibriumSet(
-        R0=(0.0, 0.0), R1=(1.0, 0.0), R2=(0.0, 1.0), R_star=r_star, competition_case=case
-    )
+    return EquilibriumSet(R_star=r_star, competition_case=case)
 
 
 @dataclass(frozen=True)
@@ -371,73 +333,3 @@ def x_star(report: ThetaReport) -> float:
 def plateau_value(report: ThetaReport) -> float:
     """Invader plateau level k*x_star - d1_tilde of the exceptional pattern."""
     return report.k * x_star(report) - report.d1_tilde
-
-
-# -- alternating bound iteration (spreading side) ------------------------
-
-@dataclass(frozen=True)
-class BoundIteration:
-    lower_u: np.ndarray
-    upper_v: np.ndarray
-    upper_u: Optional[np.ndarray]
-    lower_v: Optional[np.ndarray]
-    outcome: str                    # "u_dominance" | "coexistence_limits"
-    dominance_step: Optional[int]   # 1-based step j with h_comp*lower_u[j] >= 1
-    limits: Optional[tuple[float, float]]
-
-
-def attractor_bounds(k: float, h_comp: float, j_max: int) -> BoundIteration:
-    """Alternating bounds u_1 = 1-k, v_{j+1} = 1 - h*u_j, u_{j+1} = 1 - k*v_{j+1}.
-
-    Requires k < 1.  Stops with u-dominance as soon as h_comp*u_j >= 1;
-    otherwise reports the coexistence limits ((1-k)/(1-hk), (1-h)/(1-hk)).
-    The mirrored upper/lower pair exists only when h_comp < 1.
-    """
-    if not (0.0 < k < 1.0):
-        raise AssumptionViolated(f"the bound iteration needs 0 < k < 1, got k={k}")
-    if h_comp <= 0.0:
-        raise AssumptionViolated(f"h_comp must be positive, got {h_comp}")
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-
-    lower_u = [1.0 - k]
-    upper_v = [1.0]  # trivial first bound
-    dominance = None
-    for j in range(1, j_max):
-        if h_comp * lower_u[-1] >= 1.0:
-            dominance = j
-            break
-        v_next = 1.0 - h_comp * lower_u[-1]
-        lower_u.append(1.0 - k * v_next)
-        upper_v.append(v_next)
-    else:
-        if h_comp * lower_u[-1] >= 1.0:
-            dominance = j_max
-
-    upper_u = lower_v = None
-    if h_comp < 1.0:
-        lv = [1.0 - h_comp]
-        uu = [1.0]  # trivial first bound
-        for _ in range(1, j_max):
-            u_next = 1.0 - k * lv[-1]
-            uu.append(u_next)
-            lv.append(1.0 - h_comp * u_next)
-        upper_u = np.array(uu)
-        lower_v = np.array(lv)
-
-    if dominance is not None:
-        outcome, limits = "u_dominance", None
-    else:
-        denom = 1.0 - h_comp * k
-        outcome = "coexistence_limits"
-        limits = ((1.0 - k) / denom, (1.0 - h_comp) / denom)
-    return BoundIteration(
-        lower_u=np.array(lower_u),
-        upper_v=np.array(upper_v),
-        upper_u=upper_u,
-        lower_v=lower_v,
-        outcome=outcome,
-        dominance_step=dominance,
-        limits=limits,
-    )
-

@@ -203,12 +203,27 @@ def _sweep_cell(args):
     return _row_or_error(_cell_row, *args)
 
 
+def _pool_rows(tasks: list, jobs: int) -> list[dict]:
+    """The rows of ``tasks`` run on up to ``jobs`` processes.  Only a parallel
+    sweep imports the pool (it loads multiprocessing).  Futures are read after
+    shutdown without waiting: a submit racing a broken pool can leave one
+    never resolved (TimeoutError)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as workers:
+        futures = [_row_or_error(workers.submit, _sweep_cell, task) for task in tasks]
+    return [f if isinstance(f, dict) else _row_or_error(f.result, 0) for f in futures]
+
+
+def _broken(rows: list[dict], cells) -> list[int]:
+    """The cells among ``cells`` whose rows say a broken pool did not finish them."""
+    return [i for i in cells if rows[i]["error"].startswith(("BrokenProcessPool:", "TimeoutError:"))]
+
+
 def _cell_row(mapping, base_dir, cell_dir, check) -> dict:
     outcome = run_scenario(build_scenario(mapping, base_dir), outdir=cell_dir, check_theorems=check)
     rep = outcome.report
-    margins = [
-        c["margin"] for c in rep.get("theorem_checks", []) if isinstance(c.get("margin"), float)
-    ]
+    margins = [c["margin"] for c in rep.get("theorem_checks", [])]
     fronts = rep.get("fronts", {})
     if outcome.result is not None:
         series = outcome.result.series
@@ -222,7 +237,8 @@ def _cell_row(mapping, base_dir, cell_dir, check) -> dict:
         "h_front": fronts.get("h_front", ""),
         "mass_u": mass,
         "sup_u": sup,
-        "min_check_margin": min(margins) if margins else "",
+        # only a failed check lacks a margin, and then the column stays empty
+        "min_check_margin": "" if not margins or None in margins else min(margins),
         "error": rep.get("error", ""),
     }
 
@@ -264,16 +280,17 @@ def sweep(
             mapping.setdefault(section, {})[key] = value
         tasks.append((mapping, str(base_dir), str(out / f"cell_{index:04d}"), check_theorems))
 
-    # Rows keep task order; only a parallel sweep imports the pool (it loads
-    # multiprocessing).  A dying worker breaks the pool, and each cell it cannot
-    # run reads as an error row; futures are read after shutdown without waiting,
-    # since a submit racing the break can leave one never resolved (TimeoutError).
+    # Rows keep task order.  A dying worker breaks the pool and fails every
+    # cell still pending there.  Those cells run once more on one worker, in
+    # order, so the first of them to break it is the one that kills its
+    # worker: it keeps its error row, and the rest go on in a fresh pool.
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as workers:
-            futures = [_row_or_error(workers.submit, _sweep_cell, task) for task in tasks]
-        results = [f if isinstance(f, dict) else _row_or_error(f.result, 0) for f in futures]
+        results = _pool_rows(tasks, jobs)
+        retry = _broken(results, range(len(tasks)))
+        while retry:
+            for i, row in zip(retry, _pool_rows([tasks[i] for i in retry], 1)):
+                results[i] = row
+            retry = _broken(results, retry)[1:]
     else:
         results = list(map(_sweep_cell, tasks))
 

@@ -70,8 +70,7 @@ switch of its own.
 The same stepping core runs the reduced (`ModelParams`) and the un-reduced
 (`GeneralParams`) parameterisation alike: `init_state` and
 `stability_bound` read only ``params.general()``, the validated
-general-form coefficients.  Both records, the reduction `reduce_general`
-and its `ScalingTransform` live in `dynamics` and are importable from here.
+general-form coefficients.  Both records live in `dynamics`.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import GeneralParams, ScalingTransform, reduce_general  # noqa: F401 (re-exported)
+from .dynamics import GeneralParams
 from .errors import (
     InvalidInitialU,
     InvalidInitialV,

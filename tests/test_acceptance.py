@@ -12,8 +12,8 @@ from nlinvade.config import build_scenario
 from nlinvade.dynamics import (
     THETA1,
     THETA2,
+    GeneralParams,
     ModelParams,
-    attractor_bounds,
     ode_trajectory,
     theta_classify,
     x_star,
@@ -21,7 +21,9 @@ from nlinvade.dynamics import (
 from nlinvade.eigenvalue import principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 from nlinvade.runner import run_scenario
-from nlinvade.simulator import GeneralParams, Profile, init_state, reduce_general, run
+from nlinvade.simulator import Profile, init_state, run
+
+from model_support import attractor_bounds, reduce_general
 
 UNIFORM = validate_kernel(KernelSpec.uniform(1.0), 0.025)
 GAUSS = validate_kernel(KernelSpec.truncated_gaussian(1.0, 2.0), 0.05)

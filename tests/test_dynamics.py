@@ -16,7 +16,6 @@ from nlinvade.dynamics import (
     THETA2,
     GeneralParams,
     ModelParams,
-    attractor_bounds,
     equilibria_and_class,
     f_coefficients,
     ode_trajectory,
@@ -30,6 +29,8 @@ from nlinvade.errors import (
     NotInTheta2,
     StepTooLarge,
 )
+
+from model_support import attractor_bounds
 
 
 def params(d1=1.0, d2=1.0, k=0.5, h_comp=0.5, gamma=1.0, mu=1.0, h0=1.0):
@@ -82,12 +83,6 @@ class TestEquilibria:
     def test_boundary(self):
         assert equilibria_and_class(params(k=1.0, h_comp=0.5)).competition_case == CASE_BOUNDARY
         assert equilibria_and_class(params(k=0.5, h_comp=1.0)).R_star is None
-
-    def test_trivial_points(self):
-        eq = equilibria_and_class(params())
-        assert eq.R0 == (0.0, 0.0)
-        assert eq.R1 == (1.0, 0.0)
-        assert eq.R2 == (0.0, 1.0)
 
     @given(positive, positive, positive, positive, positive)
     @settings(max_examples=60, deadline=None)

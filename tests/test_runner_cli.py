@@ -181,6 +181,20 @@ class TestRunScenario:
         for check in checks.values():
             assert check["margin"] >= 0.0 if check["pass"] else check["margin"] <= 0.0
 
+    def test_failed_check_without_margin_empties_column(self, tmp_path):
+        # Undecided at T = 2: the failed "theorem_checks" record has no
+        # margin, so no passing check's margin may stand for the row.
+        text = (BASE.replace("d1 = 1.0", "d1 = 1.2").replace("h0 = 1.0", "h0 = 0.2")
+                .replace("T = 3.0", "T = 2.0")
+                + "\n[sweep]\naxis.params.mu = [0.01, 1.0, 5.0]\naxis.numerics.dt = [0.02, 0.01]\n")
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw")
+        assert len(rows) == 6
+        for values in rows:
+            row = dict(zip(header, values))
+            assert (row["status"], row["regime"], row["min_check_margin"]) == ("exit4", "undecided", "")
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert all(",exit4,undecided," in line and line.endswith(",,") for line in lines[1:])
+
     @pytest.mark.parametrize("halfwidth", [None, 50.0])
     def test_recovery_halfwidth_clipped_to_window(self, tmp_path, halfwidth):
         text = VANISHING
@@ -432,7 +446,9 @@ class TestSweep:
     def test_dying_worker_recorded_not_fatal(self, tmp_path, monkeypatch, cells):
         # The worker running cell 1 ends without a word and breaks the pool.
         # With 3000 cells that happens, in practice, while cells are still
-        # being submitted, so submit itself raises for the rest.
+        # being submitted, so submit itself raises for the rest.  Every cell
+        # the broken pool did not finish runs once more on a fresh worker, so
+        # only cell 1 keeps an error row.
         def dying(cfg, **kwargs):
             if cfg.params.mu == 2.0:
                 os._exit(1)
@@ -446,9 +462,27 @@ class TestSweep:
         assert [r[0] for r in rows] == list(range(cells))
         assert rows[1][status] == "error"
         assert rows[1][error].startswith("BrokenProcessPool: ")
+        assert all(r[status] == "ok" for r in rows[:1] + rows[2:])
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + cells
         assert lines[2].startswith("1,2,error,")
+
+    @pytest.mark.parametrize("text", [VANISHING.replace("T = 20.0", "T = 5.0"), BASE],
+                             ids=["vanishing", "base"])
+    def test_fronts_ordered_in_mu(self, tmp_path, text):
+        # Comparison principle: a larger front coefficient never slows
+        # either front.  The scheme keeps the order exactly, at every
+        # recorded instant, so there is no tolerance.
+        mus = [0.005, 0.1, 1.0, 3.0]
+        sweep(scenario(text + f"\n[sweep]\naxis.params.mu = {mus}\n"), outdir=tmp_path / "sw",
+              check_theorems=False)
+        series = [np.loadtxt(tmp_path / "sw" / f"cell_{i:04d}" / "timeseries.csv", delimiter=",",
+                             skiprows=1) for i in range(len(mus))]
+        t, g, h = (np.array([s[:, TIMESERIES_HEADER.split(",").index(c)] for s in series])
+                   for c in ("t", "g_front", "h_front"))
+        assert np.all(t == t[0])
+        assert np.all(np.diff(h, axis=0) >= 0.0)
+        assert np.all(np.diff(g, axis=0) <= 0.0)
 
     def test_mu_dichotomy(self, tmp_path):
         # Small front response pins the invader (vanishing); a large one

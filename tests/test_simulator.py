@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlinvade.dynamics import ModelParams
+from nlinvade.dynamics import GeneralParams, ModelParams
 from nlinvade.errors import (
     InvalidInitialU,
     InvalidInitialV,
@@ -30,7 +30,6 @@ from nlinvade.simulator import (
     EXPAND_MARGIN,
     FIELD_CAP,
     GROSS_CLAMP,
-    GeneralParams,
     Profile,
     SimState,
     _covered_u,
@@ -39,13 +38,14 @@ from nlinvade.simulator import (
     front_speeds,
     init_state,
     integrate_u,
-    reduce_general,
     run,
     stability_bound,
     step,
     v_deviation,
     window_leakage,
 )
+
+from model_support import reduce_general
 
 UNI = validate_kernel(KernelSpec.uniform(1.0), 0.05)
 
