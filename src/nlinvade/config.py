@@ -5,8 +5,8 @@ The format is a flat TOML-like dialect: ``[section]`` headers, one
 (true/false), integers, floats, bare or quoted strings, and flat lists
 ``[a, b, c]`` split at their commas (a nested list is an error).  Keys may
 be dotted (used by sweep axes).  A key set twice in one section, also in a
-repeated ``[section]`` block, is an error.  A number must be finite and
-positive; ``params.mu``, ``numerics.T`` and ``profile_every``,
+repeated ``[section]`` block, is an error.  A number must be positive and
+at most 1e307; ``params.mu``, ``numerics.T`` and ``profile_every``,
 ``initial.v_value`` and ``ode.u0``, ``v0`` and ``T`` may also be zero, and
 ``sweep.cap`` is an integer of at least 1.
 Parsing then serialising is idempotent on the normalised form, which keeps
@@ -196,19 +196,19 @@ class ScenarioConfig:
 
 
 def _number(val, path: str, low=0, closed=False, kind=(int, float)):
-    """``val`` as a finite number above ``low``, or at least ``low`` if ``closed``
-    (an int if ``kind`` is int, else a float); else ConfigInvalid at ``path``."""
+    """``val`` as a number above ``low`` (at least ``low`` if ``closed``) and at most
+    1e307, an int if ``kind`` is int, else a float; else ConfigInvalid at ``path``."""
     if val is None:
         raise ConfigInvalid("required value missing", path=path)
     if isinstance(val, bool) or not isinstance(val, kind):
         what = "an integer" if kind is int else "a number"
         raise ConfigInvalid(f"expected {what}, got {val!r}", path=path)
-    try:
-        finite = math.isfinite(val)
+    try:  # the cap keeps the defaults derived from it (2.5 * L0, 10 * dx, 2 * h0) finite
+        finite = math.isfinite(val) and val <= 1e307
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise ConfigInvalid(f"must be finite, got {val}", path=path)
+        raise ConfigInvalid(f"must be finite and at most 1e307, got {val}", path=path)
     if val < low or (val == low and not closed):
         raise ConfigInvalid(f"must be {'at least' if closed else 'above'} {low}, got {val}", path=path)
     return val if kind is int else float(val)
@@ -337,17 +337,17 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     snapshot_every = _number(num.get("snapshot_every", max(T / 100.0, dt) if T else 1.0),
                              "numerics.snapshot_every")
     profile_every = _number(num.get("profile_every", 0.0), "numerics.profile_every", closed=True)
-    default_pad = max(2.5 * L0max, params.h0, 10 * dx)
-    window_pad = _number(num.get("window_pad", default_pad), "numerics.window_pad")
-
-    # Every default is on DiagnosticsConfig except the two that scale with h0.
+    # Only the values a config sets are checked: the defaults derived from them
+    # stay finite and positive, and a fault is reported at the key that was set.
+    window_pad = (_number(num["window_pad"], "numerics.window_pad") if "window_pad" in num
+                  else max(2.5 * L0max, params.h0, 10 * dx))
     h0_scaled = {"L_dev": min(2.0 * params.h0, params.h0 + window_pad),
-                 "compact_halfwidth": 2.0 * params.h0}
+                 "compact_halfwidth": 2.0 * params.h0}  # the rest default on DiagnosticsConfig
     sec = mapping.get("diagnostics", {})
-    diag = DiagnosticsConfig(**{
+    diag = DiagnosticsConfig(**h0_scaled | {
         f.name: (_boolean if isinstance(f.default, bool) else _number)(
-            sec.get(f.name, h0_scaled.get(f.name, f.default)), f"diagnostics.{f.name}")
-        for f in fields(DiagnosticsConfig)
+            sec[f.name], f"diagnostics.{f.name}")
+        for f in fields(DiagnosticsConfig) if f.name in sec
     })
     if diag.L_dev > params.h0 + window_pad:
         raise ConfigInvalid(

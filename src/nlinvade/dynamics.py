@@ -14,8 +14,8 @@ h is reserved for the right front position in the field model.
 
 The field model also runs in un-reduced form (`GeneralParams`: arbitrary
 diffusivities and linear reaction coefficients).  Both parameter records
-answer `general()`, the validated general-form coefficients that the
-stepping core reads: the reduced system is the general one with
+answer `general()`, the general-form coefficients that the stepping core
+reads, checked when built: the reduced system is the general one with
 a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h_comp.
 """
 
@@ -65,26 +65,15 @@ class ModelParams:
         return self.d1 + self.k - 1.0
 
     def general(self) -> GeneralParams:
-        """The validated coefficients of the general form (ValueError if invalid)."""
-        validate_params(self)
+        """The coefficients of the general form (NonPositiveParameter if invalid)."""
         return GeneralParams(D1=self.d1, D2=self.d2, a1=1.0, b1=1.0, c1=self.k,
                              a2=self.gamma, b2=self.gamma, c2=self.gamma * self.h_comp,
                              mu_hat=self.mu, H0=self.h0)
 
 
-def validate_params(params: ModelParams) -> ModelParams:
-    for name in ("d1", "d2", "k", "h_comp", "gamma", "h0"):
-        val = getattr(params, name)
-        if not np.isfinite(val) or val <= 0:
-            raise ValueError(f"parameter {name} must be strictly positive, got {val}")
-    if not np.isfinite(params.mu) or params.mu < 0:
-        raise ValueError(f"parameter mu must be nonnegative, got {params.mu}")
-    return params
-
-
 @dataclass(frozen=True)
 class GeneralParams:
-    """Coefficients of the un-reduced system."""
+    """Coefficients of the un-reduced system: finite, positive, ``mu_hat`` may be 0."""
 
     D1: float
     D2: float
@@ -97,11 +86,13 @@ class GeneralParams:
     mu_hat: float
     H0: float
 
-    def general(self) -> GeneralParams:
-        """This record, once every coefficient is checked positive and finite."""
+    def __post_init__(self):
         for name, val in vars(self).items():
-            if not np.isfinite(val) or val <= 0:
-                raise NonPositiveParameter(f"general parameter {name} must be positive, got {val}")
+            low = "finite and at least 0" if name == "mu_hat" else "finite and positive"
+            if not np.isfinite(val) or val < 0 or (val == 0 and name != "mu_hat"):
+                raise NonPositiveParameter(f"general parameter {name} must be {low}, got {val}")
+
+    def general(self) -> GeneralParams:
         return self
 
 

@@ -35,6 +35,10 @@ class DegenerateInterval(NlinvadeError):
 
 # -- dynamics -----------------------------------------------------------
 
+class NonPositiveParameter(NlinvadeError):
+    pass
+
+
 class NotInTheta2(NlinvadeError):
     pass
 
@@ -54,10 +58,6 @@ class InvalidInitialU(NlinvadeError):
 
 
 class InvalidInitialV(NlinvadeError):
-    pass
-
-
-class NonPositiveParameter(NlinvadeError):
     pass
 
 

@@ -69,8 +69,8 @@ switch of its own.
 
 The same stepping core runs the reduced (`ModelParams`) and the un-reduced
 (`GeneralParams`) parameterisation alike: `init_state` and
-`stability_bound` read only ``params.general()``, the validated
-general-form coefficients.  Both records live in `dynamics`.
+`stability_bound` read only ``params.general()``, the general-form
+coefficients, checked when built.  Both records live in `dynamics`.
 """
 
 from __future__ import annotations
@@ -230,10 +230,6 @@ class SimState:
     @property
     def x_max(self) -> float:
         return float(self.x[-1])
-
-    @property
-    def h0(self) -> float:
-        return self.coef.H0
 
 
 def _nodes(i0: int, n: int, dx: float) -> np.ndarray:
@@ -522,7 +518,7 @@ def run(
     if dt > bound:
         raise StabilityViolated(f"dt={dt} exceeds the stability bound {bound:.6g}", t=state.t)
     if metrics_L is None:
-        metrics_L = min(2.0 * state.h0, min(-state.x_min, state.x_max))
+        metrics_L = min(2.0 * state.coef.H0, min(-state.x_min, state.x_max))
     v_deviation(state, metrics_L)  # raises WindowTooSmall up front
 
     rows, profiles = [], []

@@ -419,6 +419,10 @@ class TestBuildFuzz:
     @example(target=("ode", "v0"), value=-1.0)
     @example(target=("initial", "u_table"), value="nope.txt")
     @example(target=("initial", "v_table"), value=3)
+    # finite, but 2.5 * L0, 10 * dx or 2 * h0 overflows
+    @example(target=("kernel_u", "L0"), value=7.190772539449264e+307)
+    @example(target=("numerics", "dx"), value=5e307)
+    @example(target=("params", "h0"), value=9e307)
     @settings(max_examples=400, deadline=None)
     def test_single_fault_reported_at_its_key(self, target, value):
         section, key = target

@@ -21,11 +21,11 @@ from nlinvade.dynamics import (
     ode_trajectory,
     plateau_value,
     theta_classify,
-    validate_params,
     x_star,
 )
 from nlinvade.errors import (
     AssumptionViolated,
+    NonPositiveParameter,
     NotInTheta2,
     StepTooLarge,
 )
@@ -42,21 +42,19 @@ positive = st.floats(min_value=1e-2, max_value=1e2)
 
 class TestParams:
     def test_valid(self):
-        validate_params(params())
+        params().general()
         # The general form: a1 = b1 = 1, c1 = k, a2 = b2 = gamma, c2 = gamma * h_comp.
         p = params(d1=0.3, d2=1.7, k=0.45, h_comp=2.2, gamma=0.7, mu=3.0, h0=0.8)
         assert p.general() == GeneralParams(D1=0.3, D2=1.7, a1=1.0, b1=1.0, c1=0.45, a2=0.7,
                                             b2=0.7, c2=0.7 * 2.2, mu_hat=3.0, H0=0.8)
 
     def test_mu_zero_allowed(self):
-        validate_params(params(mu=0.0))
         assert params(mu=0.0).general().mu_hat == 0.0
 
     @pytest.mark.parametrize("field,value", [("d1", 0.0), ("d2", -1.0), ("k", 0.0), ("mu", -0.1)])
     def test_nonpositive_rejected(self, field, value):
-        for check in (validate_params, ModelParams.general):
-            with pytest.raises(ValueError):
-                check(params(**{field: value}))
+        with pytest.raises(NonPositiveParameter):
+            params(**{field: value}).general()
 
 
 class TestEquilibria:

@@ -10,7 +10,7 @@ import pytest
 from nlinvade.cli import main
 from nlinvade.config import build_scenario, parse_config_text
 from nlinvade.errors import ConfigInvalid, GridTooLarge, NoConvergence, StabilityViolated
-from nlinvade.output import TIMESERIES_HEADER, snapshot_name, write_rows
+from nlinvade.output import TIMESERIES_HEADER, report_text, snapshot_name, write_rows
 from nlinvade import diagnostics, runner
 from nlinvade.eigenvalue import RESIDUAL_TOL
 from nlinvade.runner import run_scenario, sweep
@@ -93,6 +93,14 @@ def scenario(text=BASE):
 def test_write_rows_bytes(tmp_path, rows, header, sep, text):
     write_rows(tmp_path / "rows.txt", rows, header, sep)
     assert (tmp_path / "rows.txt").read_bytes() == text.encode()
+
+
+def test_report_text_sanitises():
+    # NaN to null, infinities clamped to +-1e308, arrays to lists, numpy
+    # bools to JSON booleans; keys sorted, indent 2.
+    report = {"e": np.bool_(True), "d": np.arange(2), "c": -np.inf, "b": np.inf, "a": np.nan}
+    assert report_text(report) == ('{\n  "a": null,\n  "b": 1e+308,\n  "c": -1e+308,\n'
+                                   '  "d": [\n    0,\n    1\n  ],\n  "e": true\n}\n')
 
 
 class TestRunScenario:
@@ -473,7 +481,7 @@ class TestSweep:
         # Comparison principle: a larger front coefficient never slows
         # either front.  The scheme keeps the order exactly, at every
         # recorded instant, so there is no tolerance.
-        mus = [0.005, 0.1, 1.0, 3.0]
+        mus = [0.0, 0.005, 0.1, 1.0, 3.0]  # mu = 0: frozen fronts, the low end
         sweep(scenario(text + f"\n[sweep]\naxis.params.mu = {mus}\n"), outdir=tmp_path / "sw",
               check_theorems=False)
         series = [np.loadtxt(tmp_path / "sw" / f"cell_{i:04d}" / "timeseries.csv", delimiter=",",
@@ -623,6 +631,24 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize(
+        "command, text, assignment, message",
+        [("simulate", BASE, "params.mu", "override 'params.mu' is not of the form path=value"),
+         ("simulate", "[params]\nmu = 1.0\n", "kernel_u.form=tabulated",
+          "kernel_u.table: tabulated kernel needs table = <path>"),
+         ("sweep", BASE + "\n[sweep]\naxis.params.mu = []\n", None,
+          "sweep.axis.params.mu: axis values must be a nonempty list"),
+         ("sweep", BASE, None, "sweep: no sweep axes configured")],
+        ids=["override-without-value", "tabulated-without-table", "empty-axis", "no-axis"],
+    )
+    def test_config_error_line(self, tmp_path, capsys, command, text, assignment, message):
+        argv = [command, "--config", str(config_file(tmp_path, text)),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        if assignment is not None:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = config_file(tmp_path)
         rc = main(["simulate", "--config", str(cfg), "--set", "numerics.dt=0.9", "--quiet"])
@@ -716,6 +742,17 @@ snapshot_every = 0.25
         cfg = config_file(tmp_path, text)
         assert main([command, "--config", str(cfg), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("config error: initial.u_table:")
+
+    def test_verify_mu_zero_freezes_the_fronts(self, tmp_path):
+        # The flux laws carry a factor mu: at mu = 0 the fronts stay at
+        # -h0 and h0 exactly, and the invader still vanishes.
+        out = tmp_path / "ver"
+        argv = ["verify", "--config", str(config_file(tmp_path, VANISHING)), "--out", str(out),
+                "--set", "params.mu=0", "--quiet"]
+        assert main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["regime"] == "vanishing"
+        series = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+        assert np.all(series[:, 1] == -0.2) and np.all(series[:, 2] == 0.2)
 
     def test_verify_exit_4_on_undecided(self, tmp_path):
         cfg = config_file(tmp_path)

@@ -888,15 +888,18 @@ class TestReduceGeneral:
         assert tr.time_scale == 2.0
 
     def test_nonpositive_rejected(self):
-        gp = GeneralParams(D1=1.0, D2=1.0, a1=0.0, b1=1.0, c1=1.0, a2=1.0, b2=1.0,
+        # Construction checks every coefficient; only mu_hat may be 0.
+        gp = GeneralParams(D1=1.0, D2=1.0, a1=1.0, b1=1.0, c1=1.0, a2=1.0, b2=1.0,
                            c2=1.0, mu_hat=1.0, H0=1.0)
-        with pytest.raises(NonPositiveParameter):
-            reduce_general(gp)
         for name in vars(gp):
-            zero = replace(gp, **{"a1": 1.0, name: 0.0})
-            for check in (reduce_general, GeneralParams.general):
+            if name != "mu_hat":
                 with pytest.raises(NonPositiveParameter):
-                    check(zero)
+                    replace(gp, **{name: 0.0})
+        assert replace(gp, mu_hat=0.0).general().mu_hat == 0.0
+        assert reduce_general(replace(gp, mu_hat=0.0))[0].mu == 0.0
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveParameter):
+                replace(gp, mu_hat=bad)
 
     def test_dual_run_equivalence_short(self):
         gp = GeneralParams(D1=2.0, D2=2.0, a1=2.0, b1=0.5, c1=0.5, a2=1.0, b2=1.0,
