@@ -24,7 +24,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams
-from .errors import ConfigInvalid, InvalidInitialU, InvalidInitialV
+from .errors import ConfigInvalid, InvalidInitialU, InvalidInitialV, NonPositiveParameter
 from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
 from .simulator import Profile, init_state, stability_bound
 
@@ -314,6 +314,11 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         f.name: _number(sec.get(f.name, f.default), f"params.{f.name}", closed=f.name == "mu")
         for f in fields(ModelParams)
     })
+    try:  # each general coefficient is 1 or a key checked above, except c2 = gamma * h_comp
+        params.general()
+    except NonPositiveParameter:
+        raise ConfigInvalid("gamma * h_comp (the general form's c2) must be finite and "
+                            f"positive, got {params.gamma * params.h_comp}", path="params.gamma")
 
     specs = {section: _kernel_spec(mapping, section, base_dir) for section in ("kernel_u", "kernel_v")}
     num = mapping.get("numerics", {})

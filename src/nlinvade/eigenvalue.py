@@ -12,14 +12,28 @@ the eigenvalue stays inside (-d1, 0)) and makes the operator exactly rank
 one when the kernel is constant across the interval.
 
 The shifted matrix B = L + d1*I is entrywise nonnegative with positive
-diagonal, so its Perron root is the eigenvalue of largest real part.  Grids
-of DENSE_THRESHOLD nodes or more find it with ARPACK's implicitly restarted
-Arnoldi method on the matrix-free operator, stopped at the relative
-accuracy ARPACK_TOL; smaller grids solve the dense matrix exactly.  This
-module imports scipy.sparse.linalg on the ARPACK path only, at its first
-call, so a process whose grids all stay below DENSE_THRESHOLD never loads
-it.  Translation invariance is exact because every interval is normalised
-to left endpoint 0 before discretisation.
+diagonal, so its Perron root is the eigenvalue of largest real part.  It is
+found by one of three methods:
+
+- "dense": grids below DENSE_THRESHOLD nodes solve the dense matrix
+  exactly.  They stay dense whatever their stencil, because three checks
+  of the test suite sit within one rounding step of their bound on 4- to
+  21-node grids, and the dense result is the one they were set against.
+- "rank_one": a grid of DENSE_THRESHOLD nodes or more under a flat stencil
+  (``box``) whose half-width is at least the node count.  Every offset
+  |i - j| <= n - 1 then falls on an interior tap, so all rows of B are the
+  same row to rounding, B is rank one with the constant eigenvector, and
+  rho is the mean of B applied to ones: d1 * l / (2 * L0) for a uniform
+  kernel of radius L0 on an interval of length l.
+- "arpack": every other grid, by ARPACK's implicitly restarted Arnoldi
+  method on the matrix-free operator, stopped at the relative accuracy
+  ARPACK_TOL.
+
+All three return the pair only after its residual passes RESIDUAL_TOL.
+This module imports scipy.sparse.linalg on the ARPACK path only, at its
+first call, so a process whose solves are all dense or rank one never
+loads it.  Translation invariance is exact because every interval is
+normalised to left endpoint 0 before discretisation.
 
 ARPACK's Krylov basis is sized to the interval's length in kernel widths,
 r = (n - 1) / half for n nodes under a stencil of half-width ``half``
@@ -72,9 +86,9 @@ import numpy as np
 from .errors import DegenerateInterval, NoConvergence
 from .kernels import GridStencil, ValidatedKernel, check_grid_size, grid_convolve, grid_stencil
 
-# Fewest nodes solved by ARPACK: the measured crossover of dense and
-# sized-basis ARPACK time (module docstring).  Smaller grids take the
-# dense path.
+# Fewest nodes solved by ARPACK or in closed form (rank one): the measured
+# crossover of dense and sized-basis ARPACK time (module docstring).
+# Smaller grids take the dense path.
 DENSE_THRESHOLD = 35
 # Largest residual max|B phi - rho phi| accepted for a returned pair.
 RESIDUAL_TOL = 1e-8
@@ -175,7 +189,10 @@ def _basis_size(n: int, half: int) -> int:
 def _arpack_solve(matvec, n: int, ncv: int) -> tuple[float, np.ndarray, int]:
     """ARPACK from the sine start with an ``ncv``-vector basis, counting
     matvecs.  A fixed ``rng`` makes the random restart after a Krylov
-    breakdown (a rank-one operator) reproducible."""
+    breakdown reproducible.  Grids solved as rank one no longer come
+    here, but an interval of exactly one kernel radius is rank one as
+    well (n = half + 1: its end taps are half cells, as are its end
+    columns) and still breaks the Krylov space down after one step."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
     count = 0
@@ -204,9 +221,12 @@ def principal_eigenvalue(
     """Principal eigenvalue and positive eigenfunction on an interval.
 
     The interval is normalised to (0, length), making the result exactly
-    translation invariant.  Grids of DENSE_THRESHOLD nodes or more go
-    through ARPACK (``method == "arpack"``, ``iterations`` its matvec
-    count); smaller ones through the dense matrix (``"dense"``, 0).
+    translation invariant.  Grids below DENSE_THRESHOLD nodes go through
+    the dense matrix (``method == "dense"``, ``iterations`` 0), so the
+    checks set against its rounding keep it.  Larger grids whose flat
+    stencil reaches across the whole interval (``n <= half``) are rank one
+    and take rho from one application to ones (``"rank_one"``, 0); the
+    rest go through ARPACK (``"arpack"``, ``iterations`` its matvec count).
     """
     if d1 <= 0 or not np.isfinite(d1):
         raise ValueError("d1 must be positive")
@@ -217,6 +237,10 @@ def principal_eigenvalue(
         B = _dense_matrix(n, h, d1, st)
         method, apply = "dense", B.__matmul__
         rho, vec, iterations = _dense_solve(B)
+    elif st.box is not None and n <= st.half:
+        method, apply = "rank_one", _matvec_factory(n, h, d1, st)
+        vec, iterations = np.ones(n), 0
+        rho = float(np.mean(apply(vec)))
     else:
         method, apply = "arpack", _matvec_factory(n, h, d1, st)
         rho, vec, iterations = _arpack_solve(apply, n, _basis_size(n, st.half))

@@ -41,7 +41,8 @@ tap count.
 
 Imports: only two branches load scipy, on their first call: the FFT branch
 of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal, and
-the eigensolver's ARPACK path scipy.sparse.linalg.
+the eigensolver's ARPACK path scipy.sparse.linalg.  Its dense and rank-one
+paths load none.
 """
 
 from __future__ import annotations

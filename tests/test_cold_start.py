@@ -3,7 +3,8 @@
 Importing scipy.signal alone costs most of a second, so the package
 imports each scipy subpackage inside the branch that uses it, and the
 process pool only for a parallel sweep.  Uniform and truncated-gaussian
-runs load no scipy at all.  Every case runs in its own interpreter and
+runs load no scipy at all, nor does an eigensolve on a grid that the
+uniform stencil spans (rank one, solved without ARPACK).  Every case runs in its own interpreter and
 reports which watched modules it loaded.
 """
 
@@ -76,6 +77,8 @@ axis.params.mu = [0.01, 10.0]
     assert main(argv) == 0
 """
 
+# At dx = 0.1 the uniform stencil's half-width is 10 nodes, so the 35-node
+# grid is not rank one and goes to ARPACK.
 EIGEN_16_NODES = """
 from nlinvade.eigenvalue import DENSE_THRESHOLD, principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
@@ -83,6 +86,16 @@ from nlinvade.kernels import KernelSpec, validate_kernel
 k = validate_kernel(KernelSpec.uniform(1.0), 0.1)
 assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 2)), 0.1).method == "dense"
 assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 1)), 0.1).method == "arpack"
+"""
+
+# At dx = 0.001 the half-width is 1 000 nodes: the 801-node grid is rank one.
+EIGEN_801_NODES = """
+from nlinvade.eigenvalue import principal_eigenvalue
+from nlinvade.kernels import KernelSpec, validate_kernel
+
+k = validate_kernel(KernelSpec.uniform(1.0), 0.001)
+res = principal_eigenvalue(k, 1.2, (0.0, 0.8), 0.001)
+assert (res.nodes.size, res.method) == (801, "rank_one")
 """
 
 CONVOLVE_501_TAPS = """
@@ -120,6 +133,7 @@ CASES = {
     "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
     "gaussian-sweep": (GAUSSIAN_SWEEP, [], list(WATCHED)),
     "eigen-16-nodes": (EIGEN_16_NODES, ["scipy.sparse.linalg"], ["scipy.signal"]),
+    "eigen-801-nodes": (EIGEN_801_NODES, [], list(WATCHED)),
     "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),
 }
 

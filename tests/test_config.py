@@ -423,6 +423,8 @@ class TestBuildFuzz:
     @example(target=("kernel_u", "L0"), value=7.190772539449264e+307)
     @example(target=("numerics", "dx"), value=5e307)
     @example(target=("params", "h0"), value=9e307)
+    # valid alone, but c2 = gamma * h_comp underflows to 0
+    @example(target=("params", "gamma"), value=5e-324)
     @settings(max_examples=400, deadline=None)
     def test_single_fault_reported_at_its_key(self, target, value):
         section, key = target

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,12 +43,58 @@ class TestRankOneOracle:
         assert res.residual <= 1e-8
 
     def test_power_on_a_long_flat_stencil(self):
-        # 2 001 flat taps at dx = 0.001: the ARPACK matvec convolves by prefix sums.
+        # 2 001 flat taps at dx = 0.001: the ARPACK matvec convolves by prefix
+        # sums.  l = L0 gives 1 001 nodes, one more than the stencil's
+        # half-width, so the grid is past the rank-one rule and reaches
+        # ARPACK, yet the operator is still exactly rank one.
         kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
         d1 = 1.2
-        res = principal_eigenvalue(kernel, d1, (0.0, 0.8), 0.001)
+        res = principal_eigenvalue(kernel, d1, (0.0, 1.0), 0.001)
         assert res.method == "arpack"
-        assert res.lambda_p == pytest.approx(d1 * (0.8 / 2.0 - 1.0), abs=1e-10)
+        assert res.lambda_p == pytest.approx(d1 * (1.0 / 2.0 - 1.0), abs=1e-10)
+
+
+# (d1, length, dx) for the uniform kernel with L0 = 1: grids of 35 to 801
+# nodes, every one at most the stencil's half-width (40 nodes at dx = 0.025,
+# 1 000 at dx = 0.001).
+RANK_ONE = [(1.2, 0.8, 0.001), (0.5, 0.9, 0.025), (2.0, 0.891, 0.025), (1.0, 0.85, 0.025)]
+
+
+class TestRankOnePath:
+    @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
+    def test_closed_form(self, d1, length, dx):
+        # A flat stencil whose half-width is at least the node count makes
+        # every row of B the same row, so rho comes from B applied to ones.
+        kernel = validate_kernel(KernelSpec.uniform(1.0), dx)
+        res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
+        assert res.nodes.size >= eigenvalue.DENSE_THRESHOLD
+        assert (res.method, res.iterations) == ("rank_one", 0)
+        assert abs(res.lambda_p - d1 * (length / 2.0 - 1.0)) <= 1e-12
+        assert np.all(res.eigenfunction == 1.0)
+        assert res.residual <= eigenvalue.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
+    def test_matches_dense(self, monkeypatch, d1, length, dx):
+        kernel = validate_kernel(KernelSpec.uniform(1.0), dx)
+        res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
+        monkeypatch.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
+        dense = principal_eigenvalue(kernel, d1, (0.0, length), dx)
+        assert (res.method, dense.method) == ("rank_one", "dense")
+        assert res.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
+        assert np.allclose(dense.eigenfunction, 1.0, rtol=0.0, atol=1e-9)
+
+    def test_only_flat_stencils_across_the_interval(self):
+        # The same 37-node grid under a gaussian or triangular kernel, and
+        # the uniform kernel one node past its half-width, go to ARPACK.
+        nodes = 37
+        for kernel in (GAUSS, TRI):
+            dx = kernel.support_radius / 40
+            res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
+            assert (res.nodes.size, res.method) == (nodes, "arpack")
+        res = principal_eigenvalue(UNI, 1.0, (0.0, 36 * 0.025), 0.025)
+        assert (res.nodes.size, res.method) == (nodes, "rank_one")
+        res = principal_eigenvalue(UNI, 1.0, (0.0, 40 * 0.025), 0.025)
+        assert (res.nodes.size, res.method) == (41, "arpack")
 
 
 class TestLimits:
@@ -100,9 +144,13 @@ class TestInvariants:
     def test_power_matches_dense(self, monkeypatch):
         # Both solver paths on the same operator, from the smallest ARPACK
         # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
-        # agree far inside 1e-11 (measured gaps up to 2.4e-15 here).
+        # agree far inside 1e-11 (measured gaps up to 2.4e-15 here).  The
+        # uniform stencil's half-width is 40 nodes at dx = L0/40, and grids
+        # up to that size are rank one, so its ARPACK grids start at 41.
         n0 = eigenvalue.DENSE_THRESHOLD
-        for kernel, nodes in itertools.product((UNI, GAUSS), (n0, n0 + 1, n0 + 4, n0 + 5, 400)):
+        cases = [(kernel, nodes) for kernel, first in ((UNI, 41), (GAUSS, n0))
+                 for nodes in (first, first + 1, first + 4, first + 5, 400)]
+        for kernel, nodes in cases:
             dx = kernel.support_radius / 40
             interval = (0.0, (nodes - 1) * dx)
             arpack = principal_eigenvalue(kernel, 1.0, interval, dx)
@@ -117,9 +165,11 @@ class TestInvariants:
         # The measured dense/ARPACK crossover with the sized Krylov basis
         # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
         # 21-node solves whose checks pass on dense rounding stay dense.
+        # The uniform kernel is taken at dx = L0/34, a stencil half-width of
+        # 34 nodes, so that its 35-node grid is past the rank-one rule.
         assert eigenvalue.DENSE_THRESHOLD == 35
         assert eigenvalue.DENSE_THRESHOLD > 21
-        dx = kernel.support_radius / 40
+        dx = kernel.support_radius / (34 if kernel is UNI else 40)
         for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
                               (eigenvalue.DENSE_THRESHOLD, "arpack")):
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
@@ -184,11 +234,12 @@ class TestInvariants:
         ids=["uniform-rank-one", "uniform", "gaussian"],
     )
     def test_arpack_deterministic(self, kernel, length, cells):
-        # The rank-one interval (l <= L0) breaks the Krylov space down after
+        # The rank-one interval (l = L0) breaks the Krylov space down after
         # one step, so ARPACK restarts from a random vector.  At dx = L0/64
-        # it has 65 nodes, above DENSE_THRESHOLD; with an unseeded restart
-        # and its 8-vector basis the matvec count ranged over 10-15 in ten
-        # calls.
+        # it has 65 nodes, above DENSE_THRESHOLD and one more than the
+        # stencil's half-width, so it is not solved as rank one; with an
+        # unseeded restart and its 8-vector basis the matvec count ranged
+        # over 10-15 in ten calls.
         dx = kernel.support_radius / cells
         first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
@@ -235,11 +286,12 @@ class TestErrors:
             m.setattr(scipy.sparse.linalg, "eigs", unconverged)
             with pytest.raises(NoConvergence):
                 principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
-        # A residual above RESIDUAL_TOL fails the returned pair on both paths.
+        # A residual above RESIDUAL_TOL fails the returned pair on all three
+        # paths (the rank-one grid's rows differ by rounding: 4.4e-16 here).
         monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 0.0)
-        for length in (30.0, 0.2):
+        for kernel, length, dx in ((GAUSS, 30.0, 0.05), (GAUSS, 0.2, 0.05), (UNI, 0.9, 0.025)):
             with pytest.raises(NoConvergence):
-                principal_eigenvalue(GAUSS, 1.0, (0.0, length), 0.05)
+                principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
 
     def test_degenerate_interval(self):
         with pytest.raises(DegenerateInterval):

@@ -624,7 +624,7 @@ class TestCli:
          ("numerics.dx=0", "numerics.dx"), ("params.d1=0", "params.d1"),
          ("numerics.T=-1", "numerics.T"), ("initial.v_value=-1", "initial.v_value"),
          ("numerics.profile_every=-0.5", "numerics.profile_every"), ("ode.u0=-1", "ode.u0"),
-         ("sweep.cap=0", "sweep.cap")],
+         ("sweep.cap=0", "sweep.cap"), ("params.gamma=5e-324", "params.gamma")],
     )
     def test_config_error_names_its_key(self, tmp_path, capsys, assignment, path):
         argv = ["simulate", "--config", str(config_file(tmp_path)), "--set", assignment, "--quiet"]
