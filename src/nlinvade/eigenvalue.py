@@ -19,12 +19,12 @@ found by one of three methods:
   exactly.  They stay dense whatever their stencil, because three checks
   of the test suite sit within one rounding step of their bound on 4- to
   21-node grids, and the dense result is the one they were set against.
-- "rank_one": a grid of DENSE_THRESHOLD nodes or more under a flat stencil
-  (``box``) whose half-width is at least the node count.  Every offset
-  |i - j| <= n - 1 then falls on an interior tap, so all rows of B are the
-  same row to rounding, B is rank one with the constant eigenvector, and
-  rho is the mean of B applied to ones: d1 * l / (2 * L0) for a uniform
-  kernel of radius L0 on an interval of length l.
+- "rank_one": a grid of DENSE_THRESHOLD nodes or more whose rows of B are
+  all one row to rounding, under a flat stencil (``box``): its interior
+  taps cover every offset (n <= half), or n = half + 1 and the end tap
+  weighs in an end column what an interior tap does (l = L0).  B is rank
+  one with the constant eigenvector, and rho is the mean of B applied to
+  ones: d1 * l / (2 * L0) for a uniform kernel of radius L0, length l.
 - "arpack": every other grid, by ARPACK's implicitly restarted Arnoldi
   method on the matrix-free operator, stopped at the relative accuracy
   ARPACK_TOL.
@@ -84,7 +84,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInterval, NoConvergence
-from .kernels import GridStencil, ValidatedKernel, check_grid_size, grid_convolve, grid_stencil
+from .kernels import (FLAT_TOL, GridStencil, ValidatedKernel, check_grid_size, grid_convolve,
+                      grid_stencil)
 
 # Fewest nodes solved by ARPACK or in closed form (rank one): the measured
 # crossover of dense and sized-basis ARPACK time (module docstring).
@@ -160,6 +161,14 @@ def _matvec_factory(n: int, h: float, d1: float, st: GridStencil):
     return matvec
 
 
+def _rank_one(n: int, h: float, st: GridStencil) -> bool:
+    """Whether all rows of B are one row (module docstring)."""
+    if st.box is None or n > st.half + 1:
+        return False
+    end_entry = st.densities[0] * min(0.5 * h, st.cover[0])  # the end tap's, in an end column
+    return n <= st.half or abs(end_entry - 0.5 * st.box[0]) <= FLAT_TOL
+
+
 def _perron(rho: float, vec: np.ndarray, apply) -> tuple[np.ndarray, float]:
     """Nonnegative eigenvector scaled to max 1, and the residual of the pair
     under ``apply``; a residual above RESIDUAL_TOL raises."""
@@ -189,10 +198,9 @@ def _basis_size(n: int, half: int) -> int:
 def _arpack_solve(matvec, n: int, ncv: int) -> tuple[float, np.ndarray, int]:
     """ARPACK from the sine start with an ``ncv``-vector basis, counting
     matvecs.  A fixed ``rng`` makes the random restart after a Krylov
-    breakdown reproducible.  Grids solved as rank one no longer come
-    here, but an interval of exactly one kernel radius is rank one as
-    well (n = half + 1: its end taps are half cells, as are its end
-    columns) and still breaks the Krylov space down after one step."""
+    breakdown reproducible: grids a little longer than one kernel radius
+    under a flat stencil are of low rank and still break the Krylov space
+    down."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
     count = 0
@@ -223,10 +231,10 @@ def principal_eigenvalue(
     The interval is normalised to (0, length), making the result exactly
     translation invariant.  Grids below DENSE_THRESHOLD nodes go through
     the dense matrix (``method == "dense"``, ``iterations`` 0), so the
-    checks set against its rounding keep it.  Larger grids whose flat
-    stencil reaches across the whole interval (``n <= half``) are rank one
-    and take rho from one application to ones (``"rank_one"``, 0); the
-    rest go through ARPACK (``"arpack"``, ``iterations`` its matvec count).
+    checks set against its rounding keep it.  Larger grids whose rows of B
+    are all one row under a flat stencil (``_rank_one``) take rho from one
+    application to ones (``"rank_one"``, 0); the rest go through ARPACK
+    (``"arpack"``, ``iterations`` its matvec count).
     """
     if d1 <= 0 or not np.isfinite(d1):
         raise ValueError("d1 must be positive")
@@ -237,7 +245,7 @@ def principal_eigenvalue(
         B = _dense_matrix(n, h, d1, st)
         method, apply = "dense", B.__matmul__
         rho, vec, iterations = _dense_solve(B)
-    elif st.box is not None and n <= st.half:
+    elif _rank_one(n, h, st):
         method, apply = "rank_one", _matvec_factory(n, h, d1, st)
         vec, iterations = np.ones(n), 0
         rho = float(np.mean(apply(vec)))

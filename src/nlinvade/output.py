@@ -91,36 +91,20 @@ def write_ode_csv(path: Path, traj) -> None:
 
 # -- dependency-light SVG ----------------------------------------------------
 
-def _polyline(xs, ys, x0, x1, y0, y1, width, height, pad, color):
-    sx = (width - 2 * pad) / (x1 - x0) if x1 > x0 else 1.0
-    sy = (height - 2 * pad) / (y1 - y0) if y1 > y0 else 1.0
-    pts = " ".join(
-        f"{pad + (x - x0) * sx:.2f},{height - pad - (y - y0) * sy:.2f}"
-        for x, y in zip(xs, ys)
-    )
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
-    )
-
-
-def write_profile_svg(
-    path: Path,
-    x: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    g_front: float,
-    h_front: float,
-) -> None:
+def write_profile_svg(path: Path, x: np.ndarray, u: np.ndarray, v: np.ndarray,
+                      g_front: float, h_front: float) -> None:
     """Final-profile plot: u and v polylines with front markers and axes."""
-    width, height = SVG_WIDTH, SVG_HEIGHT
-    pad = 48.0
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 48.0
     x0, x1 = float(x[0]), float(x[-1])
-    y0 = 0.0
     y1 = max(1.05, float(u.max(initial=0.0)) * 1.05, float(v.max(initial=0.0)) * 1.05)
     sx = (width - 2 * pad) / (x1 - x0) if x1 > x0 else 1.0
+    sy = (height - 2 * pad) / y1  # the y axis starts at 0
 
-    def xpix(val):
-        return pad + (val - x0) * sx
+    def polyline(ys, color):
+        # Python floats: formatting numpy scalars one by one takes twice as long
+        pts = " ".join(f"{pad + (a - x0) * sx:.2f},{height - pad - b * sy:.2f}"
+                       for a, b in zip(x.tolist(), ys.tolist()))
+        return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -128,22 +112,16 @@ def write_profile_svg(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         f'fill="none" stroke="black" stroke-width="1"/>',
-        _polyline(x, u, x0, x1, y0, y1, width, height, pad, "#c0392b"),
-        _polyline(x, v, x0, x1, y0, y1, width, height, pad, "#2980b9"),
-    ]
-    for front in (g_front, h_front):
-        parts.append(
-            f'<line x1="{xpix(front):.2f}" y1="{pad}" x2="{xpix(front):.2f}" '
-            f'y2="{height - pad}" stroke="#7f8c8d" stroke-dasharray="4,3" stroke-width="1"/>'
-        )
-    parts.append(
+        polyline(u, "#c0392b"),
+        polyline(v, "#2980b9"),
+        *(f'<line x1="{px:.2f}" y1="{pad}" x2="{px:.2f}" y2="{height - pad}" '
+          f'stroke="#7f8c8d" stroke-dasharray="4,3" stroke-width="1"/>'
+          for px in (pad + (front - x0) * sx for front in (g_front, h_front))),
         f'<text x="{pad}" y="{pad - 12}" font-family="monospace" font-size="12">'
         f"u (red), v (blue); fronts at {g_front:.4g}, {h_front:.4g}; "
-        f"x in [{x0:.4g}, {x1:.4g}]</text>"
-    )
-    parts.append(
+        f"x in [{x0:.4g}, {x1:.4g}]</text>",
         f'<text x="{pad}" y="{height - pad + 24}" font-family="monospace" font-size="12">'
-        f"y range [0, {y1:.4g}]</text>"
-    )
-    parts.append("</svg>")
+        f"y range [0, {y1:.4g}]</text>",
+        "</svg>",
+    ]
     Path(path).write_text("\n".join(parts) + "\n")

@@ -3,8 +3,8 @@
 ``run_scenario`` drives one scenario end to end and writes timeseries.csv,
 profile snapshots, report.json and profile.svg into the output directory.
 ``sweep`` runs a Cartesian grid of single-value overrides over a base
-scenario, one row per cell, optionally across processes; row order always
-follows grid enumeration order.
+scenario, one row per cell, optionally each cell in its own process; row
+order always follows grid enumeration order.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 theorem-check failure (verify mode only).
@@ -190,34 +190,56 @@ SWEEP_FIELDS = [
 ]
 
 
-def _row_or_error(call, *args):
-    """``call(*args)``, or the error row of the exception it raises."""
+def _sweep_cell(task) -> dict:
+    """The row of one cell, or the error row of the exception it raises."""
     try:
-        return call(*args)
+        return _cell_row(*task)
     except Exception as exc:  # a failed cell stays in its row; the sweep goes on
-        return {**dict.fromkeys(SWEEP_FIELDS, ""), "status": "error",
-                "error": f"{type(exc).__name__}: {exc}"}
+        return _error_row(f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_cell(args):
-    return _row_or_error(_cell_row, *args)
+def _error_row(error: str) -> dict:
+    return {**dict.fromkeys(SWEEP_FIELDS, ""), "status": "error", "error": error}
 
 
-def _pool_rows(tasks: list, jobs: int) -> list[dict]:
-    """The rows of ``tasks`` run on up to ``jobs`` processes.  Only a parallel
-    sweep imports the pool (it loads multiprocessing).  Futures are read after
-    shutdown without waiting: a submit racing a broken pool can leave one
-    never resolved (TimeoutError)."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as workers:
-        futures = [_row_or_error(workers.submit, _sweep_cell, task) for task in tasks]
-    return [f if isinstance(f, dict) else _row_or_error(f.result, 0) for f in futures]
+def _send_row(writer, task) -> None:
+    writer.send(_sweep_cell(task))
 
 
-def _broken(rows: list[dict], cells) -> list[int]:
-    """The cells among ``cells`` whose rows say a broken pool did not finish them."""
-    return [i for i in cells if rows[i]["error"].startswith(("BrokenProcessPool:", "TimeoutError:"))]
+def _parallel_rows(tasks: list, jobs: int) -> list[dict]:
+    """The rows of ``tasks``, each cell run in its own process, at most
+    ``jobs`` at a time, with the platform's default start method.  A cell
+    whose process ends without sending its row gets an error row naming
+    the exit code (negative for a signal); no other cell is touched.
+    Only a parallel sweep imports multiprocessing."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    rows, todo, running = [None] * len(tasks), iter(enumerate(tasks)), {}
+    try:
+        while True:
+            for index, task in itertools.islice(todo, jobs - len(running)):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                with writer:  # closed here once started: the reader sees EOF when the cell ends
+                    proc = multiprocessing.Process(target=_send_row, args=(writer, task))
+                    proc.start()
+                running[reader] = index, proc
+            if not running:
+                return rows
+            for reader in wait(list(running)):
+                index, proc = running.pop(reader)
+                with reader:
+                    try:
+                        row = reader.recv()
+                    except EOFError:  # the process ended without sending its row
+                        row = None
+                proc.join()
+                rows[index] = row or _error_row(f"cell process died, exit code {proc.exitcode}")
+    finally:
+        for reader, (_, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            reader.close()
 
 
 def _cell_row(mapping, base_dir, cell_dir, check) -> dict:
@@ -253,8 +275,10 @@ def sweep(
     """Cartesian sweep over the scenario's [sweep] axes.
 
     Returns (header, rows) and writes ``sweep.csv`` plus one output
-    directory per cell.  Cell failures land in their row, never abort the
-    sweep.  Rows follow grid enumeration order regardless of scheduling.
+    directory per cell.  With ``jobs`` above 1 each cell runs in its own
+    process, at most ``jobs`` at a time.  Cell failures, a dying process
+    included, land in their own row and never abort the sweep.  Rows follow
+    grid enumeration order regardless of scheduling.
     """
     axes = cfg.sweep_axes
     if not axes:
@@ -280,19 +304,7 @@ def sweep(
             mapping.setdefault(section, {})[key] = value
         tasks.append((mapping, str(base_dir), str(out / f"cell_{index:04d}"), check_theorems))
 
-    # Rows keep task order.  A dying worker breaks the pool and fails every
-    # cell still pending there.  Those cells run once more on one worker, in
-    # order, so the first of them to break it is the one that kills its
-    # worker: it keeps its error row, and the rest go on in a fresh pool.
-    if jobs > 1:
-        results = _pool_rows(tasks, jobs)
-        retry = _broken(results, range(len(tasks)))
-        while retry:
-            for i, row in zip(retry, _pool_rows([tasks[i] for i in retry], 1)):
-                results[i] = row
-            retry = _broken(results, retry)[1:]
-    else:
-        results = list(map(_sweep_cell, tasks))
+    results = _parallel_rows(tasks, jobs) if jobs > 1 else list(map(_sweep_cell, tasks))
 
     header = ["cell", *paths, *SWEEP_FIELDS]
     rows = [[index, *combo] + [r[k] for k in SWEEP_FIELDS]

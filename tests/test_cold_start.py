@@ -1,8 +1,8 @@
 """Which scipy subpackages a fresh interpreter loads, per code path.
 
 Importing scipy.signal alone costs most of a second, so the package
-imports each scipy subpackage inside the branch that uses it, and the
-process pool only for a parallel sweep.  Uniform and truncated-gaussian
+imports each scipy subpackage inside the branch that uses it, and
+multiprocessing only for a parallel sweep.  Uniform and truncated-gaussian
 runs load no scipy at all, nor does an eigensolve on a grid that the
 uniform stencil spans (rank one, solved without ARPACK).  Every case runs in its own interpreter and
 reports which watched modules it loaded.
@@ -18,10 +18,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # "scipy" stands for every scipy module: each one imports the package.
-# concurrent.futures.process loads multiprocessing, which only a parallel
-# sweep uses.
+# Only a parallel sweep uses multiprocessing, and it starts each cell's
+# process itself, without the process pool of concurrent.futures.process.
 WATCHED = ("scipy", "scipy.signal", "scipy.sparse.linalg", "scipy.special",
-           "concurrent.futures.process")
+           "multiprocessing", "concurrent.futures.process")
 
 UNIFORM_RUN = """
 import tempfile
@@ -73,7 +73,7 @@ T = 0.5
 [sweep]
 axis.params.mu = [0.01, 10.0]
 ''')
-    argv = ["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "sw"), "--jobs", "1", "--quiet"]
+    argv = ["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "sw"), "--jobs", "JOBS", "--quiet"]
     assert main(argv) == 0
 """
 
@@ -131,7 +131,9 @@ def loaded(snippet: str) -> list[str]:
 CASES = {
     "uniform-run": (UNIFORM_RUN, [], list(WATCHED)),
     "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
-    "gaussian-sweep": (GAUSSIAN_SWEEP, [], list(WATCHED)),
+    "gaussian-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "1"), [], list(WATCHED)),
+    "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), ["multiprocessing"],
+                       ["concurrent.futures.process"]),
     "eigen-16-nodes": (EIGEN_16_NODES, ["scipy.sparse.linalg"], ["scipy.signal"]),
     "eigen-801-nodes": (EIGEN_801_NODES, [], list(WATCHED)),
     "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),

@@ -43,21 +43,22 @@ class TestRankOneOracle:
         assert res.residual <= 1e-8
 
     def test_power_on_a_long_flat_stencil(self):
-        # 2 001 flat taps at dx = 0.001: the ARPACK matvec convolves by prefix
-        # sums.  l = L0 gives 1 001 nodes, one more than the stencil's
-        # half-width, so the grid is past the rank-one rule and reaches
-        # ARPACK, yet the operator is still exactly rank one.
+        # 2 001 flat taps at dx = 0.001: the matvec convolves by prefix sums.
+        # l = L0 gives 1 001 nodes, one more than the stencil's half-width,
+        # but the end taps are half cells like the end columns, so every row
+        # of B is the same row and the grid is solved as rank one.
         kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
         d1 = 1.2
         res = principal_eigenvalue(kernel, d1, (0.0, 1.0), 0.001)
-        assert res.method == "arpack"
+        assert res.method == "rank_one"
         assert res.lambda_p == pytest.approx(d1 * (1.0 / 2.0 - 1.0), abs=1e-10)
 
 
-# (d1, length, dx) for the uniform kernel with L0 = 1: grids of 35 to 801
-# nodes, every one at most the stencil's half-width (40 nodes at dx = 0.025,
-# 1 000 at dx = 0.001).
-RANK_ONE = [(1.2, 0.8, 0.001), (0.5, 0.9, 0.025), (2.0, 0.891, 0.025), (1.0, 0.85, 0.025)]
+# (d1, length, dx) for the uniform kernel with L0 = 1: grids of 35 to 1 001
+# nodes, at most the stencil's half-width (40 nodes at dx = 0.025, 1 000 at
+# dx = 0.001) or, at l = L0, one more.
+RANK_ONE = [(1.2, 0.8, 0.001), (0.5, 0.9, 0.025), (2.0, 0.891, 0.025), (1.0, 0.85, 0.025),
+            (1.0, 1.0, 0.025), (1.2, 1.0, 0.001)]
 
 
 class TestRankOnePath:
@@ -84,8 +85,10 @@ class TestRankOnePath:
         assert np.allclose(dense.eigenfunction, 1.0, rtol=0.0, atol=1e-9)
 
     def test_only_flat_stencils_across_the_interval(self):
-        # The same 37-node grid under a gaussian or triangular kernel, and
-        # the uniform kernel one node past its half-width, go to ARPACK.
+        # The same 37-node grid under a gaussian or triangular kernel goes to
+        # ARPACK.  Under the uniform kernel one node past its half-width, l =
+        # L0 is still rank one, but l = 1.0125 is not: its end taps cover
+        # 1.6e-4 of a cell, not half of one.
         nodes = 37
         for kernel in (GAUSS, TRI):
             dx = kernel.support_radius / 40
@@ -94,6 +97,8 @@ class TestRankOnePath:
         res = principal_eigenvalue(UNI, 1.0, (0.0, 36 * 0.025), 0.025)
         assert (res.nodes.size, res.method) == (nodes, "rank_one")
         res = principal_eigenvalue(UNI, 1.0, (0.0, 40 * 0.025), 0.025)
+        assert (res.nodes.size, res.method) == (41, "rank_one")
+        res = principal_eigenvalue(UNI, 1.0, (0.0, 1.0125), 0.025)
         assert (res.nodes.size, res.method) == (41, "arpack")
 
 
@@ -146,9 +151,10 @@ class TestInvariants:
         # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
         # agree far inside 1e-11 (measured gaps up to 2.4e-15 here).  The
         # uniform stencil's half-width is 40 nodes at dx = L0/40, and grids
-        # up to that size are rank one, so its ARPACK grids start at 41.
+        # up to that size, and the 41-node one of l = L0, are rank one, so
+        # its ARPACK grids start at 42.
         n0 = eigenvalue.DENSE_THRESHOLD
-        cases = [(kernel, nodes) for kernel, first in ((UNI, 41), (GAUSS, n0))
+        cases = [(kernel, nodes) for kernel, first in ((UNI, 42), (GAUSS, n0))
                  for nodes in (first, first + 1, first + 4, first + 5, 400)]
         for kernel, nodes in cases:
             dx = kernel.support_radius / 40
@@ -165,11 +171,11 @@ class TestInvariants:
         # The measured dense/ARPACK crossover with the sized Krylov basis
         # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
         # 21-node solves whose checks pass on dense rounding stay dense.
-        # The uniform kernel is taken at dx = L0/34, a stencil half-width of
-        # 34 nodes, so that its 35-node grid is past the rank-one rule.
+        # The uniform kernel is taken at dx = L0/33, a stencil half-width of
+        # 33 nodes, so that its 35-node grid is past the rank-one rule.
         assert eigenvalue.DENSE_THRESHOLD == 35
         assert eigenvalue.DENSE_THRESHOLD > 21
-        dx = kernel.support_radius / (34 if kernel is UNI else 40)
+        dx = kernel.support_radius / (33 if kernel is UNI else 40)
         for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
                               (eigenvalue.DENSE_THRESHOLD, "arpack")):
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
@@ -221,6 +227,8 @@ class TestInvariants:
         # more matvecs (9-19 against 21 below r = 16, equal from there).
         dx = kernel.support_radius / 40
         interval = (0.0, r * kernel.support_radius)
+        if kernel is UNI and r == 1:  # l = L0 is rank one under the flat stencil
+            interval = (0.0, kernel.support_radius + 0.5 * dx)
         sized = principal_eigenvalue(kernel, 1.0, interval, dx)
         monkeypatch.setattr(eigenvalue, "_basis_size", lambda n, half: 20)
         full = principal_eigenvalue(kernel, 1.0, interval, dx)
@@ -230,16 +238,15 @@ class TestInvariants:
 
     @pytest.mark.parametrize(
         "kernel, length, cells",
-        [(UNI, 1.0, 64), (UNI, 20.0, 40), (GAUSS, 6.0, 40)],
-        ids=["uniform-rank-one", "uniform", "gaussian"],
+        [(UNI, 1.0 + 0.5 / 64, 64), (UNI, 20.0, 40), (GAUSS, 6.0, 40)],
+        ids=["uniform-low-rank", "uniform", "gaussian"],
     )
     def test_arpack_deterministic(self, kernel, length, cells):
-        # The rank-one interval (l = L0) breaks the Krylov space down after
-        # one step, so ARPACK restarts from a random vector.  At dx = L0/64
-        # it has 65 nodes, above DENSE_THRESHOLD and one more than the
-        # stencil's half-width, so it is not solved as rank one; with an
-        # unseeded restart and its 8-vector basis the matvec count ranged
-        # over 10-15 in ten calls.
+        # Half a cell past one kernel radius (65 nodes at dx = L0/64) the
+        # uniform operator is not rank one but of low rank: it breaks the
+        # Krylov space down, so ARPACK restarts from a random vector.  With
+        # an unseeded restart and its 8-vector basis the matvec count
+        # ranged over 10-14 in eight calls.
         dx = kernel.support_radius / cells
         first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)

@@ -1,7 +1,9 @@
-import concurrent.futures
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -422,58 +424,92 @@ class TestSweep:
         assert rows1 == rows2
 
     def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
-        # A stand-in pool records max_workers and maps serially, so no
-        # process starts.
-        seen = []
+        # A stand-in process class runs its cell inline at start() and counts
+        # the processes started and not yet joined, so no process starts.
+        alive, counts = set(), []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        class InlineProcess:
+            exitcode = 0
 
-            def __enter__(self):
-                return self
+            def __init__(self, target, args):
+                self.target, self.args = target, args
 
-            def __exit__(self, *exc):
-                return False
+            def start(self):
+                alive.add(self)
+                counts.append(len(alive))
+                self.target(*self.args)
 
-            def submit(self, fn, task):
-                done = concurrent.futures.Future()
-                done.set_result(fn(task))
-                return done
+            def join(self, timeout=None):
+                alive.discard(self)
 
-        # sweep imports the pool class from concurrent.futures when jobs > 1
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n"
-        _, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=500)
-        assert seen == [2]
-        assert len(rows) == 2
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+        for jobs, mus in ((500, [0.5, 2.0]), (2, [0.5, 1.0, 2.0, 3.0, 4.0])):
+            counts.clear()
+            text = BASE + f"\n[sweep]\naxis.params.mu = {mus}\n"
+            _, rows = sweep(scenario(text), outdir=tmp_path / f"sw{jobs}", check_theorems=False,
+                            jobs=jobs)
+            assert max(counts) == min(jobs, len(mus))
+            assert len(counts) == len(rows) == len(mus)
+            assert not alive
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the workers must inherit the patched run_scenario")
-    @pytest.mark.parametrize("cells", [3, 3000])
-    def test_dying_worker_recorded_not_fatal(self, tmp_path, monkeypatch, cells):
-        # The worker running cell 1 ends without a word and breaks the pool.
-        # With 3000 cells that happens, in practice, while cells are still
-        # being submitted, so submit itself raises for the rest.  Every cell
-        # the broken pool did not finish runs once more on a fresh worker, so
-        # only cell 1 keeps an error row.
+                        reason="the cell processes must inherit the patched run_scenario")
+    @pytest.mark.parametrize(
+        "cells, dies, how",
+        [(3, 0, "exit"), (3, 1, "exit"), (3, 2, "exit"),
+         (3, 0, "kill"), (3, 1, "kill"), (3, 2, "kill"), (3000, 1, "exit")],
+        ids=["first-exit", "middle-exit", "last-exit", "first-kill", "middle-kill", "last-kill",
+             "3000"],
+    )
+    def test_dying_worker_recorded_not_fatal(self, tmp_path, monkeypatch, cells, dies, how):
+        # One cell's process ends without a word, by os._exit(1) or by
+        # SIGKILL to itself.  Only that cell gets an error row, naming the
+        # exit code (negative for a signal); every other cell runs as usual.
+        mus = [0.5 + i for i in range(cells)]
+
         def dying(cfg, **kwargs):
-            if cfg.params.mu == 2.0:
-                os._exit(1)
+            if cfg.params.mu == mus[dies]:
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
             return runner.RunOutcome(exit_code=0, report={}, outdir=None)
 
         monkeypatch.setattr(runner, "run_scenario", dying)
-        mus = [0.5, 2.0] + [3.0 + i for i in range(cells - 2)]
         text = BASE + f"\n[sweep]\ncap = {cells}\naxis.params.mu = {mus}\n"
         header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=2)
         status, error = header.index("status"), header.index("error")
+        code = 1 if how == "exit" else -signal.SIGKILL
         assert [r[0] for r in rows] == list(range(cells))
-        assert rows[1][status] == "error"
-        assert rows[1][error].startswith("BrokenProcessPool: ")
-        assert all(r[status] == "ok" for r in rows[:1] + rows[2:])
+        assert rows[dies][status] == "error"
+        assert rows[dies][error].endswith(f"exit code {code}")
+        assert all(r[status] == "ok" for r in rows[:dies] + rows[dies + 1:])
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + cells
-        assert lines[2].startswith("1,2,error,")
+        assert lines[1 + dies].startswith(f"{dies},{mus[dies]},error,")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the cell processes must inherit the patched run_scenario")
+    def test_parent_failure_stops_the_cells(self, tmp_path, monkeypatch):
+        # Every cell would sleep for a minute.  The parent's wait for rows
+        # raises, and sweep terminates and joins the cells it started.
+        def interrupted(readers, timeout=None):
+            raise RuntimeError("parent interrupted")
+
+        monkeypatch.setattr(runner, "run_scenario", lambda cfg, **kwargs: time.sleep(60))
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0, 3.0]\n"
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent interrupted"):
+            sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=2)
+        left = multiprocessing.active_children()
+        for proc in left:
+            proc.kill()
+            proc.join(timeout=10)
+        assert left == []
+        assert time.monotonic() - start < 30
 
     @pytest.mark.parametrize("text", [VANISHING.replace("T = 20.0", "T = 5.0"), BASE],
                              ids=["vanishing", "base"])
