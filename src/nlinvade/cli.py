@@ -130,7 +130,7 @@ def _cmd_run(args, cfg, check: bool) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    header, rows = sweep(cfg, outdir=args.out, jobs=args.jobs, base_dir=Path(args.config).parent)
+    header, rows = sweep(cfg, outdir=args.out, jobs=args.jobs)
     _say(args, ",".join(header))
     for row in rows:
         _say(args, ",".join(str(c) for c in row))

@@ -192,7 +192,9 @@ class ScenarioConfig:
     ode_dt: float
     sweep_axes: dict
     sweep_cap: int
-    mapping: dict = field(repr=False, compare=False, default_factory=dict)
+    # a sweep cell's source: the mapping as given and the tables' directory
+    mapping: dict = field(repr=False, compare=False)
+    base_dir: Path = field(repr=False, compare=False)
 
 
 def _number(val, path: str, low=0, closed=False, kind=(int, float)):
@@ -295,7 +297,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     Raises ConfigInvalid with the offending field path on any problem,
     including a dt above the explicit-step stability bound.
     """
-    base_dir = Path(base_dir)
+    base_dir = Path(base_dir).resolve()
     for section, table in mapping.items():
         if section not in SECTIONS:
             raise ConfigInvalid(f"unknown section [{section}]", path=section)
@@ -399,10 +401,6 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         axes[path] = list(val)
     cap = _number(mapping.get("sweep", {}).get("cap", 256), "sweep.cap", low=1, closed=True, kind=int)
 
-    normalized = copy.deepcopy(mapping)
-    normalized.setdefault("numerics", {}).setdefault("snapshot_every", snapshot_every)
-    normalized["numerics"].setdefault("window_pad", window_pad)
-
     return ScenarioConfig(
         params=params,
         kernel_u=specs["kernel_u"],
@@ -421,7 +419,8 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         ode_dt=ode_dt,
         sweep_axes=axes,
         sweep_cap=cap,
-        mapping=normalized,
+        mapping=copy.deepcopy(mapping),
+        base_dir=base_dir,
     )
 
 

@@ -62,9 +62,7 @@ class InvalidInitialV(NlinvadeError):
 
 
 class StabilityViolated(NlinvadeError):
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    pass
 
 
 # -- diagnostics --------------------------------------------------------

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .config import ScenarioConfig, build_scenario
 from .diagnostics import (
@@ -270,24 +269,27 @@ def sweep(
     outdir: Optional[str | Path] = None,
     jobs: int = 1,
     check_theorems: bool = True,
-    base_dir: str | Path = ".",
 ) -> tuple[list[str], list[list]]:
     """Cartesian sweep over the scenario's [sweep] axes.
 
     Returns (header, rows) and writes ``sweep.csv`` plus one output
-    directory per cell.  With ``jobs`` above 1 each cell runs in its own
-    process, at most ``jobs`` at a time.  Cell failures, a dying process
-    included, land in their own row and never abort the sweep.  Rows follow
-    grid enumeration order regardless of scheduling.
+    directory per cell.  A cell is exactly the run that ``--set axis=value``
+    on the base config describes: defaults that derive from other values
+    are derived per cell (``snapshot_every`` from T and dt, ``window_pad``
+    from the kernel radii, h0 and dx, and through it ``L_dev``), and
+    relative table paths resolve against the base config's directory.
+    With ``jobs`` above 1 each cell runs in its own process, at most
+    ``jobs`` at a time.  Cell failures, a dying process included, land in
+    their own row and never abort the sweep.  Rows follow grid enumeration
+    order regardless of scheduling.
     """
     axes = cfg.sweep_axes
     if not axes:
         raise ConfigInvalid("no sweep axes configured", path="sweep")
     if jobs < 1:
         raise ConfigInvalid(f"--jobs must be at least 1, got {jobs}")
-    paths = list(axes.keys())
-    grids = [axes[p] for p in paths]
-    total = int(np.prod([len(g) for g in grids]))
+    paths, grids = list(axes), list(axes.values())
+    total = math.prod(len(g) for g in grids)
     if total > cfg.sweep_cap:
         raise GridTooLarge(f"sweep grid has {total} cells, cap is {cfg.sweep_cap}")
 
@@ -302,7 +304,7 @@ def sweep(
         for path, value in zip(paths, combo):
             section, _, key = path.partition(".")
             mapping.setdefault(section, {})[key] = value
-        tasks.append((mapping, str(base_dir), str(out / f"cell_{index:04d}"), check_theorems))
+        tasks.append((mapping, cfg.base_dir, str(out / f"cell_{index:04d}"), check_theorems))
 
     results = _parallel_rows(tasks, jobs) if jobs > 1 else list(map(_sweep_cell, tasks))
 

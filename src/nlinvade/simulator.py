@@ -371,7 +371,7 @@ def _flush(field: np.ndarray, t: float) -> int:
     top = np.maximum.reduce(field)
     bottom = np.minimum.reduce(field)
     if not (top <= FIELD_CAP and bottom > -math.inf):  # also catches NaN
-        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}", t=t)
+        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}")
     if bottom >= 0.0:
         return 0
     gross = int(np.count_nonzero(field < GROSS_CLAMP))
@@ -516,7 +516,7 @@ def run(
         raise ValueError("snapshot_every must be positive")
     bound = stability_bound(state.coef)
     if dt > bound:
-        raise StabilityViolated(f"dt={dt} exceeds the stability bound {bound:.6g}", t=state.t)
+        raise StabilityViolated(f"dt={dt} exceeds the stability bound {bound:.6g}")
     if metrics_L is None:
         metrics_L = min(2.0 * state.coef.H0, min(-state.x_min, state.x_max))
     v_deviation(state, metrics_L)  # raises WindowTooSmall up front

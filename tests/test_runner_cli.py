@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nlinvade.cli import main
-from nlinvade.config import build_scenario, parse_config_text
+from nlinvade.config import apply_override, build_scenario, load_scenario, parse_config_text
 from nlinvade.errors import ConfigInvalid, GridTooLarge, NoConvergence, StabilityViolated
 from nlinvade.output import TIMESERIES_HEADER, report_text, snapshot_name, write_rows
 from nlinvade import diagnostics, runner
@@ -324,7 +324,7 @@ class TestRunScenario:
 
             def failing_halving(state, T, dt, *args, **kwargs):
                 if dt < 0.02:
-                    raise StabilityViolated("forced for the test", t=0.0)
+                    raise StabilityViolated("forced for the test")
                 return real(state, T, dt, *args, **kwargs)
 
             monkeypatch.setattr(runner, "run", failing_halving)
@@ -358,6 +358,59 @@ class TestSweep:
         text = BASE + "\n[sweep]\ncap = 2\naxis.params.mu = [0.1, 1.0, 10.0]\n"
         with pytest.raises(GridTooLarge):
             sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+
+    def test_grid_cap_counts_exactly(self, tmp_path):
+        # 65536**4 cells: a count that wraps modulo 2**64 would read 0 and
+        # pass the cap, and the sweep would then enumerate the whole grid.
+        mapping = parse_config_text(BASE + "\n[sweep]\ncap = 2\n")
+        values = list(range(1, 65537))
+        mapping["sweep"].update({f"axis.params.{key}": values for key in ("d1", "d2", "k", "mu")})
+        with pytest.raises(GridTooLarge, match="has 18446744073709551616 cells, cap is 2$"):
+            sweep(build_scenario(mapping), outdir=tmp_path / "sw", check_theorems=False)
+        assert not (tmp_path / "sw").exists()
+
+    def test_cell_is_its_direct_run(self, tmp_path):
+        # No snapshot_every or window_pad is set, so both derive per cell from
+        # the cell's own T, dt, h0, dx and kernel radii, as in a direct run.
+        text = (BASE.replace("snapshot_every = 0.25\n", "").replace("h0 = 1.0", "h0 = 0.2")
+                .replace("L0 = 1.0", "L0 = 0.2").replace("T = 3.0", "T = 2.0"))
+        grid = [(T, h0) for T in (2.0, 20.0) for h0 in (0.2, 3.0)]
+        axes = "\n[sweep]\naxis.numerics.T = [2.0, 20.0]\naxis.params.h0 = [0.2, 3.0]\n"
+        sweep(scenario(text + axes), outdir=tmp_path / "sw", check_theorems=False)
+        for index, (T, h0) in enumerate(grid):
+            mapping = parse_config_text(text)
+            apply_override(mapping, f"numerics.T={T}")
+            apply_override(mapping, f"params.h0={h0}")
+            direct = tmp_path / f"direct_{index}"
+            run_scenario(build_scenario(mapping), outdir=direct, check_theorems=False)
+            cell = tmp_path / "sw" / f"cell_{index:04d}"
+            names = sorted(p.name for p in direct.iterdir())
+            assert sorted(p.name for p in cell.iterdir()) == names
+            assert {"report.json", "timeseries.csv", snapshot_name(T)} <= set(names)
+            for name in names:
+                assert (cell / name).read_bytes() == (direct / name).read_bytes(), (T, h0, name)
+            assert len((cell / "timeseries.csv").read_text().splitlines()) == 102
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("load", ["absolute", "relative"])
+    def test_relative_table_from_any_directory(self, tmp_path, monkeypatch, jobs, load):
+        # A table path resolves against the config's directory, not the
+        # working directory, in every cell as when the config was loaded,
+        # also when the config itself was loaded by a relative path.
+        xs = np.linspace(-1.0, 1.0, 21)
+        np.savetxt(tmp_path / "k.txt", np.column_stack([xs, 1.0 - np.abs(xs)]))
+        text = (BASE.replace('form = "uniform"\nL0 = 1.0', 'form = "tabulated"\ntable = "k.txt"', 1)
+                + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n")
+        path = config_file(tmp_path, text)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        if load == "relative":
+            monkeypatch.chdir(tmp_path)
+            path = path.name
+        cfg = load_scenario(path)
+        monkeypatch.chdir(elsewhere)
+        header, rows = sweep(cfg, outdir=tmp_path / "sw", check_theorems=False, jobs=jobs)
+        assert [r[header.index("status")] for r in rows] == ["ok", "ok"]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):

@@ -314,7 +314,7 @@ def reference_flush(field, t):
     top = field.max(initial=0.0)
     bottom = field.min(initial=0.0)
     if not (top <= FIELD_CAP and bottom > -np.inf):
-        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}", t=t)
+        raise StabilityViolated(f"field left [{GROSS_CLAMP}, {FIELD_CAP}] at t={t}")
     if bottom >= 0.0:
         return 0
     gross = int(np.count_nonzero(field < GROSS_CLAMP))
