@@ -25,8 +25,8 @@ import numpy as np
 from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams
 from .errors import ConfigInvalid, InvalidInitialU, InvalidInitialV, NonPositiveParameter
-from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
-from .simulator import Profile, init_state, stability_bound
+from .kernels import CLOSED_FORMS, MAX_GRID_NODES, KernelSpec, validate_kernel
+from .simulator import Profile, _sample_u0, init_state, stability_bound
 
 # -- scalar grammar --------------------------------------------------------
 
@@ -364,6 +364,16 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         )
 
     u_prof, v_prof = _profiles(mapping, base_dir)
+    if u_prof.kind == "cosine" and params.h0 / dx <= MAX_GRID_NODES:  # else GridTooLarge
+        # The bump is smallest at the inside node k * dx nearest h0, the
+        # largest k with k * dx < h0, where a subnormal u_max rounds to 0.
+        k = math.ceil(params.h0 / dx) + 1
+        while k * dx >= params.h0:
+            k -= 1
+        try:
+            _sample_u0(u_prof, np.array([k * dx]), params.h0)
+        except InvalidInitialU as exc:
+            raise ConfigInvalid(f"{exc}: u_max rounds to 0 at x = {k * dx!r}", path="initial.u_max")
     if "table" in (u_prof.kind, v_prof.kind):
         # A table is checked by sampling the profiles as the run will.  The
         # checks above cover the cosine and constant kinds, so they skip this.
@@ -371,9 +381,7 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             init_state(params, kernels["kernel_u"], kernels["kernel_v"], u_prof, v_prof,
                        dx, window_pad)
         except InvalidInitialU as exc:
-            # a cosine u fails here only on a subnormal u_max
-            key = "u_table" if u_prof.kind == "table" else "u_max"
-            raise ConfigInvalid(str(exc), path=f"initial.{key}")
+            raise ConfigInvalid(str(exc), path="initial.u_table")
         except InvalidInitialV as exc:
             raise ConfigInvalid(str(exc), path="initial.v_table")
 

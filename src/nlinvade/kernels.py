@@ -183,11 +183,11 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         raise ValueError(f"kernel form {spec.form!r} needs a support radius L0 > 0")
 
     if spec.form == "uniform":
-        height = 0.5 / L0
+        peak = 0.5 / L0
 
         def ev(x):
             x = np.asarray(x, dtype=float)
-            return np.where(np.abs(x) <= L0, height, 0.0)
+            return np.where(np.abs(x) <= L0, peak, 0.0)
 
         # np.minimum(np.maximum(...)) in the cdfs is np.clip without the
         # wrapper's overhead, which dominates on the short flux arrays.
@@ -196,6 +196,7 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             return np.minimum(np.maximum((s + L0) / (2.0 * L0), 0.0), 1.0)
 
     elif spec.form == "triangular":
+        peak = 1.0 / L0
 
         def ev(x):
             x = np.asarray(x, dtype=float)
@@ -218,6 +219,7 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         if sig is None or not np.isfinite(sig) or sig <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
         norm = sig * math.sqrt(2.0 * math.pi) * (_phi(L0 / sig) - _phi(-L0 / sig))
+        peak = 1.0 / norm if norm else math.inf
 
         def ev(x):
             x = np.asarray(x, dtype=float)
@@ -248,9 +250,10 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             np.minimum(z, 1.0, out=z)
             return z if shape is None else z.reshape(shape)[()]
 
-    else:  # pragma: no cover - guarded by caller
-        raise ValueError(f"unknown kernel form {spec.form!r}")
-
+    # the density at the origin overflows for a subnormal L0 or sigma, and
+    # for a sigma so far above L0 that the gaussian's norm rounds to 0
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"kernel form {spec.form!r} has density {peak} at the origin")
     return ValidatedKernel(form=spec.form, support_radius=float(L0), evaluate=ev, cdf=cdf)
 
 
@@ -353,57 +356,46 @@ def cell_weights(nodes: np.ndarray, dx: float, a: float, b: float) -> np.ndarray
     return np.maximum(hi - lo, 0.0)
 
 
-def _clipped_cells(offsets: np.ndarray, dx: float, R: float):
-    """Covered length and covered-part midpoint of each cell inside [-R, R].
-
-    Evaluating the density at the covered midpoint instead of the node keeps
-    support-edge cells robust against rounding (a node can land a few ulps
-    outside the support while most of its cell is inside).
-    """
-    lo = np.maximum(offsets - 0.5 * dx, -R)
-    hi = np.minimum(offsets + 0.5 * dx, R)
-    cover = np.clip(hi - lo, 0.0, dx)
-    mids = np.where(cover > 0, 0.5 * (lo + hi), offsets)
-    return cover, mids
-
-
 def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
     """Discrete kernel masses on cells of width dx, normalised to unit sum.
 
     Cells intersecting the support edge are weighted by the covered length;
     tails below TAIL_FLOOR of the peak are dropped.  The raw discrete mass
     is divided out (and reported) so convolution preserves constants.
+
+    Each cell's density is taken at the midpoint of its covered part, not at
+    its node: a node can land a few ulps outside the support while most of
+    its cell is inside, and the midpoint keeps such edge cells robust.
     """
     if dx <= 0 or not np.isfinite(dx):
         raise ValueError("dx must be positive")
     R = kernel.support_radius
     check_grid_size(2.0 * R / dx + 1.0,
                     f"a {kernel.form} stencil of radius {R:g} at spacing {dx:g}")
-    half = int(math.ceil(R / dx + 0.5)) - 1
-    half = max(half, 0)
+    half = int(math.ceil(R / dx + 0.5)) - 1  # R / dx > 0, so half >= 0
     offsets = np.arange(-half, half + 1) * dx
-    cover, mids = _clipped_cells(offsets, dx, R)
-    vals = np.asarray(kernel.evaluate(mids), dtype=float)
+    lo = np.maximum(offsets - 0.5 * dx, -R)
+    hi = np.minimum(offsets + 0.5 * dx, R)
+    cover = np.minimum(np.maximum(hi - lo, 0.0), dx)
+    vals = np.asarray(kernel.evaluate(np.where(cover > 0, 0.5 * (lo + hi), offsets)), dtype=float)
 
-    peak = vals[half]
-    keep = np.nonzero(vals >= TAIL_FLOOR * peak)[0]
+    keep = np.nonzero(vals >= TAIL_FLOOR * vals[half])[0]
     trim = int(min(keep[0], 2 * half - keep[-1]))
     if trim > 0:
-        offsets = offsets[trim:-trim]
         cover = cover[trim:-trim]
         vals = vals[trim:-trim]
         half -= trim
 
     masses = vals * cover
     raw_mass = float(masses.sum())
-    if raw_mass <= 0:
-        raise ZeroMass("kernel stencil has zero discrete mass")
+    if not 0 < raw_mass < math.inf:  # also catches NaN
+        raise ZeroMass(f"kernel stencil has discrete mass {raw_mass}")
     masses = masses / raw_mass
     masses[half] += 1.0 - masses.sum()  # pin the sum to exactly 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        densities = np.where(cover > 0, masses / np.maximum(cover, 1e-300), 0.0)
+    densities = np.where(cover > 0, masses / np.maximum(cover, 1e-300), 0.0)
     box, direct_up_to = None, math.inf
-    if half > 0 and np.ptp(masses[1:-1]) <= FLAT_TOL and abs(masses[-1] - masses[0]) <= FLAT_TOL:
+    inner = masses[1:-1]
+    if half > 0 and inner.max() - inner.min() <= FLAT_TOL and abs(masses[-1] - masses[0]) <= FLAT_TOL:
         end = float(masses[0])
         box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
         direct_up_to = max((nodes for taps, nodes in FLAT_DIRECT if masses.size <= taps), default=0)

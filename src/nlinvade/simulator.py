@@ -151,7 +151,8 @@ def _sample_u0(profile: Profile, x: np.ndarray, h0: float) -> np.ndarray:
         if profile.amplitude <= 0:
             raise InvalidInitialU("cosine bump amplitude must be positive")
         inside = np.abs(x) < h0
-        u0 = np.where(inside, profile.amplitude * np.cos(0.5 * np.pi * x / h0), 0.0)
+        u0 = np.zeros_like(x)  # x / h0 may overflow outside
+        u0[inside] = profile.amplitude * np.cos(0.5 * np.pi * x[inside] / h0)
     elif profile.kind == "table":
         if profile.table is None or profile.table.ndim != 2 or profile.table.shape[1] != 2:
             raise InvalidInitialU("u0 table must be an (n, 2) array")
@@ -366,8 +367,6 @@ def front_speeds(state: SimState, wu: np.ndarray, lo: int, ia: int, ib: int) -> 
 def _flush(field: np.ndarray, t: float) -> int:
     """Raise on a blown-up field, flush its negatives to zero in place and
     return how many fell below GROSS_CLAMP."""
-    if not field.size:
-        return 0
     top = np.maximum.reduce(field)
     bottom = np.minimum.reduce(field)
     if not (top <= FIELD_CAP and bottom > -math.inf):  # also catches NaN

@@ -1,5 +1,8 @@
 import tempfile
+import warnings
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,10 @@ from nlinvade.config import (
     parse_value,
     serialize_config_mapping,
 )
-from nlinvade.errors import ConfigInvalid
+from nlinvade.dynamics import ModelParams
+from nlinvade.errors import ConfigInvalid, GridTooLarge, InvalidInitialU, StabilityViolated
+from nlinvade.kernels import CLOSED_FORMS, validate_kernel
+from nlinvade.simulator import FIELD_CAP, Profile, _sample_u0, init_state, step
 
 MINIMAL = """
 # weak-competition demo
@@ -294,6 +300,37 @@ class TestBuild:
             build_scenario(mapping, base_dir=tmp_path)
         assert err.value.path == section + suffix
 
+    @given(
+        h0=st.floats(min_value=0.01, max_value=5.0),
+        nodes=st.floats(min_value=0.5, max_value=400.0),
+        u_max=st.sampled_from([5e-324, 1e-323, 2.5e-323, 1e-322, 1e-320, 1e-310]),
+    )
+    @example(h0=0.2, nodes=20.0, u_max=5e-324)  # dx = 0.01, node 0.19: rejected
+    @example(h0=0.2, nodes=20.0, u_max=1e-310)
+    @example(h0=0.2, nodes=2.0, u_max=5e-324)  # dx = 0.1, node 0.1: builds
+    @settings(max_examples=100, deadline=None)
+    def test_subnormal_u_max_rejected_where_sampling_fails(self, h0, nodes, u_max):
+        """A cosine u_max is rejected at its key exactly when the sampled
+        bump rounds to 0 at an inside node."""
+        mapping = parse_config_text(MINIMAL)
+        mapping["params"]["h0"] = h0
+        mapping["numerics"]["dx"] = dx = h0 / nodes
+        mapping["initial"] = {"u_max": u_max}
+        try:
+            cfg = build_scenario(mapping)
+        except ConfigInvalid as err:
+            assert err.path == "initial.u_max"
+            built = False
+        else:
+            built = True
+        x = np.arange(-int(nodes) - 2, int(nodes) + 3) * dx
+        try:
+            _sample_u0(Profile.cosine(u_max), x, h0)
+        except InvalidInitialU:
+            assert not built
+        else:
+            assert built and cfg.u_profile.amplitude == u_max
+
     def test_gaussian_kernel_needs_sigma(self):
         mapping = parse_config_text(MINIMAL)
         mapping["kernel_u"] = {"form": "truncated_gaussian", "L0": 2.0}
@@ -425,6 +462,8 @@ class TestBuildFuzz:
     @example(target=("params", "h0"), value=9e307)
     # valid alone, but c2 = gamma * h_comp underflows to 0
     @example(target=("params", "gamma"), value=5e-324)
+    # valid alone, but the kernel's height overflows
+    @example(target=("kernel_u", "L0"), value=5e-324)
     @settings(max_examples=400, deadline=None)
     def test_single_fault_reported_at_its_key(self, target, value):
         section, key = target
@@ -444,5 +483,65 @@ class TestBuildFuzz:
         elif section == "params":
             # the stability bound on numerics.dt depends on every parameter
             assert path in (f"params.{key}", "numerics.dt")
+        elif section in ("kernel_u", "kernel_v"):
+            # a kernel that validate_kernel rejects is reported at its section
+            assert path in (f"{section}.{key}", section)
         else:
             assert path == f"{section}.{key}"
+
+
+# One key of a run is set to a subnormal, a near-overflow or an ordinary
+# value, and the kernels take any closed form.
+RUN_KEYS = sorted([
+    ("initial", "u_max"), ("initial", "v_value"), ("numerics", "dx"),
+    *((sec, key) for sec in ("kernel_u", "kernel_v") for key in ("L0", "sigma")),
+    *(("params", f.name) for f in fields(ModelParams)),
+])
+RUN_VALUES = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300, 1e307]),
+                       st.floats(min_value=0.01, max_value=5.0))
+
+
+class TestRunFuzz:
+    @given(
+        target=st.sampled_from(RUN_KEYS),
+        value=RUN_VALUES,
+        forms=st.tuples(st.sampled_from(CLOSED_FORMS), st.sampled_from(CLOSED_FORMS)),
+    )
+    # u_max rounds to 0 at the inside node 0.95; the kernel's height overflows
+    @example(target=("initial", "u_max"), value=5e-324, forms=("uniform", "uniform"))
+    @example(target=("kernel_u", "L0"), value=1e-320, forms=("uniform", "uniform"))
+    @example(target=("kernel_v", "L0"), value=5e-324, forms=("uniform", "triangular"))
+    @example(target=("kernel_u", "sigma"), value=1e-310, forms=("truncated_gaussian", "uniform"))
+    @settings(max_examples=150, deadline=None)
+    def test_steps_or_fails_at_build(self, target, value, forms):
+        """A config either builds a state that takes one step without a
+        warning, or fails with ConfigInvalid, or needs too large a grid."""
+        section, key = target
+        mapping = parse_config_text(MINIMAL)
+        for sec, form in zip(("kernel_u", "kernel_v"), forms):
+            if sec == section and key == "sigma":
+                form = "truncated_gaussian"
+            mapping[sec] = {"form": form, "L0": 1.0}
+            if form == "truncated_gaussian":
+                mapping[sec]["sigma"] = 0.5
+        mapping.setdefault(section, {})[key] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = build_scenario(mapping)
+                dx = cfg.numerics.dx
+                state = init_state(cfg.params, validate_kernel(cfg.kernel_u, dx),
+                                   validate_kernel(cfg.kernel_v, dx), cfg.u_profile,
+                                   cfg.v_profile, dx, cfg.numerics.window_pad)
+            except (ConfigInvalid, GridTooLarge):
+                return
+            if section == "initial" and value > FIELD_CAP:
+                # initial data well above the blow-up cap leaves it on the
+                # first step, by overflow for near-overflow values
+                warnings.simplefilter("ignore")
+                try:
+                    step(state, cfg.numerics.dt)
+                except StabilityViolated:
+                    pass
+                return
+            step(state, cfg.numerics.dt)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,24 @@ class TestValidation:
             validate_kernel(KernelSpec(form="truncated_gaussian", L0=1.0), DX)
         with pytest.raises(ValueError):
             validate_kernel(KernelSpec(form="nope", L0=1.0), DX)
+
+    # a subnormal L0 or sigma overflows the height at the origin, and a sigma
+    # far above L0 rounds the gaussian's normaliser to zero
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.uniform(1e-320),
+            KernelSpec.triangular(5e-324),
+            KernelSpec.truncated_gaussian(1.0, 1e-310),
+            KernelSpec.truncated_gaussian(1e-310, 1.0),
+            KernelSpec.truncated_gaussian(1e300, 1.0),
+        ],
+    )
+    def test_origin_density_must_be_finite(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at the origin"):
+                validate_kernel(spec, DX)
 
     def test_non_increasing_table_rejected(self):
         table = np.array([[-1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]])
@@ -262,6 +281,75 @@ class TestSymmetry:
         assert np.max(np.abs(k.evaluate(xs) - k.evaluate(-xs))) <= 1e-12
 
 
+def reference_grid_stencil(kernel, dx):
+    """grid_stencil as it was written before its one-pass form: a helper for
+    the covered cells, np.clip, np.ptp and an errstate block."""
+    R = kernel.support_radius
+    half = int(math.ceil(R / dx + 0.5)) - 1
+    half = max(half, 0)
+    offsets = np.arange(-half, half + 1) * dx
+    lo = np.maximum(offsets - 0.5 * dx, -R)
+    hi = np.minimum(offsets + 0.5 * dx, R)
+    cover = np.clip(hi - lo, 0.0, dx)
+    mids = np.where(cover > 0, 0.5 * (lo + hi), offsets)
+    vals = np.asarray(kernel.evaluate(mids), dtype=float)
+    peak = vals[half]
+    keep = np.nonzero(vals >= kernels.TAIL_FLOOR * peak)[0]
+    trim = int(min(keep[0], 2 * half - keep[-1]))
+    if trim > 0:
+        offsets = offsets[trim:-trim]
+        cover = cover[trim:-trim]
+        vals = vals[trim:-trim]
+        half -= trim
+    masses = vals * cover
+    raw_mass = float(masses.sum())
+    masses = masses / raw_mass
+    masses[half] += 1.0 - masses.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        densities = np.where(cover > 0, masses / np.maximum(cover, 1e-300), 0.0)
+    box, direct_up_to = None, math.inf
+    if (half > 0 and np.ptp(masses[1:-1]) <= kernels.FLAT_TOL
+            and abs(masses[-1] - masses[0]) <= kernels.FLAT_TOL):
+        end = float(masses[0])
+        box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
+        direct_up_to = max((nodes for taps, nodes in kernels.FLAT_DIRECT if masses.size <= taps),
+                           default=0)
+    return (half, masses, cover, densities, raw_mass, box, direct_up_to, masses[::-1].copy())
+
+
+# every form, a gaussian whose tails fall below TAIL_FLOOR and a flat table
+REFERENCE_SPECS = {
+    "uniform": KernelSpec.uniform(1.0),
+    "triangular": KernelSpec.triangular(1.5),
+    "gaussian": KernelSpec.truncated_gaussian(1.0, 2.0),
+    "trimmed_gaussian": KernelSpec.truncated_gaussian(0.1, 2.0),
+    "tabulated": KernelSpec.tabulated(gaussian_table()),
+    "flat_table": KernelSpec.tabulated(np.array([[-1.0, 0.5], [1.0, 0.5]])),
+}
+
+
+class TestStencilMatchesReference:
+    @pytest.mark.parametrize("form", sorted(REFERENCE_SPECS))
+    def test_bit_identical(self, form):
+        """Every GridStencil field has the reference's bytes, over spacings
+        from 1e-3 to 3 support radii: random, and those that put the support
+        edge on a node or on a cell edge."""
+        k = validate_kernel(REFERENCE_SPECS[form], DX)
+        R = k.support_radius
+        rng = np.random.default_rng(11)
+        spacings = [*R * np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 150)),
+                    *(R / m for m in (1, 2, 3, 40, 400)), *(R / (m + 0.5) for m in (0, 1, 40, 400))]
+        for dx in spacings:
+            got = grid_stencil(k, dx)
+            want = reference_grid_stencil(k, dx)
+            got = (got.half, got.masses, got.cover, got.densities, got.mass_correction, got.box,
+                   got.direct_up_to, got.reversed_masses)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), dx
+            if form == "trimmed_gaussian" and dx < 0.01:
+                assert got[0] < math.ceil(R / dx + 0.5) - 1  # the tails were trimmed
+
+
 class TestStencil:
     @pytest.mark.parametrize(
         "make",
@@ -280,6 +368,11 @@ class TestStencil:
     def test_uniform_needs_no_correction(self):
         st_ = grid_stencil(uniform_kernel(), DX)
         assert st_.mass_correction == pytest.approx(1.0, abs=1e-14)
+
+    def test_infinite_mass_raises(self):
+        k = replace(uniform_kernel(), evaluate=lambda x: np.full(np.shape(x), np.inf))
+        with pytest.raises(ZeroMass, match="discrete mass inf"):
+            grid_stencil(k, DX)
 
     def test_edge_cells_fractionally_covered(self):
         st_ = grid_stencil(uniform_kernel(), DX)

@@ -541,9 +541,6 @@ class TestFlush:
     def test_cap_itself_passes(self):
         assert _flush(np.array([0.0, FIELD_CAP]), 1.0) == 0
 
-    def test_empty_field(self):
-        assert _flush(np.zeros(0), 1.0) == 0
-
     @pytest.mark.parametrize("seed", range(5))
     def test_gross_count_and_zeroing(self, seed):
         rng = np.random.default_rng(seed)
