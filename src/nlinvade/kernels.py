@@ -230,6 +230,8 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         # decrease)
         c = 1.0 / (sig * math.sqrt(2.0))
         edge = math.erf(c * L0)
+        if edge == 0.0:  # c * L0 underflows, and the norm rounds to 0 with it
+            raise ValueError(f"kernel form {spec.form!r} has density {peak} at the origin")
         scale = 0.5 / edge
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)

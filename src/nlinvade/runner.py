@@ -6,6 +6,13 @@ profile snapshots, report.json and profile.svg into the output directory.
 scenario, one row per cell, optionally each cell in its own process; row
 order always follows grid enumeration order.
 
+With ``diagnostics.dt_halving`` on, the main run and the run at dt/2 go
+side by side where ``os.fork`` exists: the main run steps in a forked
+child, which pickles its result back through a pipe, while this process
+takes the halving run, which holds two thirds of the steps.  Elsewhere they
+go one after the other.  Either way the files, the report and the errors
+are the same.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 theorem-check failure (verify mode only).
 """
@@ -15,7 +22,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+import os
+import pickle
+import signal
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -86,9 +96,8 @@ def run_scenario(
         ku = validate_kernel(cfg.kernel_u, num.dx)
         kv = validate_kernel(cfg.kernel_v, num.dx)
         state0 = init_state(cfg.params, ku, kv, cfg.u_profile, cfg.v_profile, num.dx, num.window_pad)
-        result = run(state0, num.T, num.dt, num.snapshot_every, metrics_L=cfg.diagnostics.L_dev,
-                     profile_every=num.profile_every or None)
-        _diagnose(cfg, report, ku, state0, result, check_theorems)
+        result, half = _runs(cfg, state0)
+        _diagnose(cfg, report, ku, state0, result, half, check_theorems)
     except NlinvadeError as exc:
         report["regime"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -113,9 +122,93 @@ def run_scenario(
     )
 
 
-def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theorems: bool):
+def _runs(cfg: ScenarioConfig, state0):
+    """The main run's result, and with ``dt_halving`` on the final state of
+    the run at dt/2 or the NlinvadeError it raised (None when off).
+
+    A failure of the main run is raised here; one of the halving run is
+    returned, for `_diagnose` to raise where the audit goes, so that an
+    eigensolve failure still takes precedence as in a sequential run.
+    """
+    num, diag = cfg.numerics, cfg.diagnostics
+
+    def main_run():
+        return run(state0, num.T, num.dt, num.snapshot_every, metrics_L=diag.L_dev,
+                   profile_every=num.profile_every or None)
+
+    def halving_run():
+        # only the final state is read, so the halving run keeps no profiles
+        try:
+            return run(state0, num.T, num.dt / 2.0, num.snapshot_every,
+                       metrics_L=diag.L_dev).final_state
+        except NlinvadeError as exc:
+            return exc
+
+    if not diag.dt_halving:
+        return main_run(), None
+    if not hasattr(os, "fork"):
+        return main_run(), halving_run()
+
+    def sent_main_run():
+        # the kernels' cdf closures do not pickle, so the child sends none
+        result = main_run()
+        result.final_state = replace(result.final_state, j1=None, j2=None)
+        return result
+
+    result, half = _beside_child(sent_main_run, halving_run)
+    result.final_state = replace(result.final_state, j1=state0.j1, j2=state0.j2)
+    return result, half
+
+
+def _beside_child(main, other):
+    """``(main(), other())``, with ``main`` run in a forked child while this
+    process runs ``other``.  The child pickles main's result, or the
+    exception it raised, into a pipe; that exception is raised here, and a
+    child that ends without sending raises NlinvadeError naming its exit
+    status.  The child is reaped on every path, and killed first when
+    ``other`` or the read is interrupted."""
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(reader)
+            try:
+                result = main()
+            except Exception as exc:
+                result = exc
+            with open(writer, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's stack
+
+    os.close(writer)
+    with open(reader, "rb") as pipe:
+        try:
+            second = other()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        try:
+            how = "killed by " + signal.Signals(-code).name
+        except ValueError:  # a positive exit code, or a signal without a name
+            how = f"exit code {code}"
+        raise NlinvadeError(f"main run process died, {how}")
+    first = pickle.loads(data)
+    if isinstance(first, BaseException):
+        raise first
+    return first, second
+
+
+def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, half, check_theorems: bool):
     """Fill the regime, fronts, audit and checks of a completed run into
-    ``report``, in that order, so that a failing check leaves the rest."""
+    ``report``, in that order, so that a failing check leaves the rest.
+    ``half`` is what `_runs` returned for the dt-halving run."""
     series = result.series
     final = result.final_state
     try:
@@ -156,11 +249,9 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, check_theor
     checks.append(comparison_bound_check(series, v0_max, cfg.params.gamma))
     report["theorem_checks"] = [c.to_record() for c in checks]
 
-    if cfg.diagnostics.dt_halving:
-        # only the final state is read, so the halving run keeps no profiles
-        num = cfg.numerics
-        half = run(state0, num.T, num.dt / 2.0, num.snapshot_every,
-                   metrics_L=cfg.diagnostics.L_dev).final_state
+    if isinstance(half, NlinvadeError):
+        raise half
+    if half is not None:
         rel = max(
             abs(final.h_front - half.h_front) / abs(half.h_front),
             abs(final.g_front - half.g_front) / abs(half.g_front),

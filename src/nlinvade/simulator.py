@@ -59,7 +59,10 @@ count.
 `run` calls the module global `step` as ``step(state, dt)``, two
 positional arguments, once per step.  The benchmark's node-step counter
 (perfbench/run.py) and its tracer replace that global with a wrapper of
-exactly that signature, so `run` must keep making that call.
+exactly that signature, so `run` must keep making that call.  With
+``diagnostics.dt_halving`` on, `runner.run_scenario` takes the main run in
+a forked child where ``os.fork`` exists, so a wrapper installed in the
+calling process sees only the halving run's steps.
 
 Both convolutions go through `kernels.grid_convolve`: the u band with zero
 extension, the whole v window with edge continuation.  It chooses how each

@@ -2,7 +2,8 @@
 
 Importing scipy.signal alone costs most of a second, so the package
 imports each scipy subpackage inside the branch that uses it, and
-multiprocessing only for a parallel sweep.  Uniform and truncated-gaussian
+multiprocessing only for a parallel sweep (a dt-halving run forks its
+second process with ``os.fork`` alone).  Uniform and truncated-gaussian
 runs load no scipy at all, nor does an eigensolve on a grid that the
 uniform stencil spans (rank one, solved without ARPACK).  Every case runs in its own interpreter and
 reports which watched modules it loaded.
@@ -40,6 +41,8 @@ T = 0.5
 with tempfile.TemporaryDirectory() as out:
     run_scenario(cfg, outdir=out)
 """
+
+UNIFORM_HALVING_RUN = UNIFORM_RUN.replace("T = 0.5", "T = 0.5\n[diagnostics]\ndt_halving = true")
 
 GAUSSIAN_KERNEL = """
 from nlinvade.kernels import KernelSpec, validate_kernel
@@ -130,6 +133,7 @@ def loaded(snippet: str) -> list[str]:
 # itself imports scipy.sparse.linalg and scipy.special.
 CASES = {
     "uniform-run": (UNIFORM_RUN, [], list(WATCHED)),
+    "uniform-halving-run": (UNIFORM_HALVING_RUN, [], list(WATCHED)),
     "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
     "gaussian-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "1"), [], list(WATCHED)),
     "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), ["multiprocessing"],

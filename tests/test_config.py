@@ -300,6 +300,15 @@ class TestBuild:
             build_scenario(mapping, base_dir=tmp_path)
         assert err.value.path == section + suffix
 
+    @pytest.mark.parametrize("section", ["kernel_u", "kernel_v"])
+    def test_gaussian_with_underflowing_edge_rejected(self, section):
+        # sigma so far above L0 that erf(L0 / (sigma * sqrt(2))) is 0
+        mapping = parse_config_text(MINIMAL)
+        mapping[section] = {"form": "truncated_gaussian", "L0": 1e-20, "sigma": 1e307}
+        with pytest.raises(ConfigInvalid, match="at the origin") as err:
+            build_scenario(mapping)
+        assert err.value.path == section
+
     @given(
         h0=st.floats(min_value=0.01, max_value=5.0),
         nodes=st.floats(min_value=0.5, max_value=400.0),

@@ -100,7 +100,8 @@ class TestValidation:
             validate_kernel(KernelSpec(form="nope", L0=1.0), DX)
 
     # a subnormal L0 or sigma overflows the height at the origin, and a sigma
-    # far above L0 rounds the gaussian's normaliser to zero
+    # far above L0 rounds the gaussian's normaliser to zero; so far above a
+    # tiny L0 that the erf argument underflows, the cdf's edge value is 0 too
     @pytest.mark.parametrize(
         "spec",
         [
@@ -109,6 +110,7 @@ class TestValidation:
             KernelSpec.truncated_gaussian(1.0, 1e-310),
             KernelSpec.truncated_gaussian(1e-310, 1.0),
             KernelSpec.truncated_gaussian(1e300, 1.0),
+            KernelSpec.truncated_gaussian(1e307, 1e-20),
         ],
     )
     def test_origin_density_must_be_finite(self, spec):

@@ -290,12 +290,15 @@ class TestRunScenario:
 
     def test_dt_halving_run_keeps_no_profiles(self, tmp_path, monkeypatch):
         """Only the halving run's final state is read, so it keeps the first
-        and last profile alone; the main run keeps its profile_every ones."""
-        runs, real = [], runner.run
+        and last profile alone; the main run keeps its profile_every ones.
+        The main run may step in a forked child, so each call is recorded
+        in a file rather than in this process's memory."""
+        log, real = tmp_path / "runs.txt", runner.run
 
         def recording_run(*args, **kwargs):
             result = real(*args, **kwargs)
-            runs.append((args[2], len(result.profiles)))
+            with open(log, "a") as fh:
+                fh.write(f"{args[2]!r} {len(result.profiles)}\n")
             return result
 
         monkeypatch.setattr(runner, "run", recording_run)
@@ -304,7 +307,8 @@ class TestRunScenario:
                 + "\n[diagnostics]\ndt_halving = true\n")
         out = tmp_path / "run"
         run_scenario(scenario(text), outdir=out, check_theorems=False)
-        assert runs == [(0.02, 4), (0.01, 2)]
+        runs = [(float(dt), int(kept)) for dt, kept in map(str.split, log.read_text().splitlines())]
+        assert sorted(runs) == sorted([(0.02, 4), (0.01, 2)])
         assert sorted(p.name for p in out.glob("snapshot_t*.txt")) == [
             snapshot_name(t) for t in (0.0, 5.0, 10.0, 12.0)]
 
@@ -343,6 +347,117 @@ class TestRunScenario:
         assert main(["verify", "--config", str(config_file(tmp_path, text)),
                      "--out", str(tmp_path / "cli"), "--quiet"]) == 3
         assert (tmp_path / "cli" / "timeseries.csv").exists()
+
+
+HALVING = "\n[diagnostics]\ndt_halving = true\n"
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_main_run(monkeypatch, fail):
+    """Make the run at the main dt (0.02) call ``fail``; the halving run is real."""
+    real = runner.run
+
+    def run(state, T, dt, *args, **kwargs):
+        if dt == 0.02:
+            fail()
+        return real(state, T, dt, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run", run)
+
+
+class TestHalvingBesideMainRun:
+    """With dt_halving on, the main run may step in a forked child that
+    pickles its result back: the files, the report and the errors are those
+    of the main run alone, and no child outlives run_scenario."""
+
+    def test_main_run_crosses_bit_for_bit(self, tmp_path, monkeypatch):
+        states, real_init = [], runner.init_state
+
+        def recording_init(*args, **kwargs):
+            states.append(real_init(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(runner, "init_state", recording_init)
+        text = (BASE.replace("T = 3.0", "T = 6.0")
+                .replace("snapshot_every = 0.25", "snapshot_every = 0.25\nprofile_every = 2.0"))
+        plain = run_scenario(scenario(text), outdir=tmp_path / "plain", check_theorems=True)
+        both = run_scenario(scenario(text + HALVING), outdir=tmp_path / "both", check_theorems=True)
+        no_child_left()
+        assert plain.exit_code == both.exit_code
+
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "both").iterdir())
+        assert len([n for n in names if n.startswith("snapshot_t")]) == 4
+        for name in names:
+            if name != "report.json":
+                assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in ("plain", "both")]
+        for report in reports:
+            report["numerics_audit"] = {k: v for k, v in report["numerics_audit"].items()
+                                        if not k.startswith("dt_halving")}
+        assert reports[0] == reports[1]
+        assert "dt_halving_steps" in both.report["numerics_audit"]
+
+        a, b = plain.result.final_state, both.result.final_state
+        for name in ("u", "v", "x"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("t", "g_front", "h_front", "i0", "x_list", "clamp_count", "window_growths",
+                     "steps", "node_steps"):
+            assert getattr(a, name) == getattr(b, name)
+        assert b.j1 is states[1].j1 and b.j2 is states[1].j2
+        assert b.j1.cdf(0.25) == a.j1.cdf(0.25)
+
+    def test_package_error_as_without_halving(self, tmp_path, monkeypatch):
+        def fail():
+            raise StabilityViolated("forced for the test")
+
+        failing_main_run(monkeypatch, fail)
+        outcomes = {}
+        for name, text in (("plain", BASE), ("both", BASE + HALVING)):
+            outcomes[name] = run_scenario(scenario(text), outdir=tmp_path / name, check_theorems=True)
+            no_child_left()
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["report.json"]
+        assert outcomes["plain"].exit_code == outcomes["both"].exit_code == 3
+        assert outcomes["both"].result is None
+        assert outcomes["both"].report["error"] == "StabilityViolated: forced for the test"
+        assert ((tmp_path / "both" / "report.json").read_bytes()
+                == (tmp_path / "plain" / "report.json").read_bytes())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the main run steps in this process")
+    def test_killed_child_exit_3(self, tmp_path, monkeypatch):
+        failing_main_run(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        outcome = run_scenario(scenario(BASE + HALVING), outdir=tmp_path / "run", check_theorems=True)
+        no_child_left()
+        assert outcome.exit_code == 3 and outcome.result is None
+        assert outcome.report["error"] == "NlinvadeError: main run process died, killed by SIGKILL"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["report.json"]
+
+    def test_other_error_keeps_its_type(self, tmp_path, monkeypatch):
+        def fail():
+            raise RuntimeError("forced for the test")
+
+        failing_main_run(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="^forced for the test$"):
+            run_scenario(scenario(BASE + HALVING), outdir=tmp_path / "run", check_theorems=True)
+        no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the main run steps in this process")
+    def test_interrupted_halving_run_kills_the_child(self, tmp_path, monkeypatch):
+        def run(state, T, dt, *args, **kwargs):
+            if dt == 0.02:
+                time.sleep(60.0)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "run", run)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(scenario(BASE + HALVING), outdir=tmp_path / "run", check_theorems=True)
+        no_child_left()
+        assert time.monotonic() - started < 30.0
 
 
 class TestSweep:
