@@ -3,15 +3,13 @@
 ``run_scenario`` drives one scenario end to end and writes timeseries.csv,
 profile snapshots, report.json and profile.svg into the output directory.
 ``sweep`` runs a Cartesian grid of single-value overrides over a base
-scenario, one row per cell, optionally each cell in its own process; row
-order always follows grid enumeration order.
+scenario, one row per cell; row order follows grid enumeration order.
 
-With ``diagnostics.dt_halving`` on, the main run and the run at dt/2 go
-side by side where ``os.fork`` exists: the main run steps in a forked
-child, which pickles its result back through a pipe, while this process
-takes the halving run, which holds two thirds of the steps.  Elsewhere they
-go one after the other.  Either way the files, the report and the errors
-are the same.
+Where ``os.fork`` exists, `_fork` and `_join` run work in a child process
+that pickles its result back through a pipe: the main run while this
+process takes the dt-halving run (two thirds of the steps), and the cells of
+a sweep with ``jobs`` above 1.  Elsewhere both go one after the other here,
+with the same files, reports and errors.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 theorem-check failure (verify mode only).
@@ -20,6 +18,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import itertools
 import math
 import os
@@ -72,15 +72,13 @@ def run_scenario(
 ) -> RunOutcome:
     """Execute one scenario; see module docstring for the exit-code map."""
     out = Path(outdir) if outdir is not None else Path(cfg.outdir)
-    theta = theta_classify(cfg.params)
-    eq = equilibria_and_class(cfg.params)
     report: dict = {
         "regime": None,
         "fronts": {},
-        "theta": theta.to_record(),
+        "theta": theta_classify(cfg.params).to_record(),
         "theorem_checks": [],
         "numerics_audit": {
-            "competition_case": eq.competition_case,
+            "competition_case": equilibria_and_class(cfg.params).competition_case,
             "dx": cfg.numerics.dx,
             "dt": cfg.numerics.dt,
             "stability_bound": stability_bound(cfg.params),
@@ -155,26 +153,34 @@ def _runs(cfg: ScenarioConfig, state0):
         result.final_state = replace(result.final_state, j1=None, j2=None)
         return result
 
-    result, half = _beside_child(sent_main_run, halving_run)
+    child = _fork(sent_main_run)
+    try:
+        half = halving_run()
+    except BaseException:
+        _kill(child)
+        raise
+    result = _join(child, "main run")
     result.final_state = replace(result.final_state, j1=state0.j1, j2=state0.j2)
     return result, half
 
 
-def _beside_child(main, other):
-    """``(main(), other())``, with ``main`` run in a forked child while this
-    process runs ``other``.  The child pickles main's result, or the
-    exception it raised, into a pipe; that exception is raised here, and a
-    child that ends without sending raises NlinvadeError naming its exit
-    status.  The child is reaped on every path, and killed first when
-    ``other`` or the read is interrupted."""
+def _fork(fn):
+    """Start ``fn()`` in a forked child, for `_join`.  The child pickles fn's
+    result, or the exception it raised, into a pipe and leaves by
+    ``os._exit``; on Linux the kernel kills it when this process dies."""
     reader, writer = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(reader)
+            if hasattr(ctypes.CDLL(None), "prctl"):  # Linux: PR_SET_PDEATHSIG = 1
+                ctypes.CDLL(None).prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
+            if os.getppid() != parent:  # the parent died before the guard stood
+                os._exit(code)
             try:
-                result = main()
+                result = fn()
             except Exception as exc:
                 result = exc
             with open(writer, "wb") as pipe:
@@ -182,27 +188,40 @@ def _beside_child(main, other):
             code = 0
         finally:
             os._exit(code)  # never back into the caller's stack
-
     os.close(writer)
-    with open(reader, "rb") as pipe:
-        try:
-            second = other()
+    return pid, open(reader, "rb")
+
+
+def _join(child, what: str):
+    """Reap a child of `_fork` and return fn's result, or raise the exception
+    it raised, or NlinvadeError("<what> process died, ...") naming the exit
+    status when nothing came.  An interrupted read kills the child first."""
+    pid, pipe = child
+    try:
+        with pipe:
             data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        _kill(child)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         try:
             how = "killed by " + signal.Signals(-code).name
         except ValueError:  # a positive exit code, or a signal without a name
             how = f"exit code {code}"
-        raise NlinvadeError(f"main run process died, {how}")
-    first = pickle.loads(data)
-    if isinstance(first, BaseException):
-        raise first
-    return first, second
+        raise NlinvadeError(f"{what} process died, {how}")
+    result = pickle.loads(data)
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _kill(child) -> None:
+    """SIGKILL and reap a child of `_fork` whose result is not wanted."""
+    pid, pipe = child
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, half, check_theorems: bool):
@@ -280,56 +299,36 @@ SWEEP_FIELDS = [
 ]
 
 
-def _sweep_cell(task) -> dict:
-    """The row of one cell, or the error row of the exception it raises."""
+def _row(fn, *args) -> dict:
+    """``fn(*args)``, or the error row of the exception it raises."""
     try:
-        return _cell_row(*task)
+        return fn(*args)
     except Exception as exc:  # a failed cell stays in its row; the sweep goes on
-        return _error_row(f"{type(exc).__name__}: {exc}")
-
-
-def _error_row(error: str) -> dict:
-    return {**dict.fromkeys(SWEEP_FIELDS, ""), "status": "error", "error": error}
-
-
-def _send_row(writer, task) -> None:
-    writer.send(_sweep_cell(task))
+        error = f"{type(exc).__name__}: {exc}"
+        return {**dict.fromkeys(SWEEP_FIELDS, ""), "status": "error", "error": error}
 
 
 def _parallel_rows(tasks: list, jobs: int) -> list[dict]:
-    """The rows of ``tasks``, each cell run in its own process, at most
-    ``jobs`` at a time, with the platform's default start method.  A cell
-    whose process ends without sending its row gets an error row naming
-    the exit code (negative for a signal); no other cell is touched.
-    Only a parallel sweep imports multiprocessing."""
-    import multiprocessing
-    from multiprocessing.connection import wait
-
+    """The rows of ``tasks``, each cell run in a `_fork` child, at most
+    ``jobs`` at a time.  A cell whose child ends without sending its row
+    gets the error row naming its exit code or signal; no other cell is
+    touched.  If the wait raises, the children still running are killed."""
+    import selectors  # only a parallel sweep waits on several pipes
     rows, todo, running = [None] * len(tasks), iter(enumerate(tasks)), {}
-    try:
-        while True:
-            for index, task in itertools.islice(todo, jobs - len(running)):
-                reader, writer = multiprocessing.Pipe(duplex=False)
-                with writer:  # closed here once started: the reader sees EOF when the cell ends
-                    proc = multiprocessing.Process(target=_send_row, args=(writer, task))
-                    proc.start()
-                running[reader] = index, proc
-            if not running:
-                return rows
-            for reader in wait(list(running)):
-                index, proc = running.pop(reader)
-                with reader:
-                    try:
-                        row = reader.recv()
-                    except EOFError:  # the process ended without sending its row
-                        row = None
-                proc.join()
-                rows[index] = row or _error_row(f"cell process died, exit code {proc.exitcode}")
-    finally:
-        for reader, (_, proc) in running.items():
-            proc.terminate()
-            proc.join()
-            reader.close()
+    with selectors.DefaultSelector() as ready:
+        try:
+            while True:
+                for index, task in itertools.islice(todo, jobs - len(running)):
+                    running[index] = _fork(functools.partial(_row, _cell_row, *task))
+                    ready.register(running[index][1], selectors.EVENT_READ, index)
+                if not running:
+                    return rows
+                for key, _ in ready.select():
+                    ready.unregister(key.fileobj)
+                    rows[key.data] = _row(_join, running.pop(key.data), "cell")
+        finally:
+            for child in running.values():
+                _kill(child)
 
 
 def _cell_row(mapping, base_dir, cell_dir, check) -> dict:
@@ -369,8 +368,8 @@ def sweep(
     are derived per cell (``snapshot_every`` from T and dt, ``window_pad``
     from the kernel radii, h0 and dx, and through it ``L_dev``), and
     relative table paths resolve against the base config's directory.
-    With ``jobs`` above 1 each cell runs in its own process, at most
-    ``jobs`` at a time.  Cell failures, a dying process included, land in
+    With ``jobs`` above 1 each cell runs in a forked child, at most ``jobs``
+    at a time.  Cell failures, a dying process included, land in
     their own row and never abort the sweep.  Rows follow grid enumeration
     order regardless of scheduling.
     """
@@ -397,7 +396,8 @@ def sweep(
             mapping.setdefault(section, {})[key] = value
         tasks.append((mapping, cfg.base_dir, str(out / f"cell_{index:04d}"), check_theorems))
 
-    results = _parallel_rows(tasks, jobs) if jobs > 1 else list(map(_sweep_cell, tasks))
+    parallel = jobs > 1 and hasattr(os, "fork")
+    results = _parallel_rows(tasks, jobs) if parallel else [_row(_cell_row, *t) for t in tasks]
 
     header = ["cell", *paths, *SWEEP_FIELDS]
     rows = [[index, *combo] + [r[k] for k in SWEEP_FIELDS]

@@ -1,12 +1,12 @@
 """Which scipy subpackages a fresh interpreter loads, per code path.
 
 Importing scipy.signal alone costs most of a second, so the package
-imports each scipy subpackage inside the branch that uses it, and
-multiprocessing only for a parallel sweep (a dt-halving run forks its
-second process with ``os.fork`` alone).  Uniform and truncated-gaussian
-runs load no scipy at all, nor does an eigensolve on a grid that the
-uniform stencil spans (rank one, solved without ARPACK).  Every case runs in its own interpreter and
-reports which watched modules it loaded.
+imports each scipy subpackage inside the branch that uses it, and never
+multiprocessing: a dt-halving run and a parallel sweep fork their children
+with ``os.fork`` alone.  Uniform and truncated-gaussian runs load no scipy
+at all, nor does an eigensolve on a grid that the uniform stencil spans
+(rank one, solved without ARPACK).  Every case runs in its own interpreter
+and reports which watched modules it loaded.
 """
 
 import json
@@ -19,8 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # "scipy" stands for every scipy module: each one imports the package.
-# Only a parallel sweep uses multiprocessing, and it starts each cell's
-# process itself, without the process pool of concurrent.futures.process.
+# No code path loads multiprocessing or the process pool of
+# concurrent.futures.process: child processes come from a bare os.fork.
 WATCHED = ("scipy", "scipy.signal", "scipy.sparse.linalg", "scipy.special",
            "multiprocessing", "concurrent.futures.process")
 
@@ -136,8 +136,7 @@ CASES = {
     "uniform-halving-run": (UNIFORM_HALVING_RUN, [], list(WATCHED)),
     "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
     "gaussian-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "1"), [], list(WATCHED)),
-    "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), ["multiprocessing"],
-                       ["concurrent.futures.process"]),
+    "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), [], list(WATCHED)),
     "eigen-16-nodes": (EIGEN_16_NODES, ["scipy.sparse.linalg"], ["scipy.signal"]),
     "eigen-801-nodes": (EIGEN_801_NODES, [], list(WATCHED)),
     "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),

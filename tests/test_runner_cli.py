@@ -1,10 +1,12 @@
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
+import selectors
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +461,34 @@ class TestHalvingBesideMainRun:
         no_child_left()
         assert time.monotonic() - started < 30.0
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_child_ends_with_its_parent(self):
+        # A process that forks a sleeping child and is then SIGKILLed, so
+        # it never unwinds: the child must end within seconds, not sleep on.
+        code = ("import time\nfrom nlinvade import runner\n"
+                "print(runner._fork(lambda: time.sleep(60))[0], flush=True)\ntime.sleep(60)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(runner.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              text=True) as parent:
+            child = int(parent.stdout.readline())
+            parent.kill()
+
+        def ended():  # gone, or a zombie where PID 1 does not reap
+            try:  # the state follows the parenthesised command name
+                return Path(f"/proc/{child}/stat").read_text().rpartition(")")[2].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 10.0
+        while not ended() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not ended():
+            os.kill(child, signal.SIGKILL)
+            pytest.fail(f"child {child} outlived its parent by 10 s")
+
 
 class TestSweep:
     def test_rows_follow_enumeration_order(self, tmp_path):
@@ -586,34 +616,48 @@ class TestSweep:
         assert rows[1][error] == "RuntimeError: cell blew up"
 
     def test_parallel_matches_serial(self, tmp_path):
-        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n"
+        # Cells that differ in kernel form and dx, with a truncated-gaussian
+        # v kernel throughout and dt halving on, so that each cell forks its
+        # own halving child: serial and parallel write the same bytes.  An
+        # axis cannot switch a kernel between uniform and truncated gaussian
+        # (only the latter reads sigma), so u goes uniform and triangular.
+        text = (BASE.replace('form = "uniform"\nL0 = 1.0\n\n[numerics]',
+                             'form = "truncated_gaussian"\nL0 = 1.0\nsigma = 0.5\n\n[numerics]')
+                + HALVING + '\n[sweep]\naxis.kernel_u.form = ["uniform", "triangular"]\n'
+                + "axis.numerics.dx = [0.1, 0.05]\n")
+        assert scenario(text).kernel_v.form == "truncated_gaussian"
         _, rows1 = sweep(scenario(text), outdir=tmp_path / "s1", check_theorems=False, jobs=1)
         _, rows2 = sweep(scenario(text), outdir=tmp_path / "s2", check_theorems=False, jobs=2)
         assert rows1 == rows2
+        assert [r[1:3] for r in rows1] == [["uniform", 0.1], ["uniform", 0.05],
+                                           ["triangular", 0.1], ["triangular", 0.05]]
+        assert all(r[3] == "ok" for r in rows1)
+        files = sorted(p.relative_to(tmp_path / "s1") for p in (tmp_path / "s1").rglob("*"))
+        assert files == sorted(p.relative_to(tmp_path / "s2") for p in (tmp_path / "s2").rglob("*"))
+        assert len([f for f in files if f.name == "report.json"]) == 4
+        for name in files:
+            if (tmp_path / "s1" / name).is_file():
+                assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="a sweep without os.fork is serial")
     def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
-        # A stand-in process class runs its cell inline at start() and counts
-        # the processes started and not yet joined, so no process starts.
+        # Wrap the fork and the join of the cell children, and count at each
+        # start the children started and not yet joined.
         alive, counts = set(), []
+        real_fork, real_join = runner._fork, runner._join
 
-        class InlineProcess:
-            exitcode = 0
+        def fork(fn):
+            child = real_fork(fn)
+            alive.add(child)
+            counts.append(len(alive))
+            return child
 
-            def __init__(self, target, args):
-                self.target, self.args = target, args
+        def join(child, what):
+            alive.discard(child)
+            return real_join(child, what)
 
-            def start(self):
-                alive.add(self)
-                counts.append(len(alive))
-                self.target(*self.args)
-
-            def join(self, timeout=None):
-                alive.discard(self)
-
-            def terminate(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+        monkeypatch.setattr(runner, "_fork", fork)
+        monkeypatch.setattr(runner, "_join", join)
         for jobs, mus in ((500, [0.5, 2.0]), (2, [0.5, 1.0, 2.0, 3.0, 4.0])):
             counts.clear()
             text = BASE + f"\n[sweep]\naxis.params.mu = {mus}\n"
@@ -623,7 +667,7 @@ class TestSweep:
             assert len(counts) == len(rows) == len(mus)
             assert not alive
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="the cell processes must inherit the patched run_scenario")
     @pytest.mark.parametrize(
         "cells, dies, how",
@@ -635,7 +679,7 @@ class TestSweep:
     def test_dying_worker_recorded_not_fatal(self, tmp_path, monkeypatch, cells, dies, how):
         # One cell's process ends without a word, by os._exit(1) or by
         # SIGKILL to itself.  Only that cell gets an error row, naming the
-        # exit code (negative for a signal); every other cell runs as usual.
+        # exit code or the signal; every other cell runs as usual.
         mus = [0.5 + i for i in range(cells)]
 
         def dying(cfg, **kwargs):
@@ -649,34 +693,30 @@ class TestSweep:
         text = BASE + f"\n[sweep]\ncap = {cells}\naxis.params.mu = {mus}\n"
         header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=2)
         status, error = header.index("status"), header.index("error")
-        code = 1 if how == "exit" else -signal.SIGKILL
+        died = "exit code 1" if how == "exit" else "killed by SIGKILL"
         assert [r[0] for r in rows] == list(range(cells))
         assert rows[dies][status] == "error"
-        assert rows[dies][error].endswith(f"exit code {code}")
+        assert rows[dies][error] == f"NlinvadeError: cell process died, {died}"
         assert all(r[status] == "ok" for r in rows[:dies] + rows[dies + 1:])
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + cells
         assert lines[1 + dies].startswith(f"{dies},{mus[dies]},error,")
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="the cell processes must inherit the patched run_scenario")
     def test_parent_failure_stops_the_cells(self, tmp_path, monkeypatch):
         # Every cell would sleep for a minute.  The parent's wait for rows
-        # raises, and sweep terminates and joins the cells it started.
-        def interrupted(readers, timeout=None):
+        # raises, and sweep kills and reaps the cells it started.
+        def interrupted(self, timeout=None):
             raise RuntimeError("parent interrupted")
 
         monkeypatch.setattr(runner, "run_scenario", lambda cfg, **kwargs: time.sleep(60))
-        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        monkeypatch.setattr(selectors.DefaultSelector, "select", interrupted)
         text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0, 3.0]\n"
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="parent interrupted"):
             sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False, jobs=2)
-        left = multiprocessing.active_children()
-        for proc in left:
-            proc.kill()
-            proc.join(timeout=10)
-        assert left == []
+        no_child_left()
         assert time.monotonic() - start < 30
 
     @pytest.mark.parametrize("text", [VANISHING.replace("T = 20.0", "T = 5.0"), BASE],
