@@ -25,55 +25,44 @@ found by one of three methods:
   weighs in an end column what an interior tap does (l = L0).  B is rank
   one with the constant eigenvector, and rho is the mean of B applied to
   ones: d1 * l / (2 * L0) for a uniform kernel of radius L0, length l.
-- "arpack": every other grid, by ARPACK's implicitly restarted Arnoldi
-  method on the matrix-free operator, stopped at the relative accuracy
-  ARPACK_TOL.
+- "krylov": every other grid, by a thick-restart Arnoldi on the
+  matrix-free operator, which never forms B's band (`_krylov_solve`;
+  Stewart's Krylov-Schur restart, SIAM J. Matrix Anal. Appl. 23, 2001).
 
-All three return the pair only after its residual passes RESIDUAL_TOL.
-This module imports scipy.sparse.linalg on the ARPACK path only, at its
-first call, so a process whose solves are all dense or rank one never
-loads it.  Translation invariance is exact because every interval is
-normalised to left endpoint 0 before discretisation.
+All three are numpy alone and return the pair only after its residual
+passes RESIDUAL_TOL.  Translation invariance is exact because every
+interval is normalised to left endpoint 0 before discretisation.
 
-ARPACK's Krylov basis is sized to the interval's length in kernel widths,
-r = (n - 1) / half for n nodes under a stencil of half-width ``half``
-nodes: ncv = min(20, max(8, ceil(r) + 4)) vectors.  Its matvec count at
-ARPACK_TOL depends on r, not on n (the counts were identical at
-dx = L0/40 and L0/13), and eigs' default of 20 vectors paid 21 matvecs on
-short intervals that converge in 9.  From r = 16 on the basis stays at
-20: there 16 vectors were up to 1.14 times and 8 vectors up to 1.83 times
-slower, from the extra restarts.
+The Krylov basis holds m = min(20, max(8, ceil(r) + 4)) vectors, r = (n -
+1) / half the interval's length in stencil half-widths: 20 vectors cost 21
+matvecs at least, the sized basis 2 to 19 below r = 16.  Cost per solve in
+ms (d1 = 1, dx = L0/40, uniform kernel with L0 = 1, truncated gaussian with
+sigma = 1, L0 = 2, each solver called on the operator, so uniform grids of
+up to 41 nodes, rank one in use, are timed too; medians of 21 interleaved
+solves, shared 2-vCPU x86-64 VM, one BLAS thread; matvecs in brackets):
 
-Cost per solve in ms by r and node count (d1 = 1, dx = L0/40, the uniform
-kernel with L0 = 1 and the truncated gaussian with sigma = 1, L0 = 2;
-medians of 21 interleaved solves on a shared 2-vCPU x86-64 VM, one BLAS
-thread; ARPACK stopped at ARPACK_TOL, matvec counts in brackets):
+        r  nodes  kernel    basis  dense  Krylov
+      0.6     25  uniform       8   0.22  0.11 (2)
+     0.85     35  uniform       8   0.37  0.12 (2)
+      1.4     57  uniform       8   0.78  0.30 (9)
+        2     81  uniform       8   2.52  0.33 (9)
+        4    161  uniform       8   9.98  0.70 (13)
+        8    321  uniform      12      -  0.47 (13)
+       11    441  uniform      15      -  0.60 (16)
+       14    561  uniform      18      -  0.89 (19)
+       16    641  uniform      20      -  0.96 (21)
+       32   1281  uniform      20      -  2.13 (31)
+      0.6     25  gaussian      8   0.22  0.29 (9)
+     0.85     35  gaussian      8   0.35  0.28 (9)
+      1.4     57  gaussian      8   0.92  0.45 (9)
+        4    161  gaussian      8   9.61  0.41 (9)
+       11    441  gaussian     15      -  0.58 (16)
+       32   1281  gaussian     20      -  2.97 (41)
 
-        r  nodes  kernel    basis  dense   ARPACK ncv=20  ARPACK sized
-      0.6     25  uniform       8   0.49     1.20 (21)     0.59 (9)
-     0.85     35  uniform       8   0.44     0.76 (21)     0.41 (9)
-      1.4     57  uniform       8   0.87     0.82 (21)     0.45 (9)
-        2     81  uniform       8   4.04     1.30 (21)     0.72 (9)
-        4    161  uniform       8   8.32     1.06 (21)     0.59 (13)
-        8    321  uniform      12      -     1.56 (21)     1.08 (13)
-       11    441  uniform      15      -     0.95 (21)     0.72 (16)
-       14    561  uniform      18      -     1.01 (21)     0.91 (19)
-       16    641  uniform      20      -     1.09 (21)     1.02 (21)
-       32   1281  uniform      20      -     1.99 (31)     1.99 (31)
-      0.6     25  gaussian      8   0.34     0.74 (21)     0.46 (9)
-     0.85     35  gaussian      8   0.70     1.14 (21)     0.66 (9)
-      1.4     57  gaussian      8   1.38     1.26 (21)     0.71 (9)
-        4    161  gaussian      8   8.86     1.16 (21)     0.67 (9)
-       11    441  gaussian     15      -     0.88 (21)     0.70 (16)
-       32   1281  gaussian     20      -     2.68 (41)     2.80 (41)
-
-Dense time over sized-ARPACK time, the median of 100 interleaved pairs,
-crossed 1 between 33 nodes (uniform 0.95, gaussian 0.89) and 36 (1.08,
-1.03) at dx = L0/40, and between 33 (1.00, 0.99) and 35 (1.04, 1.04) at
-dx = L0/13, hence DENSE_THRESHOLD = 35.  Stopping at 1e-12 instead of
-machine precision saves restarts on long intervals only; it moved lambda
-by at most 1.8e-15, and the residuals on these grids stayed at or below
-1.2e-12, four orders under RESIDUAL_TOL.
+Dense time over Krylov time, the median of 100 interleaved pairs, crossed
+1 at 31-33 nodes for the gaussian at dx = L0/40 (0.96, 1.02), at 27-31 at
+dx = L0/13 (0.92, 1.17) and at 25-27 for the uniform kernel at dx = L0/13
+(0.80, 1.04; 0.98 at 41 nodes, where its 8-vector basis restarts).
 """
 
 from __future__ import annotations
@@ -87,15 +76,18 @@ from .errors import DegenerateInterval, NoConvergence
 from .kernels import (FLAT_TOL, GridStencil, ValidatedKernel, check_grid_size, grid_convolve,
                       grid_stencil)
 
-# Fewest nodes solved by ARPACK or in closed form (rank one): the measured
-# crossover of dense and sized-basis ARPACK time (module docstring).
-# Smaller grids take the dense path.
+# Fewest nodes solved by the Krylov solver or in closed form (rank one);
+# smaller grids take the dense path.  35 was the previous iterative solver's
+# crossover; moving it to the Krylov solver's (25-33 nodes, module
+# docstring) would change lambda in the last bits on the grids between.
 DENSE_THRESHOLD = 35
 # Largest residual max|B phi - rho phi| accepted for a returned pair.
 RESIDUAL_TOL = 1e-8
-# Relative accuracy at which ARPACK stops (its ``tol``; 0 is machine
-# precision), four orders under RESIDUAL_TOL.
-ARPACK_TOL = 1e-12
+# Relative accuracy at which the Krylov solver stops, four orders under
+# RESIDUAL_TOL (1e-16 took 51 matvecs, not 31, on 1 281 uniform nodes).
+KRYLOV_TOL = 1e-12
+# Cycles before NoConvergence: five times the most measured (21 cycles).
+KRYLOV_CYCLES = 100
 
 
 @dataclass(frozen=True)
@@ -122,17 +114,6 @@ def _grid(interval: tuple[float, float], dx: float) -> tuple[int, float]:
     return n, length / (n - 1)
 
 
-def _interval_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
-def _end_corrections(d1: float, st: GridStencil, w_end: float) -> np.ndarray:
-    """Per-offset adjustment for the two half-weighted end columns."""
-    return d1 * (st.densities * np.minimum(w_end, st.cover) - st.masses)
-
-
 def _dense_matrix(n: int, h: float, d1: float, st: GridStencil) -> np.ndarray:
     idx = np.arange(n)
     m = idx[:, None] - idx[None, :]
@@ -141,12 +122,14 @@ def _dense_matrix(n: int, h: float, d1: float, st: GridStencil) -> np.ndarray:
     kc = np.clip(k, 0, 2 * st.half)
     dens = np.where(valid, st.densities[kc], 0.0)
     cov = np.where(valid, st.cover[kc], 0.0)
-    w = _interval_weights(n, h)
+    w = np.full(n, h)  # quadrature weights, half cells at the ends
+    w[0] = w[-1] = 0.5 * h
     return d1 * dens * np.minimum(w[None, :], cov)
 
 
 def _matvec_factory(n: int, h: float, d1: float, st: GridStencil):
-    corr = _end_corrections(d1, st, 0.5 * h)
+    # per-offset adjustment for the two half-weighted end columns
+    corr = d1 * (st.densities * np.minimum(0.5 * h, st.cover) - st.masses)
     half = st.half
     lo_len = min(half, n - 1)  # offsets i = 0..lo_len reach column 0
     c_first = corr[half : half + lo_len + 1]
@@ -182,42 +165,56 @@ def _perron(rho: float, vec: np.ndarray, apply) -> tuple[np.ndarray, float]:
     return phi, residual
 
 
-def _dense_solve(B: np.ndarray) -> tuple[float, np.ndarray, int]:
-    vals, vecs = np.linalg.eig(B)
-    k = int(np.argmax(vals.real))
-    return float(vals[k].real), vecs[:, k], 0
-
-
 def _basis_size(n: int, half: int) -> int:
-    """ARPACK's Krylov basis for ``n`` nodes under a stencil of half-width
-    ``half``: ceil(r) + 4 vectors, r = (n - 1) / half the interval's length
-    in kernel widths, kept within [8, 20] (module docstring)."""
+    """Krylov basis size for ``n`` nodes under a stencil of half-width
+    ``half``: ceil(r) + 4 within [8, 20], r = (n - 1) / half."""
     return min(20, max(8, math.ceil((n - 1) / max(half, 1)) + 4))
 
 
-def _arpack_solve(matvec, n: int, ncv: int) -> tuple[float, np.ndarray, int]:
-    """ARPACK from the sine start with an ``ncv``-vector basis, counting
-    matvecs.  A fixed ``rng`` makes the random restart after a Krylov
-    breakdown reproducible: grids a little longer than one kernel radius
-    under a flat stencil are of low rank and still break the Krylov space
-    down."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
-
-    count = 0
-
-    def counted(phi: np.ndarray) -> np.ndarray:
-        nonlocal count
-        count += 1
-        return matvec(phi)
-
-    v0 = np.sin(np.pi * np.arange(n) / (n - 1)) + 1e-3
-    v0 /= v0.max()
-    op = LinearOperator((n, n), matvec=counted, dtype=float)
-    try:
-        vals, vecs = eigs(op, k=1, which="LR", v0=v0, ncv=ncv, tol=ARPACK_TOL, rng=0)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise NoConvergence(f"ARPACK failed: {exc}") from exc
-    return float(vals[0].real), vecs[:, 0], count
+def _krylov_solve(matvec, n: int, m: int) -> tuple[float, np.ndarray, int]:
+    """Thick-restart Arnoldi with an ``m``-vector basis from the operator
+    applied to the sine start, counting matvecs.  Each cycle extends the
+    basis by classical Gram-Schmidt, twice where it cancels, and stops once
+    the Ritz pair (theta, y) of largest real part has |beta * y_m| <=
+    KRYLOV_TOL * |theta|; else it keeps the Ritz vectors of the (m + 1) // 2
+    largest real parts.  A Krylov space that turns invariant, as on
+    low-rank grids, holds the Perron pair exactly: no random restart."""
+    V = np.empty((m + 1, n))  # basis vectors as rows
+    H = np.zeros((m + 1, m))
+    v0 = matvec(np.sin(np.pi * np.arange(n) / (n - 1)) + 1e-3)
+    V[0] = v0 / np.linalg.norm(v0)
+    k, count = 0, 1
+    for _ in range(KRYLOV_CYCLES):
+        for j in range(k, m):
+            w = matvec(V[j])
+            count += 1
+            w_norm = math.sqrt(w @ w)
+            for _ in range(2):  # classical Gram-Schmidt, once more where it cancels
+                c = V[: j + 1] @ w
+                w -= c @ V[: j + 1]
+                H[: j + 1, j] += c
+                H[j + 1, j] = beta = math.sqrt(w @ w)
+                if beta >= 0.7 * w_norm:
+                    break
+            if beta <= KRYLOV_TOL * w_norm:  # an invariant Krylov space
+                break
+            V[j + 1] = w / beta
+        vals, Y = np.linalg.eig(H[: j + 1, : j + 1])
+        order = np.argsort(-vals.real, kind="stable")
+        theta, y = vals[order[0]], Y[:, order[0]]
+        if beta <= KRYLOV_TOL * w_norm or abs(beta * y[-1]) <= KRYLOV_TOL * abs(theta):
+            return float(theta.real), y.real @ V[: j + 1], count
+        # one member of each complex pair, the first, which LAPACK gives the
+        # positive imaginary part: its real and imaginary parts span the pair
+        keep = order[: (m + 1) // 2]
+        keep = keep[vals[keep].imag >= 0]
+        Q = np.linalg.qr(np.hstack([Y[:, keep].real, Y[:, keep[vals[keep].imag > 0]].imag]))[0]
+        k = Q.shape[1]
+        T = Q.T @ H[:m] @ Q
+        H = np.zeros_like(H)
+        H[:k, :k], H[k, :k] = T, beta * Q[-1]
+        V[:k], V[k] = Q.T @ V[:m], V[m]
+    raise NoConvergence(f"Krylov solver not converged in {KRYLOV_CYCLES} cycles of {m} vectors")
 
 
 def principal_eigenvalue(
@@ -233,8 +230,8 @@ def principal_eigenvalue(
     the dense matrix (``method == "dense"``, ``iterations`` 0), so the
     checks set against its rounding keep it.  Larger grids whose rows of B
     are all one row under a flat stencil (``_rank_one``) take rho from one
-    application to ones (``"rank_one"``, 0); the rest go through ARPACK
-    (``"arpack"``, ``iterations`` its matvec count).
+    application to ones (``"rank_one"``, 0); the rest go through the
+    Krylov solver (``"krylov"``, ``iterations`` its matvec count).
     """
     if d1 <= 0 or not np.isfinite(d1):
         raise ValueError("d1 must be positive")
@@ -244,14 +241,16 @@ def principal_eigenvalue(
     if n < DENSE_THRESHOLD:
         B = _dense_matrix(n, h, d1, st)
         method, apply = "dense", B.__matmul__
-        rho, vec, iterations = _dense_solve(B)
+        vals, vecs = np.linalg.eig(B)
+        k = int(np.argmax(vals.real))
+        rho, vec, iterations = float(vals[k].real), vecs[:, k], 0
     elif _rank_one(n, h, st):
         method, apply = "rank_one", _matvec_factory(n, h, d1, st)
         vec, iterations = np.ones(n), 0
         rho = float(np.mean(apply(vec)))
     else:
-        method, apply = "arpack", _matvec_factory(n, h, d1, st)
-        rho, vec, iterations = _arpack_solve(apply, n, _basis_size(n, st.half))
+        method, apply = "krylov", _matvec_factory(n, h, d1, st)
+        rho, vec, iterations = _krylov_solve(apply, n, _basis_size(n, st.half))
     phi, residual = _perron(rho, vec, apply)
 
     nodes = interval[0] + np.arange(n) * h

@@ -39,10 +39,9 @@ stretch equal to that value (a far field at rest) adds no rounding at
 all.  Every other stencil is convolved directly or by overlap-add FFT, by
 tap count.
 
-Imports: only two branches load scipy, on their first call: the FFT branch
-of `grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal, and
-the eigensolver's ARPACK path scipy.sparse.linalg.  Its dense and rank-one
-paths load none.
+Imports: only one branch loads scipy, on its first call: the FFT branch of
+`grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal.  The
+eigensolver loads none.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ FLAT_TOL = 8.0 * np.finfo(float).eps
 FLAT_DIRECT = ((11, math.inf), (81, 320), (161, 96))
 
 # Most nodes of any grid the package allocates: a stencil, an eigensolver
-# interval or an initial simulation window.  One float array of this size
-# is 8 MB, and ARPACK's basis, at most 20 vectors, 160 MB.
+# interval, an initial simulation window or a grown window.  One float array
+# of this size is 8 MB, and the Krylov basis, at most 21 vectors, 168 MB.
 MAX_GRID_NODES = 10**6
 
 

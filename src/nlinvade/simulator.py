@@ -299,6 +299,8 @@ def _ensure_window(state: SimState) -> SimState:
         return state
     n = state.u.size
     chunk = max(n // 2, 4 * max(state.st1.half, state.st2.half), 8)
+    check_grid_size(n + chunk * (grow_left + grow_right),
+                    f"the window grown for fronts at {state.g_front:g} and {state.h_front:g}")
     u, v, i0 = state.u, state.v, state.i0
     if grow_left:
         u = np.concatenate([np.zeros(chunk), u])

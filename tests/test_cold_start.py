@@ -4,9 +4,9 @@ Importing scipy.signal alone costs most of a second, so the package
 imports each scipy subpackage inside the branch that uses it, and never
 multiprocessing: a dt-halving run and a parallel sweep fork their children
 with ``os.fork`` alone.  Uniform and truncated-gaussian runs load no scipy
-at all, nor does an eigensolve on a grid that the uniform stencil spans
-(rank one, solved without ARPACK).  Every case runs in its own interpreter
-and reports which watched modules it loaded.
+at all, nor does any eigensolve: dense, rank one or Krylov, all three are
+numpy.  Every case runs in its own interpreter and reports which watched
+modules it loaded.
 """
 
 import json
@@ -81,14 +81,14 @@ axis.params.mu = [0.01, 10.0]
 """
 
 # At dx = 0.1 the uniform stencil's half-width is 10 nodes, so the 35-node
-# grid is not rank one and goes to ARPACK.
+# grid is not rank one and goes to the Krylov solver.
 EIGEN_16_NODES = """
 from nlinvade.eigenvalue import DENSE_THRESHOLD, principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 
 k = validate_kernel(KernelSpec.uniform(1.0), 0.1)
 assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 2)), 0.1).method == "dense"
-assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 1)), 0.1).method == "arpack"
+assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 1)), 0.1).method == "krylov"
 """
 
 # At dx = 0.001 the half-width is 1 000 nodes: the 801-node grid is rank one.
@@ -130,14 +130,15 @@ def loaded(snippet: str) -> list[str]:
 
 
 # (snippet, modules it must load, modules it must not load); scipy.signal
-# itself imports scipy.sparse.linalg and scipy.special.
+# itself imports scipy.sparse.linalg and scipy.special, so the FFT branch
+# is the one case that may load scipy.
 CASES = {
     "uniform-run": (UNIFORM_RUN, [], list(WATCHED)),
     "uniform-halving-run": (UNIFORM_HALVING_RUN, [], list(WATCHED)),
     "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
     "gaussian-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "1"), [], list(WATCHED)),
     "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), [], list(WATCHED)),
-    "eigen-16-nodes": (EIGEN_16_NODES, ["scipy.sparse.linalg"], ["scipy.signal"]),
+    "eigen-16-nodes": (EIGEN_16_NODES, [], list(WATCHED)),
     "eigen-801-nodes": (EIGEN_801_NODES, [], list(WATCHED)),
     "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),
 }

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from nlinvade import eigenvalue
 from nlinvade.errors import DegenerateInterval, NoConvergence
@@ -86,20 +84,20 @@ class TestRankOnePath:
 
     def test_only_flat_stencils_across_the_interval(self):
         # The same 37-node grid under a gaussian or triangular kernel goes to
-        # ARPACK.  Under the uniform kernel one node past its half-width, l =
+        # the Krylov solver.  Under the uniform kernel one node past its half-width, l =
         # L0 is still rank one, but l = 1.0125 is not: its end taps cover
         # 1.6e-4 of a cell, not half of one.
         nodes = 37
         for kernel in (GAUSS, TRI):
             dx = kernel.support_radius / 40
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
-            assert (res.nodes.size, res.method) == (nodes, "arpack")
+            assert (res.nodes.size, res.method) == (nodes, "krylov")
         res = principal_eigenvalue(UNI, 1.0, (0.0, 36 * 0.025), 0.025)
         assert (res.nodes.size, res.method) == (nodes, "rank_one")
         res = principal_eigenvalue(UNI, 1.0, (0.0, 40 * 0.025), 0.025)
         assert (res.nodes.size, res.method) == (41, "rank_one")
         res = principal_eigenvalue(UNI, 1.0, (0.0, 1.0125), 0.025)
-        assert (res.nodes.size, res.method) == (41, "arpack")
+        assert (res.nodes.size, res.method) == (41, "krylov")
 
 
 class TestLimits:
@@ -147,28 +145,28 @@ class TestInvariants:
             assert -d1 < val < 0.0
 
     def test_power_matches_dense(self, monkeypatch):
-        # Both solver paths on the same operator, from the smallest ARPACK
-        # grid on.  ARPACK stops at ARPACK_TOL relative accuracy, so the two
-        # agree far inside 1e-11 (measured gaps up to 2.4e-15 here).  The
-        # uniform stencil's half-width is 40 nodes at dx = L0/40, and grids
-        # up to that size, and the 41-node one of l = L0, are rank one, so
-        # its ARPACK grids start at 42.
+        # Both solver paths on the same operator, from the smallest Krylov
+        # grid on.  The Krylov solver stops at KRYLOV_TOL relative accuracy,
+        # so the two agree far inside 1e-11.  The uniform stencil's
+        # half-width is 40 nodes at dx = L0/40, and grids up to that size,
+        # and the 41-node one of l = L0, are rank one, so its Krylov grids
+        # start at 42.
         n0 = eigenvalue.DENSE_THRESHOLD
         cases = [(kernel, nodes) for kernel, first in ((UNI, 42), (GAUSS, n0))
                  for nodes in (first, first + 1, first + 4, first + 5, 400)]
         for kernel, nodes in cases:
             dx = kernel.support_radius / 40
             interval = (0.0, (nodes - 1) * dx)
-            arpack = principal_eigenvalue(kernel, 1.0, interval, dx)
+            krylov = principal_eigenvalue(kernel, 1.0, interval, dx)
             with monkeypatch.context() as m:
                 m.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
                 dense = principal_eigenvalue(kernel, 1.0, interval, dx)
-            assert (arpack.nodes.size, arpack.method, dense.method) == (nodes, "arpack", "dense")
-            assert arpack.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
+            assert (krylov.nodes.size, krylov.method, dense.method) == (nodes, "krylov", "dense")
+            assert krylov.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
 
     @pytest.mark.parametrize("kernel", [UNI, GAUSS], ids=["uniform", "gaussian"])
     def test_dense_below_the_crossover(self, kernel):
-        # The measured dense/ARPACK crossover with the sized Krylov basis
+        # The measured dense/Krylov crossover with the sized Krylov basis
         # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
         # 21-node solves whose checks pass on dense rounding stay dense.
         # The uniform kernel is taken at dx = L0/33, a stencil half-width of
@@ -177,54 +175,44 @@ class TestInvariants:
         assert eigenvalue.DENSE_THRESHOLD > 21
         dx = kernel.support_radius / (33 if kernel is UNI else 40)
         for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
-                              (eigenvalue.DENSE_THRESHOLD, "arpack")):
+                              (eigenvalue.DENSE_THRESHOLD, "krylov")):
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
             assert (res.nodes.size, res.method) == (nodes, method)
-            assert (res.iterations > 0) == (method == "arpack")
+            assert (res.iterations > 0) == (method == "krylov")
 
     def test_arpack_stopping_tolerance(self, monkeypatch):
-        # ARPACK stops at ARPACK_TOL, not machine precision: on 1 281 nodes
-        # that saves restarts (measured 51 -> 31 matvecs) and moves lambda
-        # by rounding only.
-        assert eigenvalue.ARPACK_TOL == 1e-12
-        calls = []
-        eigs = scipy.sparse.linalg.eigs
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs["tol"])
-            return eigs(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+        # The Krylov solver stops at KRYLOV_TOL, not machine precision: on
+        # 1 281 nodes that saves restarts (measured 51 -> 31 matvecs) and
+        # moves lambda by rounding only.
+        assert eigenvalue.KRYLOV_TOL == 1e-12
         interval = (0.0, 32.0)
         res = principal_eigenvalue(UNI, 1.0, interval, 0.025)
-        monkeypatch.setattr(eigenvalue, "ARPACK_TOL", 0.0)
+        monkeypatch.setattr(eigenvalue, "KRYLOV_TOL", 1e-16)
         exact = principal_eigenvalue(UNI, 1.0, interval, 0.025)
-        assert calls == [1e-12, 0.0]
         assert res.nodes.size == 1281 and res.iterations < exact.iterations
         assert res.lambda_p == pytest.approx(exact.lambda_p, abs=1e-11)
         assert res.residual <= eigenvalue.RESIDUAL_TOL
 
     def test_krylov_basis_sized_to_the_interval(self, monkeypatch):
-        # eigs gets ceil(r) + 4 basis vectors, r = (n - 1) / half the length
-        # in kernel widths, within [8, 20]; from r = 16 on it keeps 20.
+        # The solver gets ceil(r) + 4 basis vectors, r = (n - 1) / half the
+        # length in kernel widths, within [8, 20]; from r = 16 on it keeps 20.
         calls = []
-        eigs = scipy.sparse.linalg.eigs
+        solve = eigenvalue._krylov_solve
 
-        def recording(*args, **kwargs):
-            calls.append(kwargs["ncv"])
-            return eigs(*args, **kwargs)
+        def recording(matvec, n, m):
+            calls.append(m)
+            return solve(matvec, n, m)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+        monkeypatch.setattr(eigenvalue, "_krylov_solve", recording)
         for length in (2.0, 11.0, 16.0, 32.0):  # r at dx = L0/40
-            assert principal_eigenvalue(UNI, 1.0, (0.0, length), 0.025).method == "arpack"
+            assert principal_eigenvalue(UNI, 1.0, (0.0, length), 0.025).method == "krylov"
         assert calls == [8, 15, 20, 20]
 
     @pytest.mark.parametrize("r", [1, 2, 4, 8, 11, 14, 16, 32])
     @pytest.mark.parametrize("kernel", [UNI, TRI, GAUSS], ids=["uniform", "triangular", "gaussian"])
     def test_sized_basis_matches_twenty(self, monkeypatch, kernel, r):
-        # Against eigs' default 20-vector basis: lambda agrees to rounding
-        # (measured gaps up to 3.1e-15), and the sized basis never needs
-        # more matvecs (9-19 against 21 below r = 16, equal from there).
+        # Against a 20-vector basis: lambda agrees to rounding, and the sized
+        # basis never needs more matvecs (one 20-vector cycle costs 21).
         dx = kernel.support_radius / 40
         interval = (0.0, r * kernel.support_radius)
         if kernel is UNI and r == 1:  # l = L0 is rank one under the flat stencil
@@ -232,7 +220,7 @@ class TestInvariants:
         sized = principal_eigenvalue(kernel, 1.0, interval, dx)
         monkeypatch.setattr(eigenvalue, "_basis_size", lambda n, half: 20)
         full = principal_eigenvalue(kernel, 1.0, interval, dx)
-        assert (sized.method, full.method) == ("arpack", "arpack")
+        assert (sized.method, full.method) == ("krylov", "krylov")
         assert sized.lambda_p == pytest.approx(full.lambda_p, abs=1e-11)
         assert sized.iterations <= full.iterations
 
@@ -241,23 +229,34 @@ class TestInvariants:
         [(UNI, 1.0 + 0.5 / 64, 64), (UNI, 20.0, 40), (GAUSS, 6.0, 40)],
         ids=["uniform-low-rank", "uniform", "gaussian"],
     )
-    def test_arpack_deterministic(self, kernel, length, cells):
+    def test_krylov_deterministic(self, kernel, length, cells):
         # Half a cell past one kernel radius (65 nodes at dx = L0/64) the
         # uniform operator is not rank one but of low rank: it breaks the
-        # Krylov space down, so ARPACK restarts from a random vector.  With
-        # an unseeded restart and its 8-vector basis the matvec count
-        # ranged over 10-14 in eight calls.
+        # Krylov space down.  The solver takes no random vector, so repeated
+        # and interleaved solves return the same bits.
         dx = kernel.support_radius / cells
         first = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         again = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
         eigen_curve(UNI, 0.7, [0.5, 3.0, 0.9], 0.025)
         eigen_curve(GAUSS, 1.3, [4.0], 0.05)
         after = principal_eigenvalue(kernel, 1.0, (0.0, length), dx)
-        assert first.method == "arpack"
+        assert first.method == "krylov"
         for res in (again, after):
             assert res.lambda_p == first.lambda_p
             assert res.iterations == first.iterations
             assert np.array_equal(res.eigenfunction, first.eigenfunction)
+
+    def test_low_rank_grid_breaks_down_exactly(self, monkeypatch):
+        # The low-rank 65-node grid makes the Krylov space invariant within
+        # the first cycle of its 8-vector basis: the solver returns the
+        # Perron pair of that space, with no restart, at the dense lambda.
+        dx = 1.0 / 64
+        res = principal_eigenvalue(UNI, 1.0, (0.0, 1.0 + 0.5 * dx), dx)
+        monkeypatch.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
+        dense = principal_eigenvalue(UNI, 1.0, (0.0, 1.0 + 0.5 * dx), dx)
+        assert (res.nodes.size, res.method) == (65, "krylov")
+        assert 0 < res.iterations < eigenvalue._basis_size(65, 64)
+        assert abs(res.lambda_p - dense.lambda_p) <= 1e-12
 
     def test_eigenfunction_positive(self):
         res = principal_eigenvalue(GAUSS, 1.0, (0.0, 6.0), 0.05)
@@ -278,19 +277,15 @@ class TestInvariants:
 
     def test_residual_reported(self):
         res = principal_eigenvalue(UNI, 1.0, (0.0, 20.0), 0.025)
-        assert res.method == "arpack"
+        assert res.method == "krylov"
         assert res.residual <= 1e-8
         assert res.iterations > 0
 
 
 class TestErrors:
     def test_no_convergence_at_tiny_cap(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        # _arpack_solve imports eigs at call time, so patch it at its source.
         with monkeypatch.context() as m:
-            m.setattr(scipy.sparse.linalg, "eigs", unconverged)
+            m.setattr(eigenvalue, "KRYLOV_CYCLES", 0)
             with pytest.raises(NoConvergence):
                 principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
         # A residual above RESIDUAL_TOL fails the returned pair on all three

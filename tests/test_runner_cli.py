@@ -15,7 +15,7 @@ from nlinvade.cli import main
 from nlinvade.config import apply_override, build_scenario, load_scenario, parse_config_text
 from nlinvade.errors import ConfigInvalid, GridTooLarge, NoConvergence, StabilityViolated
 from nlinvade.output import TIMESERIES_HEADER, report_text, snapshot_name, write_rows
-from nlinvade import diagnostics, runner
+from nlinvade import diagnostics, kernels, runner
 from nlinvade.eigenvalue import RESIDUAL_TOL
 from nlinvade.runner import run_scenario, sweep
 
@@ -276,6 +276,23 @@ class TestRunScenario:
         assert set(report["numerics_audit"]) == {
             "competition_case", "dx", "dt", "stability_bound", "dt_halving_rel_front_change"
         }
+
+    def test_window_growth_capped(self, tmp_path, monkeypatch):
+        # At mu = 1e6 the window doubles about every step (ten growths to
+        # T = 3 uncapped); past MAX_GRID_NODES the run is a numerical
+        # failure before the grown arrays are allocated, and a sweep cell
+        # gets its error row.
+        monkeypatch.setattr(kernels, "MAX_GRID_NODES", 4000)
+        fast = BASE.replace("mu = 1.0", "mu = 1e6")
+        outcome = run_scenario(scenario(fast), outdir=tmp_path / "run", check_theorems=False)
+        assert outcome.exit_code == 3
+        assert outcome.report["error"].startswith("GridTooLarge: the window grown for fronts")
+        assert outcome.report["error"].endswith("more than 4000")
+        text = BASE + "\n[sweep]\naxis.params.mu = [1.0, 1e6]\n"
+        header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
+        status, error = header.index("status"), header.index("error")
+        assert [r[status] for r in rows] == ["ok", "exit3"]
+        assert rows[1][error].startswith("GridTooLarge: the window grown for fronts")
 
     def test_dt_halving_audit(self, tmp_path):
         text = BASE + "\n[diagnostics]\ndt_halving = true\n"
@@ -834,6 +851,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: GridTooLarge: {grid}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_window_growth_exit_3_under_a_memory_limit(self, tmp_path):
+        # mu = 1e9 grows the window every step.  Under a 1.5 GB address
+        # space the run stops at MAX_GRID_NODES with exit 3, not with a
+        # MemoryError traceback once an allocation fails.
+        cfg = config_file(tmp_path, BASE.replace("dx = 0.1", "dx = 0.05").replace("T = 3.0", "T = 2.0"))
+        limit = 1536 * 2**20
+        code = (f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                "from nlinvade.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(runner.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", str(cfg), "--out",
+             str(tmp_path / "o"), "--quiet", "--set", "params.mu=1e9"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("numerical failure: GridTooLarge: the window grown")
+        assert "Traceback" not in done.stderr
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["error"].startswith("GridTooLarge: the window grown")
 
     def test_ode(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[ode]\nu0 = 0.1\nv0 = 0.1\nT = 50.0\ndt = 0.01\n")
