@@ -8,7 +8,9 @@ be dotted (used by sweep axes).  A key set twice in one section, also in a
 repeated ``[section]`` block, is an error.  A number must be positive and
 at most 1e307; ``params.mu``, ``numerics.T`` and ``profile_every``,
 ``initial.v_value`` and ``ode.u0``, ``v0`` and ``T`` may also be zero, and
-``sweep.cap`` is an integer of at least 1.
+``sweep.cap`` is an integer of at least 1.  Every initial profile is checked
+by building the run's initial state: its values must lie in [0, ``FIELD_CAP``]
+and a table's x must increase strictly (a grid too large is the run's to report).
 Parsing then serialising is idempotent on the normalised form, which keeps
 configs diff-friendly.
 """
@@ -24,9 +26,10 @@ import numpy as np
 
 from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams
-from .errors import ConfigInvalid, InvalidInitialU, InvalidInitialV, NonPositiveParameter
-from .kernels import CLOSED_FORMS, MAX_GRID_NODES, KernelSpec, validate_kernel
-from .simulator import Profile, _sample_u0, init_state, stability_bound
+from .errors import (ConfigInvalid, GridTooLarge, InvalidInitialU, InvalidInitialV,
+                     NonPositiveParameter)
+from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
+from .simulator import Profile, init_state, stability_bound
 
 # -- scalar grammar --------------------------------------------------------
 
@@ -364,26 +367,16 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         )
 
     u_prof, v_prof = _profiles(mapping, base_dir)
-    if u_prof.kind == "cosine" and params.h0 / dx <= MAX_GRID_NODES:  # else GridTooLarge
-        # The bump is smallest at the inside node k * dx nearest h0, the
-        # largest k with k * dx < h0, where a subnormal u_max rounds to 0.
-        k = math.ceil(params.h0 / dx) + 1
-        while k * dx >= params.h0:
-            k -= 1
-        try:
-            _sample_u0(u_prof, np.array([k * dx]), params.h0)
-        except InvalidInitialU as exc:
-            raise ConfigInvalid(f"{exc}: u_max rounds to 0 at x = {k * dx!r}", path="initial.u_max")
-    if "table" in (u_prof.kind, v_prof.kind):
-        # A table is checked by sampling the profiles as the run will.  The
-        # checks above cover the cosine and constant kinds, so they skip this.
-        try:
-            init_state(params, kernels["kernel_u"], kernels["kernel_v"], u_prof, v_prof,
-                       dx, window_pad)
-        except InvalidInitialU as exc:
-            raise ConfigInvalid(str(exc), path="initial.u_table")
-        except InvalidInitialV as exc:
-            raise ConfigInvalid(str(exc), path="initial.v_table")
+    try:  # sample the profiles as the run will; a grid too large is the run's to report
+        init_state(params, kernels["kernel_u"], kernels["kernel_v"], u_prof, v_prof, dx, window_pad)
+    except InvalidInitialU as exc:
+        raise ConfigInvalid(str(exc), path="initial.u_max" if u_prof.kind == "cosine"
+                            else "initial.u_table")
+    except InvalidInitialV as exc:
+        raise ConfigInvalid(str(exc), path="initial.v_value" if v_prof.kind == "constant"
+                            else "initial.v_table")
+    except GridTooLarge:
+        pass
 
     lengths = mapping.get("eigen", {}).get("lengths", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(lengths, list) or not lengths:

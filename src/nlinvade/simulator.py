@@ -102,7 +102,7 @@ from .kernels import (
 )
 
 GROSS_CLAMP = -1e-12   # undershoots below this are clamped and counted
-FIELD_CAP = 10.0       # fields beyond this mean the step blew up
+FIELD_CAP = 10.0       # a field above this means a blow-up; initial data above it is rejected
 EXPAND_MARGIN = 2.0    # expand when a front comes within this many L0 of an edge
 
 
@@ -149,18 +149,23 @@ class Profile:
         return Profile(kind="table", table=np.asarray(table, dtype=float))
 
 
+def _interp_table(profile: Profile, x: np.ndarray, name: str, error, **edges) -> np.ndarray:
+    """np.interp of a table profile at x; its x must be finite and strictly increasing."""
+    t = profile.table
+    if t is None or t.ndim != 2 or t.shape[1] != 2:
+        raise error(f"{name} table must be an (n, 2) array")
+    if not (np.all(np.isfinite(t[:, 0])) and np.all(np.diff(t[:, 0]) > 0)):
+        raise error(f"{name} table x values must be finite and strictly increasing")
+    return np.interp(x, t[:, 0], t[:, 1], **edges)
+
+
 def _sample_u0(profile: Profile, x: np.ndarray, h0: float) -> np.ndarray:
-    if profile.kind == "cosine":
-        if profile.amplitude <= 0:
-            raise InvalidInitialU("cosine bump amplitude must be positive")
-        inside = np.abs(x) < h0
+    inside = np.abs(x) < h0
+    if profile.kind == "cosine":  # the checks below reject an amplitude that is not positive
         u0 = np.zeros_like(x)  # x / h0 may overflow outside
         u0[inside] = profile.amplitude * np.cos(0.5 * np.pi * x[inside] / h0)
     elif profile.kind == "table":
-        if profile.table is None or profile.table.ndim != 2 or profile.table.shape[1] != 2:
-            raise InvalidInitialU("u0 table must be an (n, 2) array")
-        u0 = np.interp(x, profile.table[:, 0], profile.table[:, 1], left=0.0, right=0.0)
-        inside = np.abs(x) < h0
+        u0 = _interp_table(profile, x, "u0", InvalidInitialU, left=0.0, right=0.0)
     else:
         raise InvalidInitialU(f"unsupported u0 profile {profile.kind!r}")
     if np.any(u0 < 0.0):
@@ -169,6 +174,8 @@ def _sample_u0(profile: Profile, x: np.ndarray, h0: float) -> np.ndarray:
         raise InvalidInitialU("u0 must vanish outside (-h0, h0)")
     if np.any(u0[inside] <= 0.0):
         raise InvalidInitialU("u0 must be strictly positive inside (-h0, h0)")
+    if not np.all(u0 <= FIELD_CAP):  # also catches NaN
+        raise InvalidInitialU(f"u0 must be at most the field cap {FIELD_CAP}, and not NaN")
     return u0
 
 
@@ -176,14 +183,13 @@ def _sample_v0(profile: Profile, x: np.ndarray) -> np.ndarray:
     if profile.kind == "constant":
         v0 = np.full_like(x, profile.amplitude)
     elif profile.kind == "table":
-        if profile.table is None or profile.table.ndim != 2 or profile.table.shape[1] != 2:
-            raise InvalidInitialV("v0 table must be an (n, 2) array")
-        t = profile.table
-        v0 = np.interp(x, t[:, 0], t[:, 1])  # edge continuation beyond the table
+        v0 = _interp_table(profile, x, "v0", InvalidInitialV)  # edge continuation beyond the table
     else:
         raise InvalidInitialV(f"unsupported v0 profile {profile.kind!r}")
     if np.any(v0 < 0.0) or not np.all(np.isfinite(v0)):
         raise InvalidInitialV("v0 must be nonnegative and bounded")
+    if np.any(v0 > FIELD_CAP):
+        raise InvalidInitialV(f"v0 must be at most the field cap {FIELD_CAP}")
     return v0
 
 

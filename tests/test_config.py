@@ -17,7 +17,7 @@ from nlinvade.config import (
     serialize_config_mapping,
 )
 from nlinvade.dynamics import ModelParams
-from nlinvade.errors import ConfigInvalid, GridTooLarge, InvalidInitialU, StabilityViolated
+from nlinvade.errors import ConfigInvalid, GridTooLarge, InvalidInitialU
 from nlinvade.kernels import CLOSED_FORMS, validate_kernel
 from nlinvade.simulator import FIELD_CAP, Profile, _sample_u0, init_state, step
 
@@ -272,11 +272,22 @@ class TestBuild:
             ("u_table", "-1 0 0\n0 1 1\n1 0 0\n"),
             ("u_table", "-2 1\n0 1\n2 1\n"),
             ("u_table", "-1 0\n0 0\n1 0\n"),
+            ("u_table", "-1 0\n0 10.5\n1 0\n"),
+            ("u_table", "-1 0\n0 nan\n1 0\n"),
+            ("u_table", "1 0\n0 1\n-1 0\n"),
+            ("u_table", "-1 0\n0 1\n0 1\n1 0\n"),
+            ("u_table", "-1 0\nnan 1\n1 0\n"),
             ("v_table", "-9 1 1\n9 1 1\n"),
             ("v_table", "-9 -1\n9 1\n"),
+            ("v_table", "-9 20\n9 1\n"),
+            ("v_table", "9 1\n-9 0.5\n"),
+            ("v_table", "-9 1\n0 1\n0 1\n9 1\n"),
+            ("v_table", "-9 1\nnan 1\n9 1\n"),
         ],
-        ids=["u-three-columns", "u-not-vanishing-outside", "u-zero-inside",
-             "v-three-columns", "v-negative"],
+        ids=["u-three-columns", "u-not-vanishing-outside", "u-zero-inside", "u-above-cap",
+             "u-nan-inside", "u-unsorted-x", "u-repeated-x", "u-nan-x",
+             "v-three-columns", "v-negative", "v-above-cap", "v-unsorted-x", "v-repeated-x",
+             "v-nan-x"],
     )
     def test_rejected_initial_table(self, tmp_path, key, table):
         (tmp_path / "t.txt").write_text(table)
@@ -285,6 +296,22 @@ class TestBuild:
         with pytest.raises(ConfigInvalid) as err:
             build_scenario(mapping, base_dir=tmp_path)
         assert err.value.path == f"initial.{key}"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("u_max", 20.0), ("u_max", 1e300), ("u_max", np.nextafter(FIELD_CAP, np.inf)),
+         ("v_value", 20.0), ("v_value", np.nextafter(FIELD_CAP, np.inf))],
+    )
+    def test_initial_value_above_field_cap_rejected(self, key, value):
+        """Initial data must lie in [0, FIELD_CAP], where the first step's
+        blow-up check would otherwise stop the run."""
+        mapping = parse_config_text(MINIMAL)
+        mapping["initial"] = {key: value}
+        with pytest.raises(ConfigInvalid, match="field cap") as err:
+            build_scenario(mapping)
+        assert err.value.path == f"initial.{key}"
+        mapping["initial"] = {key: FIELD_CAP}
+        build_scenario(mapping)  # the cap itself is allowed
 
     @pytest.mark.parametrize(
         "table, suffix",
@@ -543,14 +570,5 @@ class TestRunFuzz:
                                    validate_kernel(cfg.kernel_v, dx), cfg.u_profile,
                                    cfg.v_profile, dx, cfg.numerics.window_pad)
             except (ConfigInvalid, GridTooLarge):
-                return
-            if section == "initial" and value > FIELD_CAP:
-                # initial data well above the blow-up cap leaves it on the
-                # first step, by overflow for near-overflow values
-                warnings.simplefilter("ignore")
-                try:
-                    step(state, cfg.numerics.dt)
-                except StabilityViolated:
-                    pass
                 return
             step(state, cfg.numerics.dt)

@@ -61,9 +61,9 @@ GAUSSIAN_VANISHING = (VANISHING.replace('form = "uniform"', 'form = "truncated_g
 # BASE sampled once a unit of time: 4 samples, too few for regime detection.
 SHORT = BASE.replace("snapshot_every = 0.25", "snapshot_every = 1.0")
 
-# BASE with v far above its carrying capacity: the first step leaves the
-# field cap, a numerical failure (exit 3).
-BLOW_UP = BASE + "\n[initial]\nv_value = 20.0\n"
+# BASE with fronts so fast that growing the window to follow them needs
+# more than MAX_GRID_NODES nodes: GridTooLarge, a numerical failure (exit 3).
+BLOW_UP = BASE.replace("mu = 1.0", "mu = 1e9")
 
 # A spreading run with k >= 1, outside the spreading checks' scope.
 STRONG_K = (BASE.replace("k = 0.5", "k = 1.1").replace("h_comp = 0.5", "h_comp = 3.0")
@@ -591,14 +591,14 @@ class TestSweep:
         assert "stability" in rows[1][header.index("error")]
 
     def test_numerical_failure_row(self, tmp_path):
-        # v_value = 20 leaves the field cap on the first step: exit 3, no series.
-        text = BASE + "\n[sweep]\naxis.initial.v_value = [1.0, 20.0]\n"
+        # mu = 1e9 grows the window past MAX_GRID_NODES: exit 3, no series.
+        text = BASE + "\n[sweep]\naxis.params.mu = [1.0, 1e9]\n"
         header, rows = sweep(scenario(text), outdir=tmp_path / "sw", check_theorems=False)
         row = dict(zip(header, rows[1]))
         assert (row["status"], row["regime"]) == ("exit3", "error")
         for key in ("g_front", "h_front", "mass_u", "sup_u", "min_check_margin"):
             assert row[key] == ""
-        assert row["error"].startswith("StabilityViolated")
+        assert row["error"].startswith("GridTooLarge")
         assert rows[0][header.index("status")] == "ok"
 
     def test_axis_key_not_read_by_the_form(self, tmp_path, capsys):
@@ -1015,7 +1015,25 @@ snapshot_every = 0.25
         assert rc == 3
         report = json.loads((out / "report.json").read_text())
         assert report["regime"] == "error"
-        assert "StabilityViolated" in report["error"]
+        assert "GridTooLarge" in report["error"]
+
+    @pytest.mark.parametrize("profile", ["cosine", "table"])
+    def test_initial_window_too_large_is_the_runs_failure(self, tmp_path, monkeypatch, profile):
+        # BASE's initial window [-3.5, 3.5] has 71 nodes at dx = 0.1.  Over
+        # the cap, either profile kind loads, classify runs, and simulate
+        # reports GridTooLarge as a numerical failure.
+        monkeypatch.setattr(kernels, "MAX_GRID_NODES", 70)
+        (tmp_path / "u0.txt").write_text("-1.0 0.0\n0.0 1.0\n1.0 0.0\n")
+        text = BASE + ('\n[initial]\nu_profile = "table"\nu_table = "u0.txt"\n'
+                       if profile == "table" else "")
+        cfg = config_file(tmp_path, text)
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "cls"),
+                     "--quiet"]) == 0
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["regime"] == "error"
+        assert report["error"].startswith("GridTooLarge: the initial window")
 
     @pytest.mark.parametrize("command", ["simulate", "classify"])
     def test_bad_initial_table_exit_2(self, tmp_path, capsys, command):
