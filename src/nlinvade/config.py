@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -250,10 +251,12 @@ def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
 
 
 def _load_table(base_dir: Path, path: str, where: str) -> np.ndarray:
-    """The numeric table in the file at base_dir/path, else ConfigInvalid."""
+    """The numeric table in the file at base_dir/path, else ConfigInvalid
+    (an empty file too, on which numpy only warns)."""
     try:
-        return np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings(action="error"):
+            return np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigInvalid(f"cannot read table: {exc}", path=where)
 
 

@@ -13,33 +13,31 @@ one when the kernel is constant across the interval.
 
 The shifted matrix B = L + d1*I is entrywise nonnegative with positive
 diagonal, so its Perron root is the eigenvalue of largest real part.  It is
-found by one of three methods:
+found by one of two methods:
 
 - "dense": grids below DENSE_THRESHOLD nodes solve the dense matrix
   exactly.  They stay dense whatever their stencil, because three checks
   of the test suite sit within one rounding step of their bound on 4- to
   21-node grids, and the dense result is the one they were set against.
-- "rank_one": a grid of DENSE_THRESHOLD nodes or more whose rows of B are
-  all one row to rounding, under a flat stencil (``box``): its interior
-  taps cover every offset (n <= half), or n = half + 1 and the end tap
-  weighs in an end column what an interior tap does (l = L0).  B is rank
-  one with the constant eigenvector, and rho is the mean of B applied to
-  ones: d1 * l / (2 * L0) for a uniform kernel of radius L0, length l.
 - "krylov": every other grid, by a thick-restart Arnoldi on the
   matrix-free operator, which never forms B's band (`_krylov_solve`;
   Stewart's Krylov-Schur restart, SIAM J. Matrix Anal. Appl. 23, 2001).
+  On a rank-one grid (a flat stencil spanning the interval) its Krylov
+  space turns invariant after 2 matvecs, with the constant eigenvector.
 
-All three are numpy alone and return the pair only after its residual
-passes RESIDUAL_TOL.  Translation invariance is exact because every
-interval is normalised to left endpoint 0 before discretisation.
+Both are numpy alone and return the pair only after its residual passes
+RESIDUAL_TOL.  Translation invariance is exact because every interval is
+normalised to left endpoint 0 before discretisation.
 
 The Krylov basis holds m = min(20, max(8, ceil(r) + 4)) vectors, r = (n -
 1) / half the interval's length in stencil half-widths: 20 vectors cost 21
 matvecs at least, the sized basis 2 to 19 below r = 16.  Cost per solve in
 ms (d1 = 1, dx = L0/40, uniform kernel with L0 = 1, truncated gaussian with
-sigma = 1, L0 = 2, each solver called on the operator, so uniform grids of
-up to 41 nodes, rank one in use, are timed too; medians of 21 interleaved
-solves, shared 2-vCPU x86-64 VM, one BLAS thread; matvecs in brackets):
+sigma = 1, L0 = 2, each solver called on the operator, so grids below
+DENSE_THRESHOLD are timed under Krylov too; the uniform grids of 25 and 35
+nodes are rank one, which Krylov ends in 2 matvecs; medians of 21
+interleaved solves, shared 2-vCPU x86-64 VM, one BLAS thread; matvecs in
+brackets):
 
         r  nodes  kernel    basis  dense  Krylov
       0.6     25  uniform       8   0.22  0.11 (2)
@@ -73,13 +71,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInterval, NoConvergence
-from .kernels import (FLAT_TOL, GridStencil, ValidatedKernel, check_grid_size, grid_convolve,
-                      grid_stencil)
+from .kernels import GridStencil, ValidatedKernel, check_grid_size, grid_convolve, grid_stencil
 
-# Fewest nodes solved by the Krylov solver or in closed form (rank one);
-# smaller grids take the dense path.  35 was the previous iterative solver's
-# crossover; moving it to the Krylov solver's (25-33 nodes, module
-# docstring) would change lambda in the last bits on the grids between.
+# Fewest nodes solved by the Krylov solver; smaller grids take the dense
+# path.  35 was the previous iterative solver's crossover; moving it to the
+# Krylov solver's (25-33 nodes, module docstring) would change lambda in the
+# last bits on the grids between.
 DENSE_THRESHOLD = 35
 # Largest residual max|B phi - rho phi| accepted for a returned pair.
 RESIDUAL_TOL = 1e-8
@@ -142,14 +139,6 @@ def _matvec_factory(n: int, h: float, d1: float, st: GridStencil):
         return out
 
     return matvec
-
-
-def _rank_one(n: int, h: float, st: GridStencil) -> bool:
-    """Whether all rows of B are one row (module docstring)."""
-    if st.box is None or n > st.half + 1:
-        return False
-    end_entry = st.densities[0] * min(0.5 * h, st.cover[0])  # the end tap's, in an end column
-    return n <= st.half or abs(end_entry - 0.5 * st.box[0]) <= FLAT_TOL
 
 
 def _perron(rho: float, vec: np.ndarray, apply) -> tuple[np.ndarray, float]:
@@ -228,9 +217,7 @@ def principal_eigenvalue(
     The interval is normalised to (0, length), making the result exactly
     translation invariant.  Grids below DENSE_THRESHOLD nodes go through
     the dense matrix (``method == "dense"``, ``iterations`` 0), so the
-    checks set against its rounding keep it.  Larger grids whose rows of B
-    are all one row under a flat stencil (``_rank_one``) take rho from one
-    application to ones (``"rank_one"``, 0); the rest go through the
+    checks set against its rounding keep it.  Larger grids go through the
     Krylov solver (``"krylov"``, ``iterations`` its matvec count).
     """
     if d1 <= 0 or not np.isfinite(d1):
@@ -244,10 +231,6 @@ def principal_eigenvalue(
         vals, vecs = np.linalg.eig(B)
         k = int(np.argmax(vals.real))
         rho, vec, iterations = float(vals[k].real), vecs[:, k], 0
-    elif _rank_one(n, h, st):
-        method, apply = "rank_one", _matvec_factory(n, h, d1, st)
-        vec, iterations = np.ones(n), 0
-        rho = float(np.mean(apply(vec)))
     else:
         method, apply = "krylov", _matvec_factory(n, h, d1, st)
         rho, vec, iterations = _krylov_solve(apply, n, _basis_size(n, st.half))

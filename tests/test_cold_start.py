@@ -4,9 +4,9 @@ Importing scipy.signal alone costs most of a second, so the package
 imports each scipy subpackage inside the branch that uses it, and never
 multiprocessing: a dt-halving run and a parallel sweep fork their children
 with ``os.fork`` alone.  Uniform and truncated-gaussian runs load no scipy
-at all, nor does any eigensolve: dense, rank one or Krylov, all three are
-numpy.  Every case runs in its own interpreter and reports which watched
-modules it loaded.
+at all, nor does any eigensolve: dense or Krylov, both are numpy.  Every
+case runs in its own interpreter and reports which watched modules it
+loaded.
 """
 
 import json
@@ -80,8 +80,7 @@ axis.params.mu = [0.01, 10.0]
     assert main(argv) == 0
 """
 
-# At dx = 0.1 the uniform stencil's half-width is 10 nodes, so the 35-node
-# grid is not rank one and goes to the Krylov solver.
+# The largest dense grid, 34 nodes, and the smallest Krylov one, 35 nodes.
 EIGEN_16_NODES = """
 from nlinvade.eigenvalue import DENSE_THRESHOLD, principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
@@ -91,14 +90,15 @@ assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 2)), 0.1).met
 assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 1)), 0.1).method == "krylov"
 """
 
-# At dx = 0.001 the half-width is 1 000 nodes: the 801-node grid is rank one.
+# At dx = 0.001 the half-width is 1 000 nodes: the 801-node grid is rank one,
+# which the Krylov solver ends in 2 matvecs.
 EIGEN_801_NODES = """
 from nlinvade.eigenvalue import principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 
 k = validate_kernel(KernelSpec.uniform(1.0), 0.001)
 res = principal_eigenvalue(k, 1.2, (0.0, 0.8), 0.001)
-assert (res.nodes.size, res.method) == (801, "rank_one")
+assert (res.nodes.size, res.method) == (801, "krylov")
 """
 
 CONVOLVE_501_TAPS = """

@@ -283,12 +283,15 @@ class TestBuild:
             ("v_table", "9 1\n-9 0.5\n"),
             ("v_table", "-9 1\n0 1\n0 1\n9 1\n"),
             ("v_table", "-9 1\nnan 1\n9 1\n"),
+            ("u_table", ""),
+            ("v_table", ""),
         ],
         ids=["u-three-columns", "u-not-vanishing-outside", "u-zero-inside", "u-above-cap",
              "u-nan-inside", "u-unsorted-x", "u-repeated-x", "u-nan-x",
              "v-three-columns", "v-negative", "v-above-cap", "v-unsorted-x", "v-repeated-x",
-             "v-nan-x"],
+             "v-nan-x", "u-empty-file", "v-empty-file"],
     )
+    @pytest.mark.filterwarnings("error")  # numpy only warns on an empty file
     def test_rejected_initial_table(self, tmp_path, key, table):
         (tmp_path / "t.txt").write_text(table)
         mapping = parse_config_text(MINIMAL)
@@ -315,10 +318,11 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "table, suffix",
-        [("-1 1\n0 0\n1 1\n", ""), ("0.0 one\n1.0 two\n", ".table")],
-        ids=["zero-at-origin", "garbled"],
+        [("-1 1\n0 0\n1 1\n", ""), ("0.0 one\n1.0 two\n", ".table"), ("", ".table")],
+        ids=["zero-at-origin", "garbled", "empty-file"],
     )
     @pytest.mark.parametrize("section", ["kernel_u", "kernel_v"])
+    @pytest.mark.filterwarnings("error")
     def test_rejected_kernel_table(self, tmp_path, section, table, suffix):
         (tmp_path / "k.txt").write_text(table)
         mapping = parse_config_text(MINIMAL)

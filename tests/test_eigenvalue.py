@@ -40,36 +40,38 @@ class TestRankOneOracle:
         res = principal_eigenvalue(kernel, d1, (0.0, 1.5), 0.001)
         assert res.residual <= 1e-8
 
-    def test_power_on_a_long_flat_stencil(self):
+    def test_krylov_on_a_long_flat_stencil(self):
         # 2 001 flat taps at dx = 0.001: the matvec convolves by prefix sums.
         # l = L0 gives 1 001 nodes, one more than the stencil's half-width,
         # but the end taps are half cells like the end columns, so every row
-        # of B is the same row and the grid is solved as rank one.
+        # of B is the same row and the Krylov space is invariant at once.
         kernel = validate_kernel(KernelSpec.uniform(1.0), 0.001)
         d1 = 1.2
         res = principal_eigenvalue(kernel, d1, (0.0, 1.0), 0.001)
-        assert res.method == "rank_one"
+        assert (res.method, res.iterations) == ("krylov", 2)
         assert res.lambda_p == pytest.approx(d1 * (1.0 / 2.0 - 1.0), abs=1e-10)
 
 
 # (d1, length, dx) for the uniform kernel with L0 = 1: grids of 35 to 1 001
 # nodes, at most the stencil's half-width (40 nodes at dx = 0.025, 1 000 at
-# dx = 0.001) or, at l = L0, one more.
+# dx = 0.001) or, at l = L0, one more, on which every row of B is one row.
 RANK_ONE = [(1.2, 0.8, 0.001), (0.5, 0.9, 0.025), (2.0, 0.891, 0.025), (1.0, 0.85, 0.025),
             (1.0, 1.0, 0.025), (1.2, 1.0, 0.001)]
 
 
 class TestRankOnePath:
+    """Rank-one grids of DENSE_THRESHOLD nodes or more, which the Krylov
+    solver ends exactly: B applied to the start vector gives the constant,
+    and B applied to that spans nothing new."""
+
     @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
     def test_closed_form(self, d1, length, dx):
-        # A flat stencil whose half-width is at least the node count makes
-        # every row of B the same row, so rho comes from B applied to ones.
         kernel = validate_kernel(KernelSpec.uniform(1.0), dx)
         res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
         assert res.nodes.size >= eigenvalue.DENSE_THRESHOLD
-        assert (res.method, res.iterations) == ("rank_one", 0)
+        assert (res.method, res.iterations) == ("krylov", 2)
         assert abs(res.lambda_p - d1 * (length / 2.0 - 1.0)) <= 1e-12
-        assert np.all(res.eigenfunction == 1.0)
+        assert np.max(np.abs(res.eigenfunction - 1.0)) <= 1e-12
         assert res.residual <= eigenvalue.RESIDUAL_TOL
 
     @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
@@ -78,26 +80,28 @@ class TestRankOnePath:
         res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
         monkeypatch.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
         dense = principal_eigenvalue(kernel, d1, (0.0, length), dx)
-        assert (res.method, dense.method) == ("rank_one", "dense")
+        assert (res.method, dense.method) == ("krylov", "dense")
         assert res.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
         assert np.allclose(dense.eigenfunction, 1.0, rtol=0.0, atol=1e-9)
 
     def test_only_flat_stencils_across_the_interval(self):
-        # The same 37-node grid under a gaussian or triangular kernel goes to
-        # the Krylov solver.  Under the uniform kernel one node past its half-width, l =
-        # L0 is still rank one, but l = 1.0125 is not: its end taps cover
-        # 1.6e-4 of a cell, not half of one.
+        # The same 37-node grid under a gaussian or triangular kernel takes
+        # more than 2 matvecs.  Under the uniform kernel one node past its
+        # half-width, l = L0 is still rank one, but l = 1.0125 is not: its
+        # end taps cover 1.6e-4 of a cell, not half of one.
         nodes = 37
         for kernel in (GAUSS, TRI):
             dx = kernel.support_radius / 40
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
             assert (res.nodes.size, res.method) == (nodes, "krylov")
+            assert res.iterations > 2
         res = principal_eigenvalue(UNI, 1.0, (0.0, 36 * 0.025), 0.025)
-        assert (res.nodes.size, res.method) == (nodes, "rank_one")
+        assert (res.nodes.size, res.method, res.iterations) == (nodes, "krylov", 2)
         res = principal_eigenvalue(UNI, 1.0, (0.0, 40 * 0.025), 0.025)
-        assert (res.nodes.size, res.method) == (41, "rank_one")
+        assert (res.nodes.size, res.method, res.iterations) == (41, "krylov", 2)
         res = principal_eigenvalue(UNI, 1.0, (0.0, 1.0125), 0.025)
         assert (res.nodes.size, res.method) == (41, "krylov")
+        assert res.iterations > 2
 
 
 class TestLimits:
@@ -144,16 +148,13 @@ class TestInvariants:
             val = lam(kernel, d1, (0.0, length), dx)
             assert -d1 < val < 0.0
 
-    def test_power_matches_dense(self, monkeypatch):
+    def test_krylov_matches_dense(self, monkeypatch):
         # Both solver paths on the same operator, from the smallest Krylov
         # grid on.  The Krylov solver stops at KRYLOV_TOL relative accuracy,
-        # so the two agree far inside 1e-11.  The uniform stencil's
-        # half-width is 40 nodes at dx = L0/40, and grids up to that size,
-        # and the 41-node one of l = L0, are rank one, so its Krylov grids
-        # start at 42.
+        # so the two agree far inside 1e-11.
         n0 = eigenvalue.DENSE_THRESHOLD
-        cases = [(kernel, nodes) for kernel, first in ((UNI, 42), (GAUSS, n0))
-                 for nodes in (first, first + 1, first + 4, first + 5, 400)]
+        cases = [(kernel, nodes) for kernel in (UNI, GAUSS)
+                 for nodes in (n0, n0 + 1, n0 + 4, n0 + 5, 400)]
         for kernel, nodes in cases:
             dx = kernel.support_radius / 40
             interval = (0.0, (nodes - 1) * dx)
@@ -169,18 +170,16 @@ class TestInvariants:
         # The measured dense/Krylov crossover with the sized Krylov basis
         # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
         # 21-node solves whose checks pass on dense rounding stay dense.
-        # The uniform kernel is taken at dx = L0/33, a stencil half-width of
-        # 33 nodes, so that its 35-node grid is past the rank-one rule.
         assert eigenvalue.DENSE_THRESHOLD == 35
         assert eigenvalue.DENSE_THRESHOLD > 21
-        dx = kernel.support_radius / (33 if kernel is UNI else 40)
+        dx = kernel.support_radius / 40
         for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
                               (eigenvalue.DENSE_THRESHOLD, "krylov")):
             res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
             assert (res.nodes.size, res.method) == (nodes, method)
             assert (res.iterations > 0) == (method == "krylov")
 
-    def test_arpack_stopping_tolerance(self, monkeypatch):
+    def test_krylov_stopping_tolerance(self, monkeypatch):
         # The Krylov solver stops at KRYLOV_TOL, not machine precision: on
         # 1 281 nodes that saves restarts (measured 51 -> 31 matvecs) and
         # moves lambda by rounding only.
@@ -288,8 +287,8 @@ class TestErrors:
             m.setattr(eigenvalue, "KRYLOV_CYCLES", 0)
             with pytest.raises(NoConvergence):
                 principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
-        # A residual above RESIDUAL_TOL fails the returned pair on all three
-        # paths (the rank-one grid's rows differ by rounding: 4.4e-16 here).
+        # A residual above RESIDUAL_TOL fails the returned pair on both
+        # paths, the rank-one grid included (its residual is 3.3e-16 here).
         monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 0.0)
         for kernel, length, dx in ((GAUSS, 30.0, 0.05), (GAUSS, 0.2, 0.05), (UNI, 0.9, 0.025)):
             with pytest.raises(NoConvergence):
