@@ -36,12 +36,8 @@ taps, against an extended-precision sum).  A field update multiplies the
 convolution by dt*D, which brings the per-step effect back to rounding
 level.  The sum runs over the field minus its left extension value, so a
 stretch equal to that value (a far field at rest) adds no rounding at
-all.  Every other stencil is convolved directly or by overlap-add FFT, by
+all.  Every other stencil is convolved directly or by a numpy real FFT, by
 tap count.
-
-Imports: only one branch loads scipy, on its first call: the FFT branch of
-`grid_convolve` (over DIRECT_MAX_TAPS taps, not flat) scipy.signal.  The
-eigensolver loads none.
 """
 
 from __future__ import annotations
@@ -70,12 +66,12 @@ SYMMETRY_TOL = 1e-12
 CLOSED_FORMS = ("uniform", "triangular", "truncated_gaussian")
 
 # Stencils that are not flat (see FLAT_TOL) and have at most this many taps
-# are convolved directly, longer ones by overlap-add FFT.  Direct convolution
-# costs n*m multiply-adds, overlap-add about n*log(m) plus a fixed overhead.
-# On a 2-vCPU x86-64 VM the crossover was near 160 taps at n = 20 000,
-# 400-500 at n = 2 881 and above 2 000 at n = 300 (timings in CHANGES.md).
-# 500 is the crossover for windows of a few thousand nodes, the size long
-# spreading runs reach.  Only `grid_convolve` consults it.
+# are convolved directly, longer ones by `fft_convolve`.  Direct costs n*m
+# multiply-adds, the FFT about (n+m)*log(n+m) plus a fixed overhead.  On a
+# 2-vCPU x86-64 VM the crossover was 160-240 taps at n = 20 000, 240-320 at
+# n = 2 881 and 1 000-2 000 or more at n = 300 (timings in CHANGES.md).  500
+# was the crossover at n = 2 881 for the overlap-add branch this FFT replaced;
+# moving it would change output bytes in between.  Only `grid_convolve` reads it.
 DIRECT_MAX_TAPS = 500
 
 # A stencil is flat when every tap between its two end taps equals the
@@ -209,16 +205,16 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             return np.where(s <= 0.0, left, right)
 
     elif spec.form == "truncated_gaussian":
-
-        def _phi(z):
-            """Standard normal CDF."""
-            return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
         sig = spec.sigma
         if sig is None or not np.isfinite(sig) or sig <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
-        norm = sig * math.sqrt(2.0 * math.pi) * (_phi(L0 / sig) - _phi(-L0 / sig))
-        peak = 1.0 / norm if norm else math.inf
+        # erf(c * L0) keeps the digits that Phi(L0/sig) - Phi(-L0/sig) cancels
+        c = 1.0 / (sig * math.sqrt(2.0))
+        edge = math.erf(c * L0)
+        if edge == 0.0:  # c * L0 underflows, and the norm is 0 with it
+            raise ValueError(f"kernel form {spec.form!r} has density inf at the origin")
+        norm = sig * math.sqrt(2.0 * math.pi) * edge
+        peak = 1.0 / norm
 
         def ev(x):
             x = np.asarray(x, dtype=float)
@@ -227,10 +223,6 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         # scale * erf(c * L0) >= 0.5 after rounding, so the clamped value is
         # exactly 0 and 1 at and beyond -L0 and L0 (erf is odd and does not
         # decrease)
-        c = 1.0 / (sig * math.sqrt(2.0))
-        edge = math.erf(c * L0)
-        if edge == 0.0:  # c * L0 underflows, and the norm rounds to 0 with it
-            raise ValueError(f"kernel form {spec.form!r} has density {peak} at the origin")
         scale = 0.5 / edge
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
@@ -251,8 +243,7 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             np.minimum(z, 1.0, out=z)
             return z if shape is None else z.reshape(shape)[()]
 
-    # the density at the origin overflows for a subnormal L0 or sigma, and
-    # for a sigma so far above L0 that the gaussian's norm rounds to 0
+    # the density at the origin overflows for a subnormal L0 or sigma
     if not 0.0 < peak < math.inf:
         raise ValueError(f"kernel form {spec.form!r} has density {peak} at the origin")
     return ValidatedKernel(form=spec.form, support_radius=float(L0), evaluate=ev, cdf=cdf)
@@ -438,6 +429,26 @@ def _box_convolve(
     return out
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n: a length numpy's FFT takes fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fft_convolve(values: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Full linear convolution by numpy's real FFT at a 5-smooth length."""
+    full = values.size + masses.size - 1
+    size = _fast_len(full)
+    return np.fft.irfft(np.fft.rfft(values, size) * np.fft.rfft(masses, size), size)[:full]
+
+
 def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) -> np.ndarray:
     """Same-length discrete convolution of cell-weighted samples with a stencil.
 
@@ -446,7 +457,7 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     continues its end values.  A flat stencil (``stencil.box``) is applied
     from a prefix sum in O(n) on fields longer than
     ``stencil.direct_up_to`` nodes and directly on shorter ones; any other
-    stencil directly up to DIRECT_MAX_TAPS taps and by overlap-add FFT
+    stencil directly up to DIRECT_MAX_TAPS taps and by `fft_convolve`
     beyond.
 
     The direct path calls ``np.correlate(values, stencil.reversed_masses,
@@ -455,12 +466,11 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     shorter than the stencil keeps np.convolve, whose "same" output would
     take the stencil's length.
     """
-    masses, half = stencil.masses, stencil.half
+    masses, half, n = stencil.masses, stencil.half, values.size
     ends = (values[0], values[-1]) if edge else (0.0, 0.0)
-    if values.size > stencil.direct_up_to:
+    if n > stencil.direct_up_to:
         return _box_convolve(values, half, *stencil.box, *ends)
     if edge:
-        n = values.size
         ext = np.empty(n + 2 * half)
         ext[:half] = ends[0]
         ext[half : half + n] = values
@@ -468,11 +478,10 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
         values, mode = ext, "valid"
     else:
         mode = "same"
-    if masses.size > DIRECT_MAX_TAPS:
-        from scipy.signal import oaconvolve
-
-        return oaconvolve(values, masses, mode=mode)
+    if masses.size > DIRECT_MAX_TAPS:  # output j is full[j + half], on ext full[j + 2*half]
+        start = 2 * half if edge else half
+        return fft_convolve(values, masses)[start : start + n]
     if values.size < masses.size:  # np.convolve's "same" keeps the longer length
-        return np.convolve(values, masses, mode="full")[half : half + values.size]
+        return np.convolve(values, masses, mode="full")[half : half + n]
     return np.correlate(values, stencil.reversed_masses, mode)
 

@@ -67,8 +67,8 @@ calling process sees only the halving run's steps.
 Both convolutions go through `kernels.grid_convolve`: the u band with zero
 extension, the whole v window with edge continuation.  It chooses how each
 stencil is applied (prefix sums for flat stencils such as the uniform
-kernel's, direct or FFT otherwise), so this module holds no convolution
-switch of its own.
+kernel's, direct or numpy's real FFT otherwise), so this module holds no
+convolution switch of its own.
 
 The same stepping core runs the reduced (`ModelParams`) and the un-reduced
 (`GeneralParams`) parameterisation alike: `init_state` and
@@ -97,6 +97,7 @@ from .kernels import (
     ValidatedKernel,
     cell_weights,
     check_grid_size,
+    fft_convolve,
     grid_convolve,
     grid_stencil,
 )
@@ -107,13 +108,10 @@ EXPAND_MARGIN = 2.0    # expand when a front comes within this many L0 of an edg
 
 
 def __getattr__(name):
-    # perfbench/tracer.py wraps simulator.oaconvolve.  Resolving the name on
-    # first access keeps scipy.signal out of every process that does not
-    # look it up (kernels.grid_convolve imports it on its FFT branch).
+    # perfbench/tracer.py wraps simulator.oaconvolve, the old name of the
+    # FFT branch of kernels.grid_convolve
     if name == "oaconvolve":
-        from scipy.signal import oaconvolve
-
-        return oaconvolve
+        return fft_convolve
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -522,8 +520,10 @@ def run(
     """
     if T < 0 or not np.isfinite(T):
         raise ValueError("T must be nonnegative and finite")
-    if snapshot_every <= 0:
-        raise ValueError("snapshot_every must be positive")
+    if not 0 < snapshot_every < math.inf:
+        raise ValueError("snapshot_every must be positive and finite")
+    if profile_every and not 0 < profile_every < math.inf:
+        raise ValueError("profile_every must be None, 0, or positive and finite")
     bound = stability_bound(state.coef)
     if dt > bound:
         raise StabilityViolated(f"dt={dt} exceeds the stability bound {bound:.6g}")

@@ -1,12 +1,11 @@
-"""Which scipy subpackages a fresh interpreter loads, per code path.
+"""No code path of the package loads scipy or multiprocessing.
 
-Importing scipy.signal alone costs most of a second, so the package
-imports each scipy subpackage inside the branch that uses it, and never
-multiprocessing: a dt-halving run and a parallel sweep fork their children
-with ``os.fork`` alone.  Uniform and truncated-gaussian runs load no scipy
-at all, nor does any eigensolve: dense or Krylov, both are numpy.  Every
-case runs in its own interpreter and reports which watched modules it
-loaded.
+scipy is a test dependency only, an oracle for the tests.  Every
+convolution, the FFT branch of `kernels.grid_convolve` included, and every
+eigensolve, dense or Krylov, runs on numpy alone.  A dt-halving run and a
+parallel sweep fork their children with ``os.fork`` alone.  Every case
+runs in its own interpreter and reports which watched modules it loaded;
+one runs the FFT branch with scipy made unimportable.
 """
 
 import json
@@ -102,7 +101,6 @@ assert (res.nodes.size, res.method) == (801, "krylov")
 """
 
 CONVOLVE_501_TAPS = """
-import sys
 import numpy as np
 from nlinvade.kernels import DIRECT_MAX_TAPS, KernelSpec, grid_convolve, grid_stencil, validate_kernel
 
@@ -111,7 +109,34 @@ for half in (DIRECT_MAX_TAPS // 2 - 1, DIRECT_MAX_TAPS // 2):  # 499 and 501 tap
     st = grid_stencil(k, 1.0 / (half + 0.5))
     assert st.half == half and st.box is None
     grid_convolve(np.ones(50), st)
-    assert ("scipy.signal" in sys.modules) == (st.masses.size > DIRECT_MAX_TAPS)
+"""
+
+# Triangular kernels at dx = 0.003 have 667 taps, so each step convolves the
+# u band (zero extension) and the v window (edge extension) by the FFT
+# branch, with every scipy import made to fail.
+FFT_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # "import scipy" now raises ImportError
+import tempfile
+from nlinvade.config import build_scenario, parse_config_text
+from nlinvade.kernels import DIRECT_MAX_TAPS, KernelSpec, grid_stencil, validate_kernel
+from nlinvade.runner import run_scenario
+
+st = grid_stencil(validate_kernel(KernelSpec.triangular(1.0), 0.003), 0.003)
+assert st.masses.size == 667 > DIRECT_MAX_TAPS and st.box is None
+cfg = build_scenario(parse_config_text('''
+[kernel_u]
+form = "triangular"
+[kernel_v]
+form = "triangular"
+[numerics]
+dx = 0.003
+dt = 0.02
+T = 0.1
+'''))
+with tempfile.TemporaryDirectory() as out:  # T = 0.1 is too short for a verdict
+    assert run_scenario(cfg, outdir=out, check_theorems=False).exit_code == 0
+assert sys.modules.pop("scipy") is None
 """
 
 
@@ -129,24 +154,19 @@ def loaded(snippet: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# (snippet, modules it must load, modules it must not load); scipy.signal
-# itself imports scipy.sparse.linalg and scipy.special, so the FFT branch
-# is the one case that may load scipy.
 CASES = {
-    "uniform-run": (UNIFORM_RUN, [], list(WATCHED)),
-    "uniform-halving-run": (UNIFORM_HALVING_RUN, [], list(WATCHED)),
-    "gaussian-kernel": (GAUSSIAN_KERNEL, [], list(WATCHED)),
-    "gaussian-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "1"), [], list(WATCHED)),
-    "parallel-sweep": (GAUSSIAN_SWEEP.replace("JOBS", "2"), [], list(WATCHED)),
-    "eigen-16-nodes": (EIGEN_16_NODES, [], list(WATCHED)),
-    "eigen-801-nodes": (EIGEN_801_NODES, [], list(WATCHED)),
-    "convolve-501-taps": (CONVOLVE_501_TAPS, ["scipy.signal"], []),
+    "uniform-run": UNIFORM_RUN,
+    "uniform-halving-run": UNIFORM_HALVING_RUN,
+    "gaussian-kernel": GAUSSIAN_KERNEL,
+    "gaussian-sweep": GAUSSIAN_SWEEP.replace("JOBS", "1"),
+    "parallel-sweep": GAUSSIAN_SWEEP.replace("JOBS", "2"),
+    "eigen-16-nodes": EIGEN_16_NODES,
+    "eigen-801-nodes": EIGEN_801_NODES,
+    "convolve-501-taps": CONVOLVE_501_TAPS,
+    "fft-without-scipy": FFT_WITHOUT_SCIPY,
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scipy_loaded_only_where_used(case):
-    snippet, loads, skips = CASES[case]
-    got = loaded(snippet)
-    assert [m for m in loads if m not in got] == []
-    assert [m for m in skips if m in got] == []
+    assert loaded(CASES[case]) == []

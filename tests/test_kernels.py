@@ -99,9 +99,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_kernel(KernelSpec(form="nope", L0=1.0), DX)
 
-    # a subnormal L0 or sigma overflows the height at the origin, and a sigma
-    # far above L0 rounds the gaussian's normaliser to zero; so far above a
-    # tiny L0 that the erf argument underflows, the cdf's edge value is 0 too
+    # a subnormal L0 or sigma overflows the height at the origin; a sigma so
+    # far above a tiny L0 that the erf argument underflows makes the
+    # gaussian's normaliser, and the cdf's edge value, 0
     @pytest.mark.parametrize(
         "spec",
         [
@@ -109,7 +109,6 @@ class TestValidation:
             KernelSpec.triangular(5e-324),
             KernelSpec.truncated_gaussian(1.0, 1e-310),
             KernelSpec.truncated_gaussian(1e-310, 1.0),
-            KernelSpec.truncated_gaussian(1e300, 1.0),
             KernelSpec.truncated_gaussian(1e307, 1e-20),
         ],
     )
@@ -118,6 +117,15 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="at the origin"):
                 validate_kernel(spec, DX)
+
+    def test_near_flat_gaussian_is_valid(self):
+        # sigma / L0 = 1e300: the normaliser sigma * sqrt(2 pi) * erf(c * L0)
+        # keeps its digits where a difference of two normal cdfs rounds to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = validate_kernel(KernelSpec.truncated_gaussian(1e300, 1.0), DX)
+            assert abs(k.evaluate(0.0) - 0.5) <= 1e-12
+            assert grid_stencil(k, DX).box is not None
 
     def test_non_increasing_table_rejected(self):
         table = np.array([[-1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]])
@@ -480,6 +488,41 @@ class TestEdgeExtension:
         conv = oaconvolve if st_.masses.size > DIRECT_MAX_TAPS else np.convolve
         want = conv(ext, st_.masses, mode="valid")
         assert grid_convolve(values, st_, edge=True).tobytes() == want.tobytes()
+
+
+class TestFftBranch:
+    """The numpy real FFT against scipy's overlap-add convolution."""
+
+    def test_fast_len_is_scipys(self):
+        from scipy.fft import next_fast_len
+
+        assert [kernels._fast_len(n) for n in range(1, 5001)] == [
+            next_fast_len(n, real=True) for n in range(1, 5001)
+        ]
+
+    # Zero extension, and edge extension where TestEdgeExtension does not
+    # reach.  oaconvolve's rounding differs from one FFT's where it splits
+    # the field into blocks (20 000 nodes at 501 taps) and on a field shorter
+    # than the stencil (5 nodes).
+    @pytest.mark.parametrize(
+        "n, half, edge",
+        [(5, 255, False), (700, 255, False), (2881, 1000, False), (20000, 250, False),
+         (20000, 250, True)],
+    )
+    def test_matches_oaconvolve(self, n, half, edge):
+        from scipy.signal import oaconvolve
+
+        st_ = grid_stencil(validate_kernel(KernelSpec.triangular(1.0), DX), 1.0 / (half + 0.5))
+        assert st_.half == half and st_.box is None and st_.masses.size > DIRECT_MAX_TAPS
+        values = np.random.default_rng(half + n).random(n)
+        if edge:
+            ext = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+            want = oaconvolve(ext, st_.masses, mode="valid")
+        else:
+            want = oaconvolve(values, st_.masses, mode="same")
+        got = grid_convolve(values, st_, edge=edge)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 class TestGridSize:

@@ -833,6 +833,20 @@ class TestRun:
         assert d12 < 0.02  # small absolute drift
         assert d12 <= 3.0 * d23 + 1e-12  # consistent with first order
 
+    # a negative cadence would never advance the next recording time, so run
+    # would loop forever, and a NaN one fails every comparison
+    @pytest.mark.parametrize("every", [0.0, -1.0, math.inf, math.nan])
+    def test_snapshot_every_positive_and_finite(self, every):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            run(make_state(), 0.1, 0.02, every)
+
+    @pytest.mark.parametrize("every", [-1.0, math.inf, math.nan])
+    def test_profile_every_none_zero_or_positive(self, every):
+        with pytest.raises(ValueError, match="profile_every"):
+            run(make_state(), 0.1, 0.02, 0.05, profile_every=every)
+        for ok in (None, 0.0, 0.05):
+            run(make_state(), 0.1, 0.02, 0.05, profile_every=ok)
+
     def test_window_too_small_for_metrics(self):
         s = make_state()
         with pytest.raises(WindowTooSmall):
