@@ -109,6 +109,7 @@ class TestValidation:
             KernelSpec.triangular(5e-324),
             KernelSpec.truncated_gaussian(1.0, 1e-310),
             KernelSpec.truncated_gaussian(1e-310, 1.0),
+            KernelSpec.truncated_gaussian(1e300, 1e-30),
             KernelSpec.truncated_gaussian(1e307, 1e-20),
         ],
     )
