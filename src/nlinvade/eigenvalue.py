@@ -12,55 +12,41 @@ the eigenvalue stays inside (-d1, 0)) and makes the operator exactly rank
 one when the kernel is constant across the interval.
 
 The shifted matrix B = L + d1*I is entrywise nonnegative with positive
-diagonal, so its Perron root is the eigenvalue of largest real part.  It is
-found by one of two methods:
-
-- "dense": grids below DENSE_THRESHOLD nodes solve the dense matrix
-  exactly.  They stay dense whatever their stencil, because three checks
-  of the test suite sit within one rounding step of their bound on 4- to
-  21-node grids, and the dense result is the one they were set against.
-- "krylov": every other grid, by a thick-restart Arnoldi on the
-  matrix-free operator, which never forms B's band (`_krylov_solve`;
-  Stewart's Krylov-Schur restart, SIAM J. Matrix Anal. Appl. 23, 2001).
-  On a rank-one grid (a flat stencil spanning the interval) its Krylov
-  space turns invariant after 2 matvecs, with the constant eigenvector.
-
-Both are numpy alone and return the pair only after its residual passes
-RESIDUAL_TOL.  Translation invariance is exact because every interval is
-normalised to left endpoint 0 before discretisation.
+diagonal, so its Perron root is the eigenvalue of largest real part.  Every
+grid finds it by a thick-restart Arnoldi on the matrix-free operator, which
+never forms B (`_krylov_solve`; Stewart's Krylov-Schur restart, SIAM J.
+Matrix Anal. Appl. 23, 2001).  On a rank-one grid (a flat stencil spanning
+the interval) its Krylov space turns invariant after 2 matvecs, with the
+constant eigenvector.  The solver is numpy alone and returns the pair only
+after its residual passes RESIDUAL_TOL.  Translation invariance is exact
+because every interval is normalised to left endpoint 0 before
+discretisation.
 
 The Krylov basis holds m = min(20, max(8, ceil(r) + 4)) vectors, r = (n -
 1) / half the interval's length in stencil half-widths: 20 vectors cost 21
 matvecs at least, the sized basis 2 to 19 below r = 16.  Cost per solve in
 ms (d1 = 1, dx = L0/40, uniform kernel with L0 = 1, truncated gaussian with
-sigma = 1, L0 = 2, each solver called on the operator, so grids below
-DENSE_THRESHOLD are timed under Krylov too; the uniform grids of 25 and 35
-nodes are rank one, which Krylov ends in 2 matvecs; medians of 21
-interleaved solves, shared 2-vCPU x86-64 VM, one BLAS thread; matvecs in
-brackets):
+sigma = 1, L0 = 2; the uniform grids of 25 and 35 nodes are rank one,
+which the solver ends in 2 matvecs; medians of 21 interleaved solves,
+shared 2-vCPU x86-64 VM, one BLAS thread; matvecs in brackets):
 
-        r  nodes  kernel    basis  dense  Krylov
-      0.6     25  uniform       8   0.22  0.11 (2)
-     0.85     35  uniform       8   0.37  0.12 (2)
-      1.4     57  uniform       8   0.78  0.30 (9)
-        2     81  uniform       8   2.52  0.33 (9)
-        4    161  uniform       8   9.98  0.70 (13)
-        8    321  uniform      12      -  0.47 (13)
-       11    441  uniform      15      -  0.60 (16)
-       14    561  uniform      18      -  0.89 (19)
-       16    641  uniform      20      -  0.96 (21)
-       32   1281  uniform      20      -  2.13 (31)
-      0.6     25  gaussian      8   0.22  0.29 (9)
-     0.85     35  gaussian      8   0.35  0.28 (9)
-      1.4     57  gaussian      8   0.92  0.45 (9)
-        4    161  gaussian      8   9.61  0.41 (9)
-       11    441  gaussian     15      -  0.58 (16)
-       32   1281  gaussian     20      -  2.97 (41)
-
-Dense time over Krylov time, the median of 100 interleaved pairs, crossed
-1 at 31-33 nodes for the gaussian at dx = L0/40 (0.96, 1.02), at 27-31 at
-dx = L0/13 (0.92, 1.17) and at 25-27 for the uniform kernel at dx = L0/13
-(0.80, 1.04; 0.98 at 41 nodes, where its 8-vector basis restarts).
+        r  nodes  kernel    basis  Krylov
+      0.6     25  uniform       8  0.11 (2)
+     0.85     35  uniform       8  0.12 (2)
+      1.4     57  uniform       8  0.30 (9)
+        2     81  uniform       8  0.33 (9)
+        4    161  uniform       8  0.70 (13)
+        8    321  uniform      12  0.47 (13)
+       11    441  uniform      15  0.60 (16)
+       14    561  uniform      18  0.89 (19)
+       16    641  uniform      20  0.96 (21)
+       32   1281  uniform      20  2.13 (31)
+      0.6     25  gaussian      8  0.29 (9)
+     0.85     35  gaussian      8  0.28 (9)
+      1.4     57  gaussian      8  0.45 (9)
+        4    161  gaussian      8  0.41 (9)
+       11    441  gaussian     15  0.58 (16)
+       32   1281  gaussian     20  2.97 (41)
 """
 
 from __future__ import annotations
@@ -73,10 +59,8 @@ import numpy as np
 from .errors import DegenerateInterval, NoConvergence
 from .kernels import GridStencil, ValidatedKernel, check_grid_size, grid_convolve, grid_stencil
 
-# Fewest nodes solved by the Krylov solver; smaller grids take the dense
-# path.  35 was the previous iterative solver's crossover; moving it to the
-# Krylov solver's (25-33 nodes, module docstring) would change lambda in the
-# last bits on the grids between.
+# Read only by perfbench/tracer.py, which splits its small and large solve
+# times at this node count; no code path of the package reads it.
 DENSE_THRESHOLD = 35
 # Largest residual max|B phi - rho phi| accepted for a returned pair.
 RESIDUAL_TOL = 1e-8
@@ -96,7 +80,7 @@ class EigenResult:
     nodes: np.ndarray
     iterations: int
     residual: float
-    method: str
+    method: str = "krylov"  # the one solver; report.json and perfbench read it
 
 
 def _grid(interval: tuple[float, float], dx: float) -> tuple[int, float]:
@@ -109,19 +93,6 @@ def _grid(interval: tuple[float, float], dx: float) -> tuple[int, float]:
     check_grid_size(length / dx + 1.0, f"an interval of length {length:g} at spacing {dx:g}")
     n = max(4, int(round(length / dx)) + 1)
     return n, length / (n - 1)
-
-
-def _dense_matrix(n: int, h: float, d1: float, st: GridStencil) -> np.ndarray:
-    idx = np.arange(n)
-    m = idx[:, None] - idx[None, :]
-    k = m + st.half
-    valid = (k >= 0) & (k <= 2 * st.half)
-    kc = np.clip(k, 0, 2 * st.half)
-    dens = np.where(valid, st.densities[kc], 0.0)
-    cov = np.where(valid, st.cover[kc], 0.0)
-    w = np.full(n, h)  # quadrature weights, half cells at the ends
-    w[0] = w[-1] = 0.5 * h
-    return d1 * dens * np.minimum(w[None, :], cov)
 
 
 def _matvec_factory(n: int, h: float, d1: float, st: GridStencil):
@@ -215,25 +186,16 @@ def principal_eigenvalue(
     """Principal eigenvalue and positive eigenfunction on an interval.
 
     The interval is normalised to (0, length), making the result exactly
-    translation invariant.  Grids below DENSE_THRESHOLD nodes go through
-    the dense matrix (``method == "dense"``, ``iterations`` 0), so the
-    checks set against its rounding keep it.  Larger grids go through the
-    Krylov solver (``"krylov"``, ``iterations`` its matvec count).
+    translation invariant.  Every grid goes through the Krylov solver
+    (``method == "krylov"``, ``iterations`` its matvec count).
     """
     if d1 <= 0 or not np.isfinite(d1):
         raise ValueError("d1 must be positive")
     n, h = _grid(interval, dx)
     st = grid_stencil(kernel, h)
 
-    if n < DENSE_THRESHOLD:
-        B = _dense_matrix(n, h, d1, st)
-        method, apply = "dense", B.__matmul__
-        vals, vecs = np.linalg.eig(B)
-        k = int(np.argmax(vals.real))
-        rho, vec, iterations = float(vals[k].real), vecs[:, k], 0
-    else:
-        method, apply = "krylov", _matvec_factory(n, h, d1, st)
-        rho, vec, iterations = _krylov_solve(apply, n, _basis_size(n, st.half))
+    apply = _matvec_factory(n, h, d1, st)
+    rho, vec, iterations = _krylov_solve(apply, n, _basis_size(n, st.half))
     phi, residual = _perron(rho, vec, apply)
 
     nodes = interval[0] + np.arange(n) * h
@@ -243,7 +205,6 @@ def principal_eigenvalue(
         nodes=nodes,
         iterations=iterations,
         residual=residual,
-        method=method,
     )
 
 

@@ -214,6 +214,8 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         if edge == 0.0:  # c * L0 underflows, and the norm is 0 with it
             raise ValueError(f"kernel form {spec.form!r} has density inf at the origin")
         norm = sig * math.sqrt(2.0 * math.pi) * edge
+        if math.isinf(norm):  # sig above about 7.2e307; finite cases keep their bits
+            norm = sig * (math.sqrt(2.0 * math.pi) * edge)
         peak = 1.0 / norm
 
         def ev(x):

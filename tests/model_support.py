@@ -4,6 +4,9 @@
 spreading limit; `reduce_general` is the nondimensionalisation that maps
 the general-form system onto the reduced one, with the exact field and
 time scalings (`ScalingTransform`) that the scaling twin-run oracle uses.
+`dense_principal_eigenvalue` is the reference for the package's Krylov
+eigensolver: the same interval operator formed as a matrix
+(`_dense_matrix`) and solved by a full eigendecomposition.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from nlinvade import eigenvalue
 from nlinvade.dynamics import GeneralParams, ModelParams
 from nlinvade.errors import AssumptionViolated
+from nlinvade.kernels import GridStencil, ValidatedKernel, grid_stencil
 
 
 @dataclass(frozen=True)
@@ -113,3 +118,32 @@ def attractor_bounds(k: float, h_comp: float, j_max: int) -> BoundIteration:
         dominance_step=dominance,
         limits=limits,
     )
+
+
+def _dense_matrix(n: int, h: float, d1: float, st: GridStencil) -> np.ndarray:
+    idx = np.arange(n)
+    m = idx[:, None] - idx[None, :]
+    k = m + st.half
+    valid = (k >= 0) & (k <= 2 * st.half)
+    kc = np.clip(k, 0, 2 * st.half)
+    dens = np.where(valid, st.densities[kc], 0.0)
+    cov = np.where(valid, st.cover[kc], 0.0)
+    w = np.full(n, h)  # quadrature weights, half cells at the ends
+    w[0] = w[-1] = 0.5 * h
+    return d1 * dens * np.minimum(w[None, :], cov)
+
+
+def dense_principal_eigenvalue(
+    kernel: ValidatedKernel, d1: float, interval: tuple[float, float], dx: float
+) -> eigenvalue.EigenResult:
+    """`principal_eigenvalue` on the formed matrix B = L + d1*I: the Perron
+    root is the eigenvalue of B of largest real part, and the pair goes
+    through the package's own normalisation and residual check."""
+    n, h = eigenvalue._grid(interval, dx)
+    B = _dense_matrix(n, h, d1, grid_stencil(kernel, h))
+    vals, vecs = np.linalg.eig(B)
+    k = int(np.argmax(vals.real))
+    rho = float(vals[k].real)
+    phi, residual = eigenvalue._perron(rho, vecs[:, k], B.__matmul__)
+    nodes = interval[0] + np.arange(n) * h
+    return eigenvalue.EigenResult(rho - d1, phi, nodes, 0, residual, "dense")

@@ -121,8 +121,12 @@ class TestEigenvalueSuite:
                 if not np.all(np.diff(vals) > 0):
                     ok, _ = False, notes.append(f"{name} d1={d1} not strictly increasing")
                 small = principal_eigenvalue(kernel, d1, (0.0, 1e-3), dx).lambda_p
-                if abs(small + d1) > 1e-3:
-                    ok, _ = False, notes.append(f"{name} d1={d1} small-l limit off by {abs(small + d1):.2e}")
+                if name == "uniform":  # rank one at l = 1e-3: d1 * (l / (2 L0) - 1) -> -d1
+                    err, tol = abs(small - d1 * (1e-3 / (2.0 * L0) - 1.0)), 1e-12 * d1
+                else:
+                    err, tol = abs(small + d1), 1e-3
+                if err > tol:
+                    ok, _ = False, notes.append(f"{name} d1={d1} small-l limit off by {err:.2e}")
                 big = principal_eigenvalue(kernel, d1, (0.0, 64.0), dx).lambda_p
                 if not big > -0.06 * d1:
                     ok, _ = False, notes.append(f"{name} d1={d1} l=64 value {big:.2e}")

@@ -2,7 +2,7 @@
 
 scipy is a test dependency only, an oracle for the tests.  Every
 convolution, the FFT branch of `kernels.grid_convolve` included, and every
-eigensolve, dense or Krylov, runs on numpy alone.  A dt-halving run and a
+eigensolve runs on numpy alone.  A dt-halving run and a
 parallel sweep fork their children with ``os.fork`` alone.  Every case
 runs in its own interpreter and reports which watched modules it loaded;
 one runs the FFT branch with scipy made unimportable.
@@ -79,14 +79,15 @@ axis.params.mu = [0.01, 10.0]
     assert main(argv) == 0
 """
 
-# The largest dense grid, 34 nodes, and the smallest Krylov one, 35 nodes.
+# Short grids of 4, 16, 34 and 35 nodes: the Krylov solver serves them all.
 EIGEN_16_NODES = """
-from nlinvade.eigenvalue import DENSE_THRESHOLD, principal_eigenvalue
+from nlinvade.eigenvalue import principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 
 k = validate_kernel(KernelSpec.uniform(1.0), 0.1)
-assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 2)), 0.1).method == "dense"
-assert principal_eigenvalue(k, 1.0, (0.0, 0.1 * (DENSE_THRESHOLD - 1)), 0.1).method == "krylov"
+for nodes in (4, 16, 34, 35):
+    res = principal_eigenvalue(k, 1.0, (0.0, 0.1 * (nodes - 1)), 0.1)
+    assert (res.nodes.size, res.method) == (nodes, "krylov")
 """
 
 # At dx = 0.001 the half-width is 1 000 nodes: the 801-node grid is rank one,

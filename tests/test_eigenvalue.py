@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,19 @@ from nlinvade.errors import DegenerateInterval, NoConvergence
 from nlinvade.eigenvalue import eigen_curve, principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
 
+from model_support import dense_principal_eigenvalue
+
 UNI = validate_kernel(KernelSpec.uniform(1.0), 0.025)
 GAUSS = validate_kernel(KernelSpec.truncated_gaussian(1.0, 2.0), 0.05)
 TRI = validate_kernel(KernelSpec.triangular(1.0), 0.025)
+_XS = np.linspace(-1.5, 1.5, 301)
+SMALL_GRID_KERNELS = {
+    "uniform": UNI,
+    "triangular": TRI,
+    "gaussian": GAUSS,
+    "narrow-gaussian": validate_kernel(KernelSpec.truncated_gaussian(0.3, 1.0), 0.025),
+    "tabulated": validate_kernel(KernelSpec.tabulated(np.column_stack([_XS, 1.0 - (_XS / 1.5) ** 2])), 0.025),
+}
 
 
 def lam(kernel, d1, interval, dx):
@@ -60,27 +72,26 @@ RANK_ONE = [(1.2, 0.8, 0.001), (0.5, 0.9, 0.025), (2.0, 0.891, 0.025), (1.0, 0.8
 
 
 class TestRankOnePath:
-    """Rank-one grids of DENSE_THRESHOLD nodes or more, which the Krylov
-    solver ends exactly: B applied to the start vector gives the constant,
+    """Rank-one grids of 35 to 1 001 nodes, which the Krylov solver ends
+    exactly: B applied to the start vector gives the constant,
     and B applied to that spans nothing new."""
 
     @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
     def test_closed_form(self, d1, length, dx):
         kernel = validate_kernel(KernelSpec.uniform(1.0), dx)
         res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
-        assert res.nodes.size >= eigenvalue.DENSE_THRESHOLD
+        assert res.nodes.size >= 35
         assert (res.method, res.iterations) == ("krylov", 2)
         assert abs(res.lambda_p - d1 * (length / 2.0 - 1.0)) <= 1e-12
         assert np.max(np.abs(res.eigenfunction - 1.0)) <= 1e-12
         assert res.residual <= eigenvalue.RESIDUAL_TOL
 
     @pytest.mark.parametrize("d1, length, dx", RANK_ONE)
-    def test_matches_dense(self, monkeypatch, d1, length, dx):
+    def test_matches_dense(self, d1, length, dx):
         kernel = validate_kernel(KernelSpec.uniform(1.0), dx)
         res = principal_eigenvalue(kernel, d1, (0.0, length), dx)
-        monkeypatch.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
-        dense = principal_eigenvalue(kernel, d1, (0.0, length), dx)
-        assert (res.method, dense.method) == ("krylov", "dense")
+        dense = dense_principal_eigenvalue(kernel, d1, (0.0, length), dx)
+        assert res.method == "krylov"
         assert res.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
         assert np.allclose(dense.eigenfunction, 1.0, rtol=0.0, atol=1e-9)
 
@@ -107,7 +118,10 @@ class TestRankOnePath:
 class TestLimits:
     @pytest.mark.parametrize("d1", [0.5, 1.0, 2.0])
     def test_small_interval_limit(self, d1):
-        assert lam(UNI, d1, (0.0, 1e-3), 0.025) == pytest.approx(-d1, abs=1e-3)
+        # The 4-node grid of l = 1e-3 lies inside one uniform kernel width, so
+        # the operator is rank one with eigenvalue d1 * (l / (2 L0) - 1), which
+        # tends to -d1.  At d1 = 2 that value is exactly 1e-3 from -d1.
+        assert abs(lam(UNI, d1, (0.0, 1e-3), 0.025) - d1 * (1e-3 / 2.0 - 1.0)) <= 1e-12 * d1
 
     def test_long_interval_bracketing(self):
         l200 = lam(UNI, 1.0, (0.0, 200.0), 0.025)
@@ -148,36 +162,32 @@ class TestInvariants:
             val = lam(kernel, d1, (0.0, length), dx)
             assert -d1 < val < 0.0
 
-    def test_krylov_matches_dense(self, monkeypatch):
-        # Both solver paths on the same operator, from the smallest Krylov
-        # grid on.  The Krylov solver stops at KRYLOV_TOL relative accuracy,
-        # so the two agree far inside 1e-11.
-        n0 = eigenvalue.DENSE_THRESHOLD
-        cases = [(kernel, nodes) for kernel in (UNI, GAUSS)
-                 for nodes in (n0, n0 + 1, n0 + 4, n0 + 5, 400)]
+    def test_krylov_matches_dense(self):
+        # The Krylov solver against the dense reference on the same operator.
+        # It stops at KRYLOV_TOL relative accuracy, so the two agree far
+        # inside 1e-11.
+        cases = [(kernel, nodes) for kernel in (UNI, GAUSS) for nodes in (35, 36, 39, 40, 400)]
         for kernel, nodes in cases:
             dx = kernel.support_radius / 40
             interval = (0.0, (nodes - 1) * dx)
             krylov = principal_eigenvalue(kernel, 1.0, interval, dx)
-            with monkeypatch.context() as m:
-                m.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
-                dense = principal_eigenvalue(kernel, 1.0, interval, dx)
-            assert (krylov.nodes.size, krylov.method, dense.method) == (nodes, "krylov", "dense")
+            dense = dense_principal_eigenvalue(kernel, 1.0, interval, dx)
+            assert (krylov.nodes.size, krylov.method) == (nodes, "krylov")
             assert krylov.lambda_p == pytest.approx(dense.lambda_p, abs=1e-11)
 
-    @pytest.mark.parametrize("kernel", [UNI, GAUSS], ids=["uniform", "gaussian"])
-    def test_dense_below_the_crossover(self, kernel):
-        # The measured dense/Krylov crossover with the sized Krylov basis
-        # (eigenvalue module docstring).  Above 21 nodes, so the 4-, 11- and
-        # 21-node solves whose checks pass on dense rounding stay dense.
-        assert eigenvalue.DENSE_THRESHOLD == 35
-        assert eigenvalue.DENSE_THRESHOLD > 21
-        dx = kernel.support_radius / 40
-        for nodes, method in ((eigenvalue.DENSE_THRESHOLD - 1, "dense"),
-                              (eigenvalue.DENSE_THRESHOLD, "krylov")):
-            res = principal_eigenvalue(kernel, 1.0, (0.0, (nodes - 1) * dx), dx)
-            assert (res.nodes.size, res.method) == (nodes, method)
-            assert (res.iterations > 0) == (method == "krylov")
+    @pytest.mark.parametrize("kernel", SMALL_GRID_KERNELS.values(), ids=SMALL_GRID_KERNELS.keys())
+    def test_small_grids_match_dense(self, kernel):
+        # Every grid of 4 to 34 nodes, flat stencils across the interval (rank
+        # one) included, at spacings of a third to a two-hundredth of the
+        # kernel radius: the Krylov solver serves them all.
+        for d1, cells, nodes in itertools.product((0.5, 1.0, 2.0), (3, 7, 13, 40, 101, 200), range(4, 35)):
+            dx = kernel.support_radius / cells
+            interval = (0.0, (nodes - 1) * dx)
+            res = principal_eigenvalue(kernel, d1, interval, dx)
+            dense = dense_principal_eigenvalue(kernel, d1, interval, dx)
+            assert (res.nodes.size, res.method) == (nodes, "krylov")
+            assert abs(res.lambda_p - dense.lambda_p) <= 1e-11
+            assert res.residual <= eigenvalue.RESIDUAL_TOL
 
     def test_krylov_stopping_tolerance(self, monkeypatch):
         # The Krylov solver stops at KRYLOV_TOL, not machine precision: on
@@ -245,14 +255,13 @@ class TestInvariants:
             assert res.iterations == first.iterations
             assert np.array_equal(res.eigenfunction, first.eigenfunction)
 
-    def test_low_rank_grid_breaks_down_exactly(self, monkeypatch):
+    def test_low_rank_grid_breaks_down_exactly(self):
         # The low-rank 65-node grid makes the Krylov space invariant within
         # the first cycle of its 8-vector basis: the solver returns the
         # Perron pair of that space, with no restart, at the dense lambda.
         dx = 1.0 / 64
         res = principal_eigenvalue(UNI, 1.0, (0.0, 1.0 + 0.5 * dx), dx)
-        monkeypatch.setattr(eigenvalue, "DENSE_THRESHOLD", 10**9)
-        dense = principal_eigenvalue(UNI, 1.0, (0.0, 1.0 + 0.5 * dx), dx)
+        dense = dense_principal_eigenvalue(UNI, 1.0, (0.0, 1.0 + 0.5 * dx), dx)
         assert (res.nodes.size, res.method) == (65, "krylov")
         assert 0 < res.iterations < eigenvalue._basis_size(65, 64)
         assert abs(res.lambda_p - dense.lambda_p) <= 1e-12
@@ -287,8 +296,8 @@ class TestErrors:
             m.setattr(eigenvalue, "KRYLOV_CYCLES", 0)
             with pytest.raises(NoConvergence):
                 principal_eigenvalue(UNI, 1.0, (0.0, 30.0), 0.025)
-        # A residual above RESIDUAL_TOL fails the returned pair on both
-        # paths, the rank-one grid included (its residual is 3.3e-16 here).
+        # A residual above RESIDUAL_TOL fails the returned pair on long and
+        # short grids, the rank-one grid included (its residual is 3.3e-16).
         monkeypatch.setattr(eigenvalue, "RESIDUAL_TOL", 0.0)
         for kernel, length, dx in ((GAUSS, 30.0, 0.05), (GAUSS, 0.2, 0.05), (UNI, 0.9, 0.025)):
             with pytest.raises(NoConvergence):

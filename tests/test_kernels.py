@@ -121,12 +121,14 @@ class TestValidation:
 
     def test_near_flat_gaussian_is_valid(self):
         # sigma / L0 = 1e300: the normaliser sigma * sqrt(2 pi) * erf(c * L0)
-        # keeps its digits where a difference of two normal cdfs rounds to 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            k = validate_kernel(KernelSpec.truncated_gaussian(1e300, 1.0), DX)
-            assert abs(k.evaluate(0.0) - 0.5) <= 1e-12
-            assert grid_stencil(k, DX).box is not None
+        # keeps its digits where a difference of two normal cdfs rounds to 0;
+        # at 1e308 sigma * sqrt(2 pi) overflows, and the other grouping does not
+        for sigma in (1e300, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k = validate_kernel(KernelSpec.truncated_gaussian(sigma, 1.0), DX)
+                assert abs(k.evaluate(0.0) - 0.5) <= 1e-12
+                assert grid_stencil(k, DX).box is not None
 
     def test_non_increasing_table_rejected(self):
         table = np.array([[-1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]])

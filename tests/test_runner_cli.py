@@ -170,8 +170,8 @@ class TestRunScenario:
         (check,) = [c for c in outcome.report["theorem_checks"]
                     if c["name"] == "vanishing_eigenvalue_bound"]
         details = check["details"]
-        assert details["method"] == "dense"  # a short interval, below DENSE_THRESHOLD nodes
-        assert details["iterations"] == 0
+        assert details["method"] == "krylov"  # the one solver, on a short interval too
+        assert details["iterations"] > 0
         assert 0.0 <= details["residual"] <= RESIDUAL_TOL
 
     def test_failed_check_margin_not_positive(self, tmp_path):
