@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .dynamics import equilibria_and_class, ode_trajectory, theta_classify
 from .eigenvalue import eigen_curve
 from .errors import ConfigInvalid, NlinvadeError
 from .kernels import validate_kernel
-from .output import fmt, report_text, write_eigen_curve, write_ode_csv, write_report_json
+from .output import (fmt, make_outdir, report_text, write_eigen_curve, write_ode_csv,
+                     write_report_json)
 from .runner import EXIT_CONFIG, EXIT_NUMERICAL, run_scenario, sweep
 
 
@@ -87,8 +87,7 @@ def _cmd_validate_kernel(args, cfg) -> int:
 def _cmd_eigen_curve(args, cfg) -> int:
     kernel = validate_kernel(cfg.kernel_u, cfg.numerics.dx)
     pairs = eigen_curve(kernel, cfg.params.d1, cfg.eigen_lengths, cfg.numerics.dx)
-    out = Path(args.out or cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_outdir(args.out or cfg.outdir)
     write_eigen_curve(out / "eigen_curve.txt", pairs)
     for l, lam in pairs:
         _say(args, f"l={fmt(l)} lambda_p={fmt(lam)}")
@@ -102,16 +101,13 @@ def _cmd_classify(args, cfg) -> int:
               "R_star": list(eq.R_star) if eq.R_star else None}
     _say(args, report_text(record), end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report_json(out / "classify.json", record)
+        write_report_json(make_outdir(args.out) / "classify.json", record)
     return 0
 
 
 def _cmd_ode(args, cfg) -> int:
     traj = ode_trajectory(cfg.params, cfg.ode_init, cfg.ode_T, cfg.ode_dt)
-    out = Path(args.out or cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_outdir(args.out or cfg.outdir)
     write_ode_csv(out / "ode.csv", traj)
     _say(args, f"final state u={fmt(traj.final[0])} v={fmt(traj.final[1])}")
     _say(args, f"wrote {out / 'ode.csv'}")

@@ -29,7 +29,7 @@ from .diagnostics import DiagnosticsConfig
 from .dynamics import ModelParams
 from .errors import (ConfigInvalid, GridTooLarge, InvalidInitialU, InvalidInitialV,
                      NonPositiveParameter)
-from .kernels import CLOSED_FORMS, KernelSpec, validate_kernel
+from .kernels import KernelSpec, validate_kernel
 from .simulator import Profile, init_state, stability_bound
 
 # -- scalar grammar --------------------------------------------------------
@@ -164,12 +164,19 @@ def _names(record) -> set[str]:
     return {f.name for f in fields(record)}
 
 
+# The keys that each kernel form reads.
+FORM_KEYS = {"uniform": {"form", "L0"}, "triangular": {"form", "L0"},
+             "truncated_gaussian": {"form", "L0", "sigma"}, "tabulated": {"form", "table"}}
+# Per field, each initial profile kind and the key of its data; the first is the default.
+PROFILE_KEYS = {"u": {"cosine": "u_max", "table": "u_table"},
+                "v": {"constant": "v_value", "table": "v_table"}}
+
 # The keys of the sections that build a record are that record's fields.
 KNOWN_KEYS = {
     "params": _names(ModelParams),
     "kernel_u": _names(KernelSpec),
     "kernel_v": _names(KernelSpec),
-    "initial": {"u_profile", "u_max", "u_table", "v_profile", "v_value", "v_table"},
+    "initial": {k for n, kinds in PROFILE_KEYS.items() for k in (f"{n}_profile", *kinds.values())},
     "numerics": _names(NumericsConfig),
     "diagnostics": _names(DiagnosticsConfig),
     "output": {"directory"},
@@ -231,70 +238,53 @@ def _kernel_spec(mapping: dict, section: str, base_dir: Path) -> KernelSpec:
     """The kernel of ``section``; a key that its form does not read is an error."""
     sec = mapping.get(section, {})
     form = sec.get("form", "uniform")
-    if form == "tabulated":
-        read = {"form", "table"}
-    elif form in CLOSED_FORMS:
-        read = {"form", "L0", "sigma"} if form == "truncated_gaussian" else {"form", "L0"}
-    else:
+    if not isinstance(form, str) or form not in FORM_KEYS:
         raise ConfigInvalid(f"unknown kernel form {form!r}", path=f"{section}.form")
     for key in sec:
-        if key not in read:
+        if key not in FORM_KEYS[form]:
             raise ConfigInvalid(f"not read by kernel form {form!r}", path=f"{section}.{key}")
     if form == "tabulated":
-        path = sec.get("table")
-        if not isinstance(path, str):
-            raise ConfigInvalid("tabulated kernel needs table = <path>", path=f"{section}.table")
-        return KernelSpec.tabulated(_load_table(base_dir, path, f"{section}.table"))
+        return KernelSpec.tabulated(_table(sec, base_dir, section, "table", "tabulated kernel"))
     L0 = _number(sec.get("L0", 1.0), f"{section}.L0")
     sigma = _number(sec.get("sigma"), f"{section}.sigma") if form == "truncated_gaussian" else None
     return KernelSpec(form=form, L0=L0, sigma=sigma)
 
 
-def _load_table(base_dir: Path, path: str, where: str) -> np.ndarray:
-    """The numeric table in the file at base_dir/path, else ConfigInvalid
-    (an empty file too, on which numpy only warns)."""
+def _table(sec: dict, base_dir: Path, section: str, key: str, what: str) -> np.ndarray:
+    """The numeric table in the file that ``sec[key]`` names under base_dir, else ConfigInvalid."""
+    path = sec.get(key)
+    if not isinstance(path, str):
+        raise ConfigInvalid(f"{what} needs {key} = <path>", path=f"{section}.{key}")
     try:
         with warnings.catch_warnings(action="error"):
             return np.loadtxt((base_dir / path).resolve(), dtype=float, ndmin=2)
-    except (OSError, ValueError, UserWarning) as exc:
-        raise ConfigInvalid(f"cannot read table: {exc}", path=where)
+    except (OSError, ValueError, UserWarning) as exc:  # on an empty file numpy only warns
+        raise ConfigInvalid(f"cannot read table: {exc}", path=f"{section}.{key}")
 
 
-def _table_profile(sec: dict, base_dir: Path, name: str) -> Profile:
-    """The ``{name}_table`` profile of the [initial] section ``sec``."""
-    key = f"{name}_table"
-    path = sec.get(key)
-    if not isinstance(path, str):
-        raise ConfigInvalid(f"{name} table profile needs {key} = <path>", path=f"initial.{key}")
-    return Profile.from_table(_load_table(base_dir, path, f"initial.{key}"))
-
-
-def _profiles(mapping: dict, base_dir: Path) -> tuple[Profile, Profile]:
-    """The u and v profiles of [initial]; a key that the chosen profile kinds
-    do not read is an error."""
+def _profiles(mapping: dict, base_dir: Path) -> list[tuple[Profile, str]]:
+    """The u and v profiles of [initial], each with the path of the key that
+    holds its data; a key that the chosen profile kinds do not read is an error."""
     sec = mapping.get("initial", {})
-    u_kind = sec.get("u_profile", "cosine")
-    if u_kind not in ("cosine", "table"):
-        raise ConfigInvalid(f"unknown u profile {u_kind!r}", path="initial.u_profile")
-    v_kind = sec.get("v_profile", "constant")
-    if v_kind not in ("constant", "table"):
-        raise ConfigInvalid(f"unknown v profile {v_kind!r}", path="initial.v_profile")
-    read = {"u_profile", "u_max" if u_kind == "cosine" else "u_table",
-            "v_profile", "v_value" if v_kind == "constant" else "v_table"}
-    for key in sec:
-        if key not in read:
-            name, kind = ("u", u_kind) if key.startswith("u_") else ("v", v_kind)
-            raise ConfigInvalid(f"not read by {name} profile {kind!r}", path=f"initial.{key}")
-
-    if u_kind == "cosine":
-        u_prof = Profile.cosine(_number(sec.get("u_max", 1.0), "initial.u_max"))
-    else:
-        u_prof = _table_profile(sec, base_dir, "u")
-    if v_kind == "constant":
-        v_prof = Profile.constant(_number(sec.get("v_value", 1.0), "initial.v_value", closed=True))
-    else:
-        v_prof = _table_profile(sec, base_dir, "v")
-    return u_prof, v_prof
+    kinds = {name: sec.get(f"{name}_profile", next(iter(keys)))  # the first kind is the default
+             for name, keys in PROFILE_KEYS.items()}
+    for name, kind in kinds.items():
+        if not isinstance(kind, str) or kind not in PROFILE_KEYS[name]:
+            raise ConfigInvalid(f"unknown {name} profile {kind!r}", path=f"initial.{name}_profile")
+    for key in sec:  # a known key: u_... or v_...
+        name = key[0]
+        if key not in (f"{name}_profile", PROFILE_KEYS[name][kinds[name]]):
+            raise ConfigInvalid(f"not read by {name} profile {kinds[name]!r}", path=f"initial.{key}")
+    profiles = []
+    for name, kind in kinds.items():
+        key = PROFILE_KEYS[name][kind]
+        if kind == "table":
+            prof = Profile.from_table(_table(sec, base_dir, "initial", key, f"{name} table profile"))
+        else:  # Profile.cosine(u_max) or Profile.constant(v_value); only v_value may be 0
+            prof = getattr(Profile, kind)(_number(sec.get(key, 1.0), f"initial.{key}",
+                                                  closed=kind == "constant"))
+        profiles.append((prof, f"initial.{key}"))
+    return profiles
 
 
 def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
@@ -369,15 +359,11 @@ def build_scenario(mapping: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             path="diagnostics.L_dev",
         )
 
-    u_prof, v_prof = _profiles(mapping, base_dir)
+    (u_prof, u_key), (v_prof, v_key) = _profiles(mapping, base_dir)
     try:  # sample the profiles as the run will; a grid too large is the run's to report
         init_state(params, kernels["kernel_u"], kernels["kernel_v"], u_prof, v_prof, dx, window_pad)
-    except InvalidInitialU as exc:
-        raise ConfigInvalid(str(exc), path="initial.u_max" if u_prof.kind == "cosine"
-                            else "initial.u_table")
-    except InvalidInitialV as exc:
-        raise ConfigInvalid(str(exc), path="initial.v_value" if v_prof.kind == "constant"
-                            else "initial.v_table")
+    except (InvalidInitialU, InvalidInitialV) as exc:
+        raise ConfigInvalid(str(exc), path=u_key if isinstance(exc, InvalidInitialU) else v_key)
     except GridTooLarge:
         pass
 

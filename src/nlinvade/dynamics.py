@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveParameter, NotInTheta2, StepTooLarge
+from .kernels import check_grid_size
 
 THETA1 = "theta1"
 THETA2 = "theta2"
@@ -149,7 +150,8 @@ def ode_trajectory(
     """Classical fourth-order one-step integration of the plain ODE.
 
     Nonnegativity is enforced by flushing below-zero undershoots to exact
-    zero; a state escaping ten times the invariant box raises StepTooLarge.
+    zero; a state escaping ten times the invariant box raises StepTooLarge,
+    and a trajectory of more than MAX_GRID_NODES points GridTooLarge.
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive")
@@ -162,7 +164,8 @@ def ode_trajectory(
     k, h, gamma = params.k, params.h_comp, params.gamma
     cap_u = 10.0 * max(1.0, u0)
     cap_v = 10.0 * max(1.0, v0)
-    n = int(math.ceil(T / dt)) if T > 0 else 0
+    check_grid_size(T / dt + 1.0, f"an ODE trajectory to T = {T:g} at step {dt:g}")
+    n = math.ceil(T / dt)
     ts = np.empty(n + 1)
     us = np.empty(n + 1)
     vs = np.empty(n + 1)

@@ -210,6 +210,8 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
             raise ValueError("truncated_gaussian needs sigma > 0")
         # erf(c * L0) keeps the digits that Phi(L0/sig) - Phi(-L0/sig) cancels
         c = 1.0 / (sig * math.sqrt(2.0))
+        if c == 0.0:  # sig * sqrt(2) overflowed (sig above about 1.27e308)
+            c = (1.0 / math.sqrt(2.0)) / sig  # only here, so finite cases keep their bits
         edge = math.erf(c * L0)
         if edge == 0.0:  # c * L0 underflows, and the norm is 0 with it
             raise ValueError(f"kernel form {spec.form!r} has density inf at the origin")
@@ -278,9 +280,8 @@ def _tabulated(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel:
 
     # Symmetry probe on the sample abscissae, their mirrors and midpoints.
     probes = np.unique(np.concatenate([xs, -xs, 0.5 * (xs[1:] + xs[:-1])]))
-    if grid_resolution > 0:
-        n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1
-        probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
+    n_extra = int(min(4096, 2 * radius / grid_resolution)) + 1
+    probes = np.unique(np.concatenate([probes, np.linspace(-radius, radius, n_extra)]))
     asym = np.max(np.abs(raw(probes) - raw(-probes)), initial=0.0)
     if asym > SYMMETRY_TOL * max(peak, 1e-300):
         raise AsymmetricKernel(f"tabulated kernel asymmetric by {asym:.3e}")

@@ -14,12 +14,23 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 TIMESERIES_HEADER = "t,g_front,h_front,mass_u,sup_u,v_dev_L"
 SVG_WIDTH, SVG_HEIGHT = 840, 480
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def make_outdir(path) -> Path:
+    """The directory ``path``, made if missing; an OSError is ConfigInvalid at output.directory."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot create the output directory: {exc}", path="output.directory")
+    return Path(path)
 
 
 def write_rows(path: Path, rows, header: str | None = None, sep: str = ",") -> None:

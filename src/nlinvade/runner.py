@@ -41,6 +41,7 @@ from .dynamics import equilibria_and_class, theta_classify
 from .errors import ConfigInvalid, GridTooLarge, NlinvadeError, OutOfScope, SeriesTooShort
 from .kernels import validate_kernel
 from .output import (
+    make_outdir,
     snapshot_name,
     write_profile_svg,
     write_report_json,
@@ -72,6 +73,8 @@ def run_scenario(
 ) -> RunOutcome:
     """Execute one scenario; see module docstring for the exit-code map."""
     out = Path(outdir) if outdir is not None else Path(cfg.outdir)
+    if write_files:  # before the run, so that a directory in the way costs no run
+        make_outdir(out)
     report: dict = {
         "regime": None,
         "fronts": {},
@@ -105,7 +108,6 @@ def run_scenario(
         exit_code = EXIT_CHECKS if check_theorems and failed else EXIT_OK
 
     if write_files:
-        out.mkdir(parents=True, exist_ok=True)
         write_report_json(out / "report.json", report)
         if result is not None:
             final = result.final_state
@@ -383,8 +385,7 @@ def sweep(
     if total > cfg.sweep_cap:
         raise GridTooLarge(f"sweep grid has {total} cells, cap is {cfg.sweep_cap}")
 
-    out = Path(outdir) if outdir is not None else Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_outdir(outdir if outdir is not None else cfg.outdir)
 
     tasks = []
     combos = list(itertools.product(*grids))

@@ -516,7 +516,8 @@ def run(
     snapshot_every time units (plus the initial and final instants).
 
     Full (x, u, v) profiles are kept at the first and last snapshot, and at
-    multiples of profile_every when given.  Deterministic for fixed inputs.
+    multiples of profile_every when given.  A step records at most once, so
+    both spacings are floored at dt.  Deterministic for fixed inputs.
     """
     if T < 0 or not np.isfinite(T):
         raise ValueError("T must be nonnegative and finite")
@@ -541,10 +542,10 @@ def run(
     def keep_profile(s: SimState):
         profiles.append((s.t, s.x.copy(), s.u.copy(), s.v.copy()))
 
+    next_snap = snapshot_every = max(snapshot_every, dt)
+    next_profile = profile_every = max(profile_every, dt) if profile_every else math.inf
     record(state)
     keep_profile(state)
-    next_snap = snapshot_every
-    next_profile = profile_every if profile_every else None
 
     t_end = T - 1e-12 * max(T, 1.0)
     while state.t < t_end:
@@ -553,7 +554,7 @@ def run(
             record(state)
             while next_snap <= state.t + 0.5 * dt:
                 next_snap += snapshot_every
-            if next_profile is not None and state.t >= next_profile - 0.5 * dt:
+            if state.t >= next_profile - 0.5 * dt:
                 keep_profile(state)
                 while next_profile <= state.t + 0.5 * dt:
                     next_profile += profile_every

@@ -23,8 +23,10 @@ from nlinvade.dynamics import (
     theta_classify,
     x_star,
 )
+from nlinvade import kernels
 from nlinvade.errors import (
     AssumptionViolated,
+    GridTooLarge,
     NonPositiveParameter,
     NotInTheta2,
     StepTooLarge,
@@ -114,6 +116,21 @@ class TestOdeTrajectory:
         traj = ode_trajectory(params(), (0.2, 0.4), T=0.0, dt=0.1)
         assert traj.t.size == 1
         assert traj.final == (0.2, 0.4)
+
+    @pytest.mark.parametrize("T, dt", [(1e307, 0.01), (1e9, 0.01), (200.0, 1e-300)])
+    def test_trajectory_length_capped(self, T, dt):
+        # T / dt + 1 points is checked before any array is allocated: the
+        # ratio overflows to inf, or asks for 1e11 or 2e302 points
+        with pytest.raises(GridTooLarge, match="an ODE trajectory"):
+            ode_trajectory(params(), (0.1, 0.1), T=T, dt=dt)
+
+    def test_trajectory_cap_counts_every_point(self, monkeypatch):
+        # T = 1 at dt = 0.1 is 10 steps and 11 points, t = 0 included
+        monkeypatch.setattr(kernels, "MAX_GRID_NODES", 11)
+        assert ode_trajectory(params(), (0.1, 0.1), T=1.0, dt=0.1).t.size == 11
+        monkeypatch.setattr(kernels, "MAX_GRID_NODES", 10)
+        with pytest.raises(GridTooLarge):
+            ode_trajectory(params(), (0.1, 0.1), T=1.0, dt=0.1)
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),

@@ -122,8 +122,10 @@ class TestValidation:
     def test_near_flat_gaussian_is_valid(self):
         # sigma / L0 = 1e300: the normaliser sigma * sqrt(2 pi) * erf(c * L0)
         # keeps its digits where a difference of two normal cdfs rounds to 0;
-        # at 1e308 sigma * sqrt(2 pi) overflows, and the other grouping does not
-        for sigma in (1e300, 1e308):
+        # at 1e308 sigma * sqrt(2 pi) overflows, and the other grouping does not;
+        # from about 1.27e308 sigma * sqrt(2) overflows too, and c is formed
+        # without it, up to the largest float
+        for sigma in (1e300, 1e308, 1.27e308, 1.7e308, np.finfo(float).max):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 k = validate_kernel(KernelSpec.truncated_gaussian(sigma, 1.0), DX)

@@ -885,6 +885,40 @@ class TestCli:
         final = lines[-1].split(",")
         assert float(final[1]) == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    def test_ode_trajectory_too_long_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["ode", "--config", str(config_file(tmp_path)), "--out", str(out), "--quiet",
+                "--set", "ode.T=1e307"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: GridTooLarge: an ODE trajectory to T = 1e+307")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, how",
+        [(command, how) for command in ("simulate", "verify", "sweep", "eigen-curve", "ode")
+         for how in ("--out", "output.directory")] + [("classify", "--out")],
+    )
+    def test_uncreatable_output_directory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                 command, how):
+        # A file where the directory or one of its parents would go is a
+        # config error at output.directory, found before any run.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr(runner, "run", lambda *args, **kwargs: calls.append(args))
+        text = BASE + "\n[sweep]\naxis.params.mu = [0.5, 2.0]\n" if command == "sweep" else BASE
+        argv = [command, "--config", str(config_file(tmp_path, text)), "--quiet"]
+        argv += (["--out", str(blocker / "x")] if how == "--out"
+                 else ["--set", f"output.directory={blocker}"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.directory: cannot create the output directory")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert calls == []
+        assert blocker.read_text() == ""
+
     def test_negative_ode_horizon_exit_2(self, tmp_path, capsys):
         rc = main(["ode", "--config", str(config_file(tmp_path)), "--set", "ode.T=-1", "--quiet"])
         assert rc == 2

@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -846,6 +847,32 @@ class TestRun:
             run(make_state(), 0.1, 0.02, 0.05, profile_every=every)
         for ok in (None, 0.0, 0.05):
             run(make_state(), 0.1, 0.02, 0.05, profile_every=ok)
+
+    @pytest.mark.parametrize("every", [0.013, 0.005, 1e-300])
+    def test_spacing_below_dt_records_each_step_once(self, every):
+        # A step records at most once, so every spacing below dt gives the
+        # run that a spacing of dt gives.  Below the float spacing of t the
+        # next recording time would never pass t; the alarm turns such a
+        # hang into a failure.
+        ref = run(make_state(), 0.2, 0.02, 0.02, profile_every=0.02)
+
+        def expire(signum, frame):
+            raise TimeoutError("run did not end")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            res = run(make_state(), 0.2, 0.02, every, profile_every=every)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.series.t.size == 11
+        for name in ("t", "g_front", "h_front", "mass_u", "sup_u", "v_dev_L", "sup_v"):
+            assert np.array_equal(getattr(res.series, name), getattr(ref.series, name))
+        assert len(res.profiles) == len(ref.profiles) == 11
+        for got, want in zip(res.profiles, ref.profiles):
+            assert got[0] == want[0]
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
     def test_window_too_small_for_metrics(self):
         s = make_state()
