@@ -21,6 +21,9 @@ scale * math.erf(c * s), c = 1 / (sigma * sqrt(2)), with scale rounded up
 from 0.5 / math.erf(c * L0) so that the value is exactly 0 at and beyond
 -L0 and exactly 1 at and beyond L0.  It agrees with the difference-of-Phi
 form (Phi(s / sigma) - Phi(-L0 / sigma)) / span to within 3 ulp of 1.
+The cdfs' constants and a flat stencil's taps are float64 0-d arrays built
+with the kernel or stencil: a ufunc takes one in 0.39-0.49 us, a Python
+float in 0.55-0.62 us, and every step applies both to short arrays.
 
 Convolution: `grid_convolve` is the one place that picks how a stencil is
 applied.  A flat stencil, whose interior taps are all equal and whose two
@@ -94,6 +97,7 @@ FLAT_DIRECT = ((11, math.inf), (81, 320), (161, 96))
 # interval, an initial simulation window or a grown window.  One float array
 # of this size is 8 MB, and the Krylov basis, at most 21 vectors, 168 MB.
 MAX_GRID_NODES = 10**6
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ class GridStencil:
     (k - half) * dx; ``cover[k]`` is the length of that cell inside the
     support; ``densities = masses / cover``.  ``mass_correction`` is the
     raw discrete mass divided out during normalisation.  ``box`` holds the
-    (inner, end) tap weights of a flat stencil, with
+    (inner, end) tap weights of a flat stencil, float64 0-d arrays, with
     (2 * half - 1) * inner + 2 * end = 1, and is None for any other stencil.
     ``direct_up_to`` is the longest field convolved directly: a flat
     stencil's FLAT_DIRECT limit (0 when its taps are past the table), and
@@ -167,7 +171,7 @@ class GridStencil:
     cover: np.ndarray
     densities: np.ndarray
     mass_correction: float
-    box: tuple[float, float] | None
+    box: tuple[np.ndarray, np.ndarray] | None
     direct_up_to: float
     reversed_masses: np.ndarray = field(repr=False)
 
@@ -179,6 +183,7 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
 
     if spec.form == "uniform":
         peak = 0.5 / L0
+        l0, span = np.array(L0), np.array(2.0 * L0)
 
         def ev(x):
             x = np.asarray(x, dtype=float)
@@ -188,10 +193,11 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         # wrapper's overhead, which dominates on the short flux arrays.
         def cdf(s):
             s = np.asarray(s, dtype=float)
-            return np.minimum(np.maximum((s + L0) / (2.0 * L0), 0.0), 1.0)
+            return np.minimum(np.maximum((s + l0) / span, _ZERO), _ONE)
 
     elif spec.form == "triangular":
         peak = 1.0 / L0
+        l0, neg, sq = np.array(L0), np.array(-L0), np.array(2.0 * L0 * L0)
 
         def ev(x):
             x = np.asarray(x, dtype=float)
@@ -199,10 +205,10 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
 
         def cdf(s):
             s = np.asarray(s, dtype=float)
-            s = np.minimum(np.maximum(s, -L0), L0)
-            left = (s + L0) ** 2 / (2.0 * L0 * L0)
-            right = 1.0 - (L0 - s) ** 2 / (2.0 * L0 * L0)
-            return np.where(s <= 0.0, left, right)
+            s = np.minimum(np.maximum(s, neg), l0)
+            left = (s + l0) ** 2 / sq
+            right = _ONE - (l0 - s) ** 2 / sq
+            return np.where(s <= _ZERO, left, right)
 
     elif spec.form == "truncated_gaussian":
         sig = spec.sigma
@@ -230,6 +236,7 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
         scale = 0.5 / edge
         while scale * edge < 0.5:
             scale = math.nextafter(scale, math.inf)
+        c, scale = np.array(c), np.array(scale)
 
         # erf mapped over c * s, then scaled and clamped in place.  Input other
         # than a 1-D float64 array (the flux offsets) runs flat in float64 and
@@ -242,9 +249,9 @@ def _closed_form(spec: KernelSpec) -> ValidatedKernel:
                 shape, s = s.shape, s.ravel()
             z = np.fromiter(map(math.erf, (s * c).tolist()), float, s.size)
             z *= scale
-            z += 0.5
-            np.maximum(z, 0.0, out=z)
-            np.minimum(z, 1.0, out=z)
+            z += _HALF
+            np.maximum(z, _ZERO, out=z)
+            np.minimum(z, _ONE, out=z)
             return z if shape is None else z.reshape(shape)[()]
 
     # the density at the origin overflows for a subnormal L0 or sigma
@@ -303,7 +310,7 @@ def _tabulated(spec: KernelSpec, grid_resolution: float) -> ValidatedKernel:
 
     def cdf(s):
         c = np.interp(np.asarray(s, dtype=float), xs, cum, left=0.0, right=1.0)
-        return np.minimum(np.maximum(c, 0.0), 1.0)
+        return np.minimum(np.maximum(c, _ZERO), _ONE)
 
     return ValidatedKernel(
         form="tabulated",
@@ -392,7 +399,7 @@ def grid_stencil(kernel: ValidatedKernel, dx: float) -> GridStencil:
     inner = masses[1:-1]
     if half > 0 and inner.max() - inner.min() <= FLAT_TOL and abs(masses[-1] - masses[0]) <= FLAT_TOL:
         end = float(masses[0])
-        box = ((1.0 - 2.0 * end) / (2 * half - 1), end)
+        box = (np.array((1.0 - 2.0 * end) / (2 * half - 1)), np.array(end))
         direct_up_to = max((nodes for taps, nodes in FLAT_DIRECT if masses.size <= taps), default=0)
     return GridStencil(
         half=half,
@@ -470,7 +477,7 @@ def grid_convolve(values: np.ndarray, stencil: GridStencil, edge: bool = False) 
     take the stencil's length.
     """
     masses, half, n = stencil.masses, stencil.half, values.size
-    ends = (values[0], values[-1]) if edge else (0.0, 0.0)
+    ends = (values[0], values[-1]) if edge else (_ZERO, _ZERO)
     if n > stencil.direct_up_to:
         return _box_convolve(values, half, *stencil.box, *ends)
     if edge:

@@ -895,6 +895,30 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("halving", [False, True], ids=["plain", "dt_halving"])
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
+    def test_run_of_too_many_steps_exit_3(self, tmp_path, capsys, dt, halving):
+        # T / dt = 2e301 or 2e10 steps: refused before the first step (the
+        # main run in a forked child under dt_halving), where the run would
+        # step until killed.  The alarm turns a hang into a failure.
+        def expire(signum, frame):
+            raise TimeoutError("simulate did not end")
+
+        argv = ["simulate", "--config", str(config_file(tmp_path, VANISHING)), "--out",
+                str(tmp_path / "o"), "--quiet", "--set", f"numerics.dt={dt}",
+                "--set", f"diagnostics.dt_halving={str(halving).lower()}"]
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            assert main(argv) == 3
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: GridTooLarge: the time grid of a run to T = 20 "
+                              f"at step {float(dt):g} ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, how",
         [(command, how) for command in ("simulate", "verify", "sweep", "eigen-curve", "ode")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlinvade.dynamics import GeneralParams, ModelParams
 from nlinvade.errors import (
+    GridTooLarge,
     InvalidInitialU,
     InvalidInitialV,
     NonPositiveParameter,
@@ -474,6 +475,17 @@ class TestStepOracle:
         s = assert_steps_match_reference(oracle_state(mu=0.0), [0.02] * 40)
         assert (s.g_front, s.h_front) == (-1.0, 1.0)
 
+    def test_alternating_dts(self):
+        # each step takes the other dt than the step before, then a partial
+        # step, so no step may use the factors of the dt before
+        assert_steps_match_reference(oracle_state(), [0.02, 0.013] * 20 + [0.0041])
+
+    def test_one_state_stepped_at_two_dts(self):
+        # s carries the factors of dt = 0.02, and is stepped at 0.013 too
+        s = assert_steps_match_reference(oracle_state(), [0.02] * 5)
+        for dt in (0.013, 0.02, 0.013):
+            assert_same_state(step(s, dt), reference_step(s, dt))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("edge", [False, True], ids=["u", "v"])
     def test_one_field_blown_up_raises(self, monkeypatch, bad, edge):
@@ -873,6 +885,28 @@ class TestRun:
         for got, want in zip(res.profiles, ref.profiles):
             assert got[0] == want[0]
             assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-9])
+    def test_step_count_over_the_grid_cap(self, dt):
+        # T / dt steps over MAX_GRID_NODES are refused before the first step;
+        # such a run would otherwise step until killed.  The alarm turns a
+        # hang into a failure.
+        def expire(signum, frame):
+            raise TimeoutError("run did not end")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            with pytest.raises(GridTooLarge, match=re.escape(f"the time grid of a run to T = 20 at step {dt:g} ")):
+                run(make_state(), 20.0, dt, 1.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, math.nan])
+    def test_dt_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run(make_state(), 1.0, dt, 0.5)
 
     def test_window_too_small_for_metrics(self):
         s = make_state()
