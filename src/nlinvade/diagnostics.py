@@ -26,8 +26,8 @@ from .dynamics import (
     theta_classify,
 )
 from .eigenvalue import principal_eigenvalue
-from .errors import OutOfScope, SeriesTooShort, Undecided
-from .kernels import ValidatedKernel, cell_weights
+from .errors import SeriesTooShort
+from .kernels import cell_weights
 from .simulator import SimState, TimeSeries
 
 TRAILING_FRACTION = 0.2
@@ -127,13 +127,20 @@ def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> R
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One check's verdict.  ``margin`` is the tolerance minus the excess:
-    at least 0 on a pass, at most 0 or None on a fail."""
+    """One check's verdict.  ``margin`` is the tolerance minus the excess,
+    or None where the check has no number.  The verdict rule: a check
+    passes when its margin is above 0, or equal to 0 where it is
+    ``inclusive`` (a ``<=`` rule); a None margin fails."""
 
     name: str
-    passed: bool
     margin: float | None
     details: dict = field(default_factory=dict)
+    inclusive: bool = False
+
+    @property
+    def passed(self) -> bool:
+        m = self.margin
+        return m is not None and (m > 0.0 or (self.inclusive and m == 0.0))
 
     def to_record(self) -> dict:
         return {
@@ -144,20 +151,21 @@ class TheoremCheck:
         }
 
 
-def comparison_bound_check(series: TimeSeries, v0_max: float, gamma: float) -> TheoremCheck:
+def comparison_bound_check(series: TimeSeries, gamma: float) -> TheoremCheck:
     """The native upper bound: sup_x v(t) <= 1 + (k1 - 1) exp(-gamma t)
-    + COMPARISON_SLACK with k1 = v0_max + 1.
+    + COMPARISON_SLACK with k1 = v0_max + 1, v0_max the first sample's sup v.
 
     The record's ``worst_violation`` is the largest excess over the bound
     (positive means violated); its margin is minus that excess.
     """
     if series.t.size == 0:
         raise ValueError("series is empty")
+    v0_max = float(series.sup_v[0])
     k1 = v0_max + 1.0
     bound = 1.0 + (k1 - 1.0) * np.exp(-gamma * series.t) + COMPARISON_SLACK
     worst = float(np.max(series.sup_v - bound))
     return TheoremCheck(
-        "native_upper_bound", worst <= 0.0, -worst, {"worst_violation": worst, "v0_max": v0_max}
+        "native_upper_bound", -worst, {"worst_violation": worst, "v0_max": v0_max}, inclusive=True
     )
 
 
@@ -183,45 +191,46 @@ def _plateau_scan(state: SimState, level: float) -> dict:
 
 
 def verify_theorems(
-    report: RegimeReport,
+    report: Optional[RegimeReport],
     params: ModelParams,
-    kernel: ValidatedKernel,
     final_state: SimState,
     series: TimeSeries,
     tol: DiagnosticsConfig,
+    required: bool = True,
 ) -> list[TheoremCheck]:
-    """Consistency checks of a decided run against the proven dichotomy.
+    """Consistency checks of a run against the proven dichotomy, ending
+    with the native upper bound, which every run gets.
 
     Vanishing runs must satisfy the necessary conditions (d1 > 1 - k and
-    the interval eigenvalue at most k - 1), show the invader mass collapse
-    and the native's recovery to 1 outside the final range, and follow the
-    classification route: clean extinction of sup u, or, in the exceptional
-    class, a reported plateau scan.  Spreading runs (only k < 1 is in
-    scope) must keep both fronts advancing and approach the exclusion or
-    coexistence limit at the window centre.
+    the interval eigenvalue of ``final_state``'s kernel at most k - 1), show
+    the invader mass collapse and the native's recovery to 1 outside the
+    final range, and follow the classification route: clean extinction of
+    sup u, or, in the exceptional class, a reported plateau scan.  Spreading
+    runs with k < 1 must keep both fronts advancing and approach the
+    exclusion or coexistence limit at the window centre.  A spreading run
+    with k >= 1, and where ``required`` an undecided one (``report`` None or
+    UNDECIDED), gets instead a failed "theorem_checks" record naming why.
     """
-    if report.regime == UNDECIDED:
-        raise Undecided("theorem checks need a decided regime")
     checks: list[TheoremCheck] = []
-
-    if report.regime == VANISHING:
+    error = None
+    if report is None or report.regime == UNDECIDED:
+        error = "regime undecided; nothing to verify" if required else None
+    elif report.regime == VANISHING:
         g_est, h_est = report.g_inf_est, report.h_inf_est
         margin = params.d1 - (1.0 - params.k)
         checks.append(
             TheoremCheck(
                 name="vanishing_diffusion_dominates",
-                passed=margin > 0.0,
                 margin=margin,
                 details={"d1": params.d1, "one_minus_k": 1.0 - params.k},
             )
         )
 
-        eig = principal_eigenvalue(kernel, params.d1, (g_est, h_est), final_state.dx)
+        eig = principal_eigenvalue(final_state.j1, params.d1, (g_est, h_est), final_state.dx)
         excess = eig.lambda_p - (params.k - 1.0)
         checks.append(
             TheoremCheck(
                 name="vanishing_eigenvalue_bound",
-                passed=excess <= EIGEN_TOL,
                 margin=EIGEN_TOL - excess,
                 details={
                     "lambda_p": eig.lambda_p,
@@ -231,6 +240,7 @@ def verify_theorems(
                     "iterations": eig.iterations,
                     "residual": eig.residual,
                 },
+                inclusive=True,
             )
         )
 
@@ -239,10 +249,10 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_mass_decay",
-                passed=final <= peak / MASS_DECAY_FACTOR,
                 margin=peak / MASS_DECAY_FACTOR - final,
                 details={"peak_mass": peak, "final_mass": final,
                          "required_factor": MASS_DECAY_FACTOR},
+                inclusive=True,
             )
         )
 
@@ -258,7 +268,6 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="vanishing_native_recovery",
-                passed=integral < V_RECOVERY_TOL and sup_dev < V_RECOVERY_TOL,
                 margin=V_RECOVERY_TOL - max(integral, sup_dev),
                 details=details,
             )
@@ -269,7 +278,6 @@ def verify_theorems(
             checks.append(
                 TheoremCheck(
                     name="vanishing_invader_sup",
-                    passed=report.final_sup_u < SUP_U_TOL,
                     margin=SUP_U_TOL - report.final_sup_u,
                     details={"final_sup_u": report.final_sup_u, "route": "clean_extinction"},
                 )
@@ -282,23 +290,17 @@ def verify_theorems(
             # The scan reports which branch the data matches; neither
             # outcome is a failure.
             checks.append(
-                TheoremCheck(
-                    name="vanishing_plateau_scan",
-                    passed=True,
-                    margin=0.0,
-                    details=scan,
-                )
+                TheoremCheck(name="vanishing_plateau_scan", margin=0.0, details=scan, inclusive=True)
             )
-    else:  # spreading
-        if params.k >= 1.0:
-            raise OutOfScope("spreading checks cover only k < 1")
+    elif params.k >= 1.0:
+        error = "OutOfScope: spreading checks cover only k < 1"
+    else:  # spreading with k < 1
         sel = _trailing(series.t, series.t[-1])
         dh = float(series.h_front[sel][-1] - series.h_front[sel][0])
         dg = float(series.g_front[sel][0] - series.g_front[sel][-1])
         checks.append(
             TheoremCheck(
                 name="spreading_fronts_diverge",
-                passed=dh > 0.0 and dg > 0.0,
                 margin=min(dh, dg),
                 details={"trailing_delta_h": dh, "trailing_delta_minus_g": dg},
             )
@@ -317,7 +319,6 @@ def verify_theorems(
         checks.append(
             TheoremCheck(
                 name="spreading_center_limit",
-                passed=dist < CENTER_TOL,
                 margin=CENTER_TOL - dist,
                 details={
                     "center_u": u_c,
@@ -327,4 +328,7 @@ def verify_theorems(
                 },
             )
         )
+    if error is not None:
+        checks.append(TheoremCheck("theorem_checks", None, {"error": error}))
+    checks.append(comparison_bound_check(series, params.gamma))
     return checks

@@ -75,14 +75,6 @@ class SeriesTooShort(NlinvadeError):
     pass
 
 
-class OutOfScope(NlinvadeError):
-    pass
-
-
-class Undecided(NlinvadeError):
-    pass
-
-
 # -- configuration / runner ---------------------------------------------
 
 class ConfigInvalid(NlinvadeError):

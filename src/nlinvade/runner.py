@@ -30,15 +30,9 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ScenarioConfig, build_scenario
-from .diagnostics import (
-    UNDECIDED,
-    TheoremCheck,
-    comparison_bound_check,
-    detect_regime,
-    verify_theorems,
-)
+from .diagnostics import UNDECIDED, detect_regime, verify_theorems
 from .dynamics import equilibria_and_class, theta_classify
-from .errors import ConfigInvalid, GridTooLarge, NlinvadeError, OutOfScope, SeriesTooShort
+from .errors import ConfigInvalid, GridTooLarge, NlinvadeError, SeriesTooShort
 from .kernels import validate_kernel
 from .output import (
     make_outdir,
@@ -98,7 +92,7 @@ def run_scenario(
         kv = validate_kernel(cfg.kernel_v, num.dx)
         state0 = init_state(cfg.params, ku, kv, cfg.u_profile, cfg.v_profile, num.dx, num.window_pad)
         result, half = _runs(cfg, state0)
-        _diagnose(cfg, report, ku, state0, result, half, check_theorems)
+        _diagnose(cfg, report, result, half, check_theorems)
     except NlinvadeError as exc:
         report["regime"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -226,7 +220,7 @@ def _kill(child) -> None:
     os.waitpid(pid, 0)
 
 
-def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, half, check_theorems: bool):
+def _diagnose(cfg: ScenarioConfig, report: dict, result, half, check_theorems: bool):
     """Fill the regime, fronts, audit and checks of a completed run into
     ``report``, in that order, so that a failing check leaves the rest.
     ``half`` is what `_runs` returned for the dt-halving run."""
@@ -256,18 +250,7 @@ def _diagnose(cfg: ScenarioConfig, report: dict, ku, state0, result, half, check
         }
     )
 
-    checks, error = [], None
-    if report["regime"] != UNDECIDED:
-        try:
-            checks = verify_theorems(regime, cfg.params, ku, final, series, cfg.diagnostics)
-        except OutOfScope as exc:
-            error = f"{type(exc).__name__}: {exc}"
-    elif check_theorems:
-        error = "regime undecided; nothing to verify"
-    if error is not None:
-        checks = [TheoremCheck("theorem_checks", False, None, {"error": error})]
-    v0_max = float(state0.v.max(initial=0.0))
-    checks.append(comparison_bound_check(series, v0_max, cfg.params.gamma))
+    checks = verify_theorems(regime, cfg.params, final, series, cfg.diagnostics, check_theorems)
     report["theorem_checks"] = [c.to_record() for c in checks]
 
     if isinstance(half, NlinvadeError):

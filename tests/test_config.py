@@ -79,6 +79,9 @@ class TestGrammar:
         assert mapping["params"]["d1"] == 2.0
         mapping = parse_config_text("[params] # the model\nd1 = 1.0")
         assert mapping == {"params": {"d1": 1.0}}
+        # a "#" inside quotes is part of the value
+        mapping = parse_config_text('[kernel_u]\nform = "a#b"  # note\n')
+        assert mapping == {"kernel_u": {"form": "a#b"}}
 
     def test_malformed(self):
         with pytest.raises(ConfigInvalid):

@@ -10,12 +10,13 @@ from nlinvade.diagnostics import (
     VANISHING,
     DiagnosticsConfig,
     RegimeReport,
+    TheoremCheck,
     comparison_bound_check,
     detect_regime,
     verify_theorems,
 )
 from nlinvade.dynamics import ModelParams
-from nlinvade.errors import OutOfScope, SeriesTooShort, Undecided, WindowTooSmall
+from nlinvade.errors import SeriesTooShort, WindowTooSmall
 from nlinvade.kernels import KernelSpec, validate_kernel
 from nlinvade.simulator import Profile, TimeSeries, init_state, integrate_u, run, v_deviation
 
@@ -119,6 +120,14 @@ class TestDetectRegime:
         with pytest.raises(SeriesTooShort):
             detect_regime(series, 100.0, TOL)
 
+    def test_trailing_window_too_short(self):
+        # samples to t = 79 and one at T = 100: only the last lies in [80, 100]
+        full = synthetic_series()
+        keep = (full.t < 80.0) | (full.t == 100.0)
+        series = TimeSeries(**{name: values[keep] for name, values in vars(full).items()})
+        with pytest.raises(SeriesTooShort, match="trailing window holds fewer than 2 samples"):
+            detect_regime(series, 100.0, TOL)
+
     def test_requires_coverage(self):
         series = synthetic_series(T=50.0)
         with pytest.raises(SeriesTooShort):
@@ -167,10 +176,30 @@ class TestDetectRegime:
         assert order[r_hi.regime] >= order[r_lo.regime]
 
 
+class TestVerdictRule:
+    """A check passes on a margin above 0, or equal to 0 where it is inclusive."""
+
+    @pytest.mark.parametrize("margin, inclusive, passed", [
+        (1e-300, False, True),
+        (0.0, False, False),
+        (-0.0, False, False),
+        (0.0, True, True),
+        (-0.0, True, True),
+        (-1e-300, True, False),
+        (None, False, False),
+        (None, True, False),
+        (float("nan"), True, False),
+    ])
+    def test_margin_decides(self, margin, inclusive, passed):
+        check = TheoremCheck("c", margin, inclusive=inclusive)
+        assert check.passed is passed
+        assert check.to_record()["pass"] is passed
+
+
 class TestComparisonBound:
     def test_flat_native_holds(self):
         series = synthetic_series()
-        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
+        check = comparison_bound_check(series, gamma=1.0)
         assert check.name == "native_upper_bound"
         assert check.passed
         assert check.details["worst_violation"] <= 0.0
@@ -179,7 +208,7 @@ class TestComparisonBound:
     def test_fabricated_violation(self):
         series = synthetic_series(sup_v_fn=lambda t: np.where(t == 10.0, 2.0, 1.0))
         assert 10.0 in series.t
-        check = comparison_bound_check(series, v0_max=1.0, gamma=1.0)
+        check = comparison_bound_check(series, gamma=1.0)
         assert not check.passed
         worst = check.details["worst_violation"]
         assert worst == pytest.approx(1.0 - np.exp(-10.0) - 5e-3, abs=1e-12)
@@ -209,7 +238,7 @@ class TestVerifyTheorems:
         s = replace(s, u=np.where(np.abs(s.x) < 0.25, 1e-7, 0.0), g_front=-0.25, h_front=0.25)
         series = synthetic_series()
         tol = replace(TOL, compact_halfwidth=2.0 * p.h0)
-        checks = verify_theorems(vanishing_report(), p, UNI, s, series, tol)
+        checks = verify_theorems(vanishing_report(), p, s, series, tol)
         by_name = {c.name: c for c in checks}
         assert by_name["vanishing_diffusion_dominates"].passed
         assert by_name["vanishing_diffusion_dominates"].margin == pytest.approx(0.7)
@@ -217,12 +246,27 @@ class TestVerifyTheorems:
         assert by_name["vanishing_mass_decay"].passed
         assert by_name["vanishing_native_recovery"].passed
         assert by_name["vanishing_invader_sup"].passed
+        # the strict checks, vanishing_diffusion_dominates among them, fail at margin 0
+        assert {c.name for c in checks if c.inclusive} == {
+            "vanishing_eigenvalue_bound", "vanishing_mass_decay", "native_upper_bound"}
+
+    def test_recovery_without_nodes_outside_range(self):
+        # compact half-width 0.2 inside the final range [-0.25, 0.25]: no
+        # node is outside the range, so the recovery deviations are 0
+        p = params(h0=0.2)
+        s = make_state(p)
+        s = replace(s, u=np.where(np.abs(s.x) < 0.25, 1e-7, 0.0), g_front=-0.25, h_front=0.25)
+        checks = verify_theorems(vanishing_report(), p, s, synthetic_series(),
+                                 replace(TOL, compact_halfwidth=0.2))
+        (check,) = [c for c in checks if c.name == "vanishing_native_recovery"]
+        assert check.details["v_dev_outside_range"] == check.details["sup_dev_outside_range"] == 0.0
+        assert check.passed and check.margin == 5e-2
 
     def test_vanishing_necessary_condition_fails(self):
         p = params(d1=0.45, k=0.5)  # d1 < 1 - k
         s = make_state(p)
         s = replace(s, g_front=-0.25, h_front=0.25)
-        checks = verify_theorems(vanishing_report(), p, UNI, s, synthetic_series(), TOL)
+        checks = verify_theorems(vanishing_report(), p, s, synthetic_series(), TOL)
         by_name = {c.name: c for c in checks}
         assert not by_name["vanishing_diffusion_dominates"].passed
 
@@ -233,11 +277,11 @@ class TestVerifyTheorems:
         u = np.where(np.abs(s.x) < 0.5, level, 0.0)
         s = replace(s, u=u, g_front=-1.05, h_front=1.05)
         checks = verify_theorems(
-            vanishing_report(g=-1.05, h=1.05), p, UNI, s, synthetic_series(), TOL
+            vanishing_report(g=-1.05, h=1.05), p, s, synthetic_series(), TOL
         )
         by_name = {c.name: c for c in checks}
         scan = by_name["vanishing_plateau_scan"]
-        assert scan.passed
+        assert scan.passed and scan.inclusive and scan.margin == 0.0
         assert scan.details["branch"] == "plateau_pattern"
 
     def test_spreading_exclusion_center(self):
@@ -247,19 +291,23 @@ class TestVerifyTheorems:
         s = replace(s, u=u, v=np.zeros_like(s.v), g_front=-3.0, h_front=3.0)
         series = synthetic_series(h_fn=lambda t: 1.0 + 0.5 * t, mass_fn=lambda t: np.full_like(t, 5.0))
         rep = detect_regime(series, 100.0, TOL)
-        checks = verify_theorems(rep, p, UNI, s, series, TOL)
+        checks = verify_theorems(rep, p, s, series, TOL)
         by_name = {c.name: c for c in checks}
         assert by_name["spreading_fronts_diverge"].passed
         assert by_name["spreading_center_limit"].passed
         assert by_name["spreading_center_limit"].details["target_kind"] == "exclusion"
+        assert [c.name for c in checks if c.inclusive] == ["native_upper_bound"]
 
     def test_spreading_out_of_scope(self):
         p = params(k=1.5)
         s = make_state(p)
         series = synthetic_series(h_fn=lambda t: 1.0 + 0.5 * t, mass_fn=lambda t: np.full_like(t, 5.0))
         rep = detect_regime(series, 100.0, TOL)
-        with pytest.raises(OutOfScope):
-            verify_theorems(rep, p, UNI, s, series, TOL)
+        for required in (True, False):
+            checks = verify_theorems(rep, p, s, series, TOL, required=required)
+            assert [c.name for c in checks] == ["theorem_checks", "native_upper_bound"]
+            assert not checks[0].passed and checks[0].margin is None
+            assert checks[0].details == {"error": "OutOfScope: spreading checks cover only k < 1"}
 
     def test_spreading_checks_use_detection_window(self):
         # A sample 1e-11 before 0.8*T sits inside detection's trailing window
@@ -272,7 +320,7 @@ class TestVerifyTheorems:
         span = series.h_front - series.g_front
         assert rep.trailing_front_rate == (span[-1] - span[80]) / (100.0 - series.t[80])
         p = params(k=0.5, h_comp=2.0, mu=5.0)
-        checks = verify_theorems(rep, p, UNI, make_state(p), series, TOL)
+        checks = verify_theorems(rep, p, make_state(p), series, TOL)
         details = {c.name: c for c in checks}["spreading_fronts_diverge"].details
         assert details["trailing_delta_h"] == series.h_front[-1] - series.h_front[80]
         assert details["trailing_delta_minus_g"] == series.g_front[80] - series.g_front[-1]
@@ -281,5 +329,10 @@ class TestVerifyTheorems:
         p = params()
         s = make_state(p)
         rep = vanishing_report(regime=UNDECIDED, g_inf_est=None, h_inf_est=None)
-        with pytest.raises(Undecided):
-            verify_theorems(rep, p, UNI, s, synthetic_series(), TOL)
+        for report in (rep, None):
+            checks = verify_theorems(report, p, s, synthetic_series(), TOL)
+            assert [c.name for c in checks] == ["theorem_checks", "native_upper_bound"]
+            assert not checks[0].passed and checks[0].margin is None
+            assert checks[0].details == {"error": "regime undecided; nothing to verify"}
+            checks = verify_theorems(report, p, s, synthetic_series(), TOL, required=False)
+            assert [c.name for c in checks] == ["native_upper_bound"]

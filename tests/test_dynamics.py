@@ -112,6 +112,24 @@ class TestOdeTrajectory:
         with pytest.raises(StepTooLarge):
             ode_trajectory(params(), (9.9, 9.9), T=50.0, dt=9.0)
 
+    def test_undershoot_flushed_to_zero(self):
+        # one RK4 step of length 1 from (3, 3) lands both fields below 0,
+        # inside the escape box of 30
+        traj = ode_trajectory(params(), (3.0, 3.0), T=1.0, dt=1.0)
+        assert traj.final == (0.0, 0.0)
+
+    @pytest.mark.parametrize("init, T, dt, message", [
+        ((0.1, 0.1), 1.0, 0.0, "dt must be positive"),
+        ((0.1, 0.1), 1.0, math.inf, "dt must be positive"),
+        ((0.1, 0.1), -1.0, 0.1, "T must be nonnegative"),
+        ((0.1, 0.1), math.nan, 0.1, "T must be nonnegative"),
+        ((-0.1, 0.1), 1.0, 0.1, "initial data must be nonnegative"),
+        ((0.1, -0.1), 1.0, 0.1, "initial data must be nonnegative"),
+    ])
+    def test_arguments_checked(self, init, T, dt, message):
+        with pytest.raises(ValueError, match=message):
+            ode_trajectory(params(), init, T=T, dt=dt)
+
     def test_zero_horizon(self):
         traj = ode_trajectory(params(), (0.2, 0.4), T=0.0, dt=0.1)
         assert traj.t.size == 1
@@ -185,6 +203,14 @@ class TestThetaClassification:
         assert "closed_form_lower_edge" not in rec
         assert rec["roots_in_unit_interval"] == rep.roots_in_unit_interval
 
+    def test_record_lower_edge(self):
+        # a = -2 <= c = -1.5 <= 0: the lower edge sqrt(c/a) exists
+        rep = theta_classify(params(d1=0.5, k=1.0, h_comp=3.0))
+        assert (rep.a, rep.c) == (-2.0, -1.5)
+        rec = rep.to_record()
+        assert rec["closed_form_lower_edge"] == math.sqrt(0.75)
+        assert rec["closed_form_peak_position"] == rep.b / (-2.0 * rep.a)
+
     def test_coefficient_identity(self):
         rep = theta_classify(params(gamma=2.3, h_comp=1.7, k=0.9, d1=1.4, d2=0.31))
         assert rep.a + rep.b + rep.c == pytest.approx(-0.31, abs=1e-14)
@@ -211,6 +237,14 @@ class TestXStar:
     def test_guard(self):
         rep = theta_classify(params())  # weak competition, theta1
         with pytest.raises(NotInTheta2):
+            x_star(rep)
+
+    def test_nonpositive_plateau_level(self):
+        # d1 = 1 - k: d1_tilde = 0 puts a root of F at 0, so the plateau
+        # level k*x_star - d1_tilde is 0
+        rep = theta_classify(params(d1=0.5, k=0.5))
+        assert rep.verdict_roots == THETA2 and rep.d1_tilde == 0.0
+        with pytest.raises(AssumptionViolated, match="is not positive"):
             x_star(rep)
 
     def test_double_root_returned_once(self):

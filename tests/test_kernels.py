@@ -132,6 +132,17 @@ class TestValidation:
                 assert abs(k.evaluate(0.0) - 0.5) <= 1e-12
                 assert grid_stencil(k, DX).box is not None
 
+    @pytest.mark.parametrize("table, message", [
+        (None, "needs a sample table"),
+        (np.array([0.0, 1.0]), "must be an \\(n, 2\\) array"),
+        (np.array([[0.0, 1.0]]), "must be an \\(n, 2\\) array"),
+        (np.array([[-1.0, 0.5], [0.0, np.nan], [1.0, 0.5]]), "non-finite"),
+        (np.array([[-1.0, 0.5], [np.inf, 0.5]]), "non-finite"),
+    ], ids=["none", "flat", "one_row", "nan", "inf"])
+    def test_malformed_table_rejected(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            validate_kernel(KernelSpec(form="tabulated", table=table), DX)
+
     def test_non_increasing_table_rejected(self):
         table = np.array([[-1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]])
         with pytest.raises(ValueError):

@@ -507,6 +507,31 @@ class TestHalvingBesideMainRun:
             pytest.fail(f"child {child} outlived its parent by 10 s")
 
 
+class TestWithoutFork:
+    """Where os.fork is missing, the halving run and the cells of a sweep
+    run one after the other in this process, with the files of a fork."""
+
+    def test_halving_run_in_this_process(self, tmp_path, monkeypatch):
+        text = GAUSSIAN + HALVING
+        forked = run_scenario(scenario(text), outdir=tmp_path / "forked", check_theorems=True)
+        monkeypatch.delattr(os, "fork")
+        alone = run_scenario(scenario(text), outdir=tmp_path / "alone", check_theorems=True)
+        assert alone.exit_code == forked.exit_code and alone.report == forked.report
+        assert "dt_halving_steps" in alone.report["numerics_audit"]
+        names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
+        for name in names:
+            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
+
+    def test_sweep_jobs_2_serial(self, tmp_path, monkeypatch):
+        text = VANISHING.replace("T = 20.0", "T = 3.0") + "\n[sweep]\naxis.params.mu = [0.01, 5.0]\n"
+        _, rows1 = sweep(scenario(text), outdir=tmp_path / "s1", jobs=1)
+        monkeypatch.delattr(os, "fork")
+        _, rows2 = sweep(scenario(text), outdir=tmp_path / "s2", jobs=2)
+        assert rows1 == rows2 and len(rows1) == 2
+        assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (tmp_path / "s2" / "sweep.csv").read_bytes()
+
+
 class TestSweep:
     def test_rows_follow_enumeration_order(self, tmp_path):
         text = BASE + "\n[sweep]\naxis.params.mu = [0.1, 1.0, 10.0]\n"

@@ -903,6 +903,28 @@ class TestRun:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    # every entry point refuses a nonpositive or nonfinite spacing, pad,
+    # step or horizon before it builds anything
+    ARGUMENT_CHECKS = {
+        "grid_stencil-dx": (lambda b: grid_stencil(UNI, b), (0.0, -0.05, math.inf),
+                            "dx must be positive"),
+        "validate_kernel-dx": (lambda b: validate_kernel(KernelSpec.uniform(1.0), b), (0.0, math.nan),
+                               "grid_resolution must be positive"),
+        "init_state-dx": (lambda b: make_state(dx=b), (0.0, math.inf), "dx must be positive"),
+        "init_state-window_pad": (lambda b: make_state(pad=b), (-1.0, math.nan),
+                                  "window_pad must be positive"),
+        "step-dt": (lambda b: step(make_state(), b), (0.0, math.inf, math.nan), "dt must be positive"),
+        "run-T": (lambda b: run(make_state(), b, 0.02, 0.5), (-1.0, math.inf, math.nan),
+                  "T must be nonnegative and finite"),
+    }
+
+    @pytest.mark.parametrize("where, bad", [
+        (where, bad) for where, (_, bads, _) in ARGUMENT_CHECKS.items() for bad in bads])
+    def test_argument_checked(self, where, bad):
+        call, _, message = self.ARGUMENT_CHECKS[where]
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
     @pytest.mark.parametrize("dt", [0.0, -0.02, math.nan])
     def test_dt_positive(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
