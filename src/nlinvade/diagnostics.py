@@ -18,13 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    THETA2,
-    ModelParams,
-    equilibria_and_class,
-    plateau_value,
-    theta_classify,
-)
+from .dynamics import ModelParams, equilibria_and_class, plateau_value, theta_classify
 from .eigenvalue import principal_eigenvalue
 from .errors import SeriesTooShort
 from .kernels import cell_weights
@@ -205,11 +199,12 @@ def verify_theorems(
     the interval eigenvalue of ``final_state``'s kernel at most k - 1), show
     the invader mass collapse and the native's recovery to 1 outside the
     final range, and follow the classification route: clean extinction of
-    sup u, or, in the exceptional class, a reported plateau scan.  Spreading
-    runs with k < 1 must keep both fronts advancing and approach the
-    exclusion or coexistence limit at the window centre.  A spreading run
-    with k >= 1, and where ``required`` an undecided one (``report`` None or
-    UNDECIDED), gets instead a failed "theorem_checks" record naming why.
+    sup u, or, where d1 < 1 and the theta record gives a plateau level
+    (`plateau_value`), a reported plateau scan.  Spreading runs with k < 1
+    must keep both fronts advancing and approach the exclusion or
+    coexistence limit at the window centre.  A spreading run with k >= 1,
+    and where ``required`` an undecided one (``report`` None or UNDECIDED),
+    gets instead a failed "theorem_checks" record naming why.
     """
     checks: list[TheoremCheck] = []
     error = None
@@ -273,8 +268,8 @@ def verify_theorems(
             )
         )
 
-        theta = theta_classify(params)
-        if params.d1 >= 1.0 or theta.verdict_roots != THETA2:
+        level = plateau_value(theta_classify(params)) if params.d1 < 1.0 else None
+        if level is None:
             checks.append(
                 TheoremCheck(
                     name="vanishing_invader_sup",
@@ -283,7 +278,6 @@ def verify_theorems(
                 )
             )
         else:
-            level = plateau_value(theta)
             scan = _plateau_scan(final_state, level)
             scan["route"] = "exceptional_class"
             scan["branch"] = "plateau_pattern" if scan["match"] else "clean_extinction"

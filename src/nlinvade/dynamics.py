@@ -7,7 +7,9 @@ Covers the plain two-species ODE
 its interior equilibrium and competition-case labels, the quadratic F(s)
 whose root structure on [0, 1] splits parameter space into the
 clean-extinction class (theta1) and the class admitting an exceptional
-plateau (theta2), and the plateau abscissa x_* and level.
+plateau (theta2).  The classification's record, `ThetaReport`, holds the
+plateau abscissa x_* (the smallest root of F in [0, 1]); `plateau_value`
+reads from it the plateau level k x_* - d1_tilde, where that is positive.
 
 The reaction coefficient is called ``h_comp`` throughout: the plain symbol
 h is reserved for the right front position in the field model.
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssumptionViolated, NonPositiveParameter, NotInTheta2, StepTooLarge
+from .errors import NonPositiveParameter, StepTooLarge
 from .kernels import check_grid_size
 
 THETA1 = "theta1"
@@ -266,22 +268,24 @@ def theta_classify(params: ModelParams) -> ThetaReport:
 
     Two independent verdicts are produced: explicit root solving, and the
     closed-form criterion  a <= c  and  sqrt(c/a) <= b/(-2a) <= 1  (valid
-    only when d1 + k - 1 > 0, otherwise marked inapplicable).
+    only when d1 + k - 1 > 0, otherwise marked inapplicable).  It is also
+    marked inapplicable when a = 0 and c underflows to -0.0 (a tiny gamma
+    or h_comp), where its quotients are undefined; a = 0 > c fails a <= c.
+    ``x_star``, the smallest root in [0, 1], is None outside theta2.
     """
     a, b, c = f_coefficients(params)
     dt1 = params.d1_tilde
     roots = _quadratic_roots_unit_interval(a, b, c)
     verdict_roots = THETA2 if roots else THETA1
 
-    if dt1 > 0.0:
-        if a <= c:
-            peak = b / (-2.0 * a)
-            inside = math.sqrt(c / a) <= peak <= 1.0
-            verdict_closed = THETA2 if inside else THETA1
-        else:
-            verdict_closed = THETA1
-    else:
+    if dt1 <= 0.0 or a == c == 0.0:
         verdict_closed = INAPPLICABLE
+    elif a <= c:
+        peak = b / (-2.0 * a)
+        inside = math.sqrt(c / a) <= peak <= 1.0
+        verdict_closed = THETA2 if inside else THETA1
+    else:
+        verdict_closed = THETA1
 
     hit = None
     if dt1 > 0.0:
@@ -307,23 +311,10 @@ def theta_classify(params: ModelParams) -> ThetaReport:
     )
 
 
-def x_star(report: ThetaReport) -> float:
-    """Smallest root of F in [0, 1]; only defined for theta2 tuples.
-
-    The plateau level k*x_star - d1_tilde of the exceptional pattern is
-    forced positive whenever this regime is reachable; a violation marks
-    the tuple as outside it.
-    """
-    if report.verdict_roots != THETA2 or not report.roots_in_unit_interval:
-        raise NotInTheta2("x_star is only defined when F has a root in [0, 1]")
-    root = report.roots_in_unit_interval[0]
-    if report.k * root - report.d1_tilde <= 0.0:
-        raise AssumptionViolated(
-            f"k*x_star - d1_tilde = {report.k * root - report.d1_tilde} is not positive"
-        )
-    return root
-
-
-def plateau_value(report: ThetaReport) -> float:
-    """Invader plateau level k*x_star - d1_tilde of the exceptional pattern."""
-    return report.k * x_star(report) - report.d1_tilde
+def plateau_value(report: ThetaReport) -> Optional[float]:
+    """Invader plateau level k*x_star - d1_tilde of the exceptional pattern,
+    or None when the tuple is not theta2 or the level is not positive."""
+    if report.x_star is None:
+        return None
+    level = report.k * report.x_star - report.d1_tilde
+    return level if level > 0.0 else None

@@ -39,14 +39,6 @@ class NonPositiveParameter(NlinvadeError):
     pass
 
 
-class NotInTheta2(NlinvadeError):
-    pass
-
-
-class AssumptionViolated(NlinvadeError):
-    pass
-
-
 class StepTooLarge(NlinvadeError):
     pass
 

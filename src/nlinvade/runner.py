@@ -128,7 +128,7 @@ def _runs(cfg: ScenarioConfig, state0):
 
     def main_run():
         return run(state0, num.T, num.dt, num.snapshot_every, metrics_L=diag.L_dev,
-                   profile_every=num.profile_every or None)
+                   profile_every=num.profile_every)
 
     def halving_run():
         # only the final state is read, so the halving run keeps no profiles

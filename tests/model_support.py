@@ -1,9 +1,10 @@
 """Proof devices of the paper that the tests check and the package never calls.
 
 `attractor_bounds` is the alternating bound iteration behind the k < 1
-spreading limit; `reduce_general` is the nondimensionalisation that maps
-the general-form system onto the reduced one, with the exact field and
-time scalings (`ScalingTransform`) that the scaling twin-run oracle uses.
+spreading limit (outside 0 < k < 1 it raises `AssumptionViolated`);
+`reduce_general` is the nondimensionalisation that maps the general-form
+system onto the reduced one, with the exact field and time scalings
+(`ScalingTransform`) that the scaling twin-run oracle uses.
 `dense_principal_eigenvalue` is the reference for the package's Krylov
 eigensolver: the same interval operator formed as a matrix
 (`_dense_matrix`) and solved by a full eigendecomposition.
@@ -18,7 +19,6 @@ import numpy as np
 
 from nlinvade import eigenvalue
 from nlinvade.dynamics import GeneralParams, ModelParams
-from nlinvade.errors import AssumptionViolated
 from nlinvade.kernels import GridStencil, ValidatedKernel, grid_stencil
 
 
@@ -51,6 +51,10 @@ def reduce_general(general: GeneralParams) -> tuple[ModelParams, ScalingTransfor
         u_scale=g.b1 / g.a1, v_scale=g.b2 / g.a2, time_scale=g.a1
     )
     return params, transform
+
+
+class AssumptionViolated(ValueError):
+    """A proof device called outside the hypotheses it is proven under."""
 
 
 @dataclass(frozen=True)

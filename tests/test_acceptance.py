@@ -16,7 +16,6 @@ from nlinvade.dynamics import (
     ModelParams,
     ode_trajectory,
     theta_classify,
-    x_star,
 )
 from nlinvade.eigenvalue import principal_eigenvalue
 from nlinvade.kernels import KernelSpec, validate_kernel
@@ -173,7 +172,7 @@ class TestThetaSuite:
             and len(roots) == 2
             and abs(roots[0] - 0.8) <= 1e-9
             and abs(roots[1] - 11.0 / 12.0) <= 1e-9
-            and abs(x_star(rep) - 0.8) <= 1e-9
+            and abs(rep.x_star - 0.8) <= 1e-9
         )
         report("theta_worked_tuple", ok, f"roots={roots}, x_star={rep.x_star}")
 

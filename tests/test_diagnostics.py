@@ -215,6 +215,10 @@ class TestComparisonBound:
         assert check.margin == -worst
         assert check.details["v0_max"] == 1.0
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="^series is empty$"):
+            comparison_bound_check(synthetic_series(n=0), gamma=1.0)
+
 
 def vanishing_report(g=-0.25, h=0.25, **kw):
     base = dict(
@@ -269,6 +273,19 @@ class TestVerifyTheorems:
         checks = verify_theorems(vanishing_report(), p, s, synthetic_series(), TOL)
         by_name = {c.name: c for c in checks}
         assert not by_name["vanishing_diffusion_dominates"].passed
+
+    def test_boundary_d1_is_a_failed_record(self):
+        # d1 = 1 - k puts a root of F at 0 (theta2) with plateau level 0, so
+        # the run takes the clean-extinction route and the necessary
+        # condition d1 > 1 - k fails as a record
+        p = params(d1=0.5, k=0.5)
+        s = replace(make_state(p), g_front=-0.25, h_front=0.25)
+        checks = verify_theorems(vanishing_report(), p, s, synthetic_series(), TOL)
+        assert [c.name for c in checks] == [
+            "vanishing_diffusion_dominates", "vanishing_eigenvalue_bound", "vanishing_mass_decay",
+            "vanishing_native_recovery", "vanishing_invader_sup", "native_upper_bound"]
+        assert not checks[0].passed and checks[0].margin == 0.0
+        assert checks[4].details["route"] == "clean_extinction"
 
     def test_plateau_scan_route(self):
         p = params(d1=0.1, d2=0.05, k=2.0, h_comp=2.0, gamma=1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlinvade.dynamics import (
@@ -21,18 +21,12 @@ from nlinvade.dynamics import (
     ode_trajectory,
     plateau_value,
     theta_classify,
-    x_star,
 )
 from nlinvade import kernels
-from nlinvade.errors import (
-    AssumptionViolated,
-    GridTooLarge,
-    NonPositiveParameter,
-    NotInTheta2,
-    StepTooLarge,
-)
+from nlinvade.errors import GridTooLarge, NonPositiveParameter, StepTooLarge
+from nlinvade.output import report_text
 
-from model_support import attractor_bounds
+from model_support import AssumptionViolated, attractor_bounds
 
 
 def params(d1=1.0, d2=1.0, k=0.5, h_comp=0.5, gamma=1.0, mu=1.0, h0=1.0):
@@ -40,6 +34,7 @@ def params(d1=1.0, d2=1.0, k=0.5, h_comp=0.5, gamma=1.0, mu=1.0, h0=1.0):
 
 
 positive = st.floats(min_value=1e-2, max_value=1e2)
+extreme = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-16, 0.5, 1.0, 2.0, 1e200, 1e307])
 
 
 class TestParams:
@@ -227,25 +222,58 @@ class TestThetaClassification:
             if rep.sufficient_condition_hit is not None:
                 assert rep.verdict_roots == THETA1
 
+    def test_closed_form_inapplicable_at_a_zero(self):
+        # h_comp*k rounds to 1, so a = 0, and c = -d1_tilde*gamma*h_comp
+        # underflows to -0.0: the criterion's quotients are undefined
+        rep = theta_classify(params(d1=0.2500000000000002, k=0.75, h_comp=1.3333333333333333,
+                                    gamma=1e-310))
+        assert rep.a == 0.0 and rep.c == 0.0 and rep.d1_tilde > 0.0
+        assert rep.verdict_closed_form == INAPPLICABLE
+        # a = 0 > c fails the criterion's first clause without a quotient
+        rep = theta_classify(params(d1=0.5, k=2.0, h_comp=0.5))
+        assert rep.a == 0.0 > rep.c
+        assert rep.verdict_closed_form == rep.verdict_roots == THETA1
+
+    @given(d1=extreme, d2=extreme, k=extreme, h_comp=extreme, gamma=extreme,
+           h_is_1_over_k=st.booleans(), d1_above_1_minus_k=st.sampled_from([None, 0.0, 2e-16]))
+    @example(d1=0.2500000000000002, d2=1.0, k=0.75, h_comp=1.3333333333333333, gamma=1e-310,
+             h_is_1_over_k=False, d1_above_1_minus_k=None)
+    @settings(max_examples=500, deadline=None)
+    def test_records_at_extreme_magnitudes(self, d1, d2, k, h_comp, gamma, h_is_1_over_k,
+                                           d1_above_1_minus_k):
+        # Every tuple that general() accepts gets its pre-run records: the
+        # theta record, its JSON text and the competition case.
+        if h_is_1_over_k:
+            h_comp = 1.0 / k
+        if d1_above_1_minus_k is not None:
+            d1 = 1.0 - k + d1_above_1_minus_k
+        p = params(d1=d1, d2=d2, k=k, h_comp=h_comp, gamma=gamma)
+        try:
+            p.general()
+        except NonPositiveParameter:
+            return
+        report_text(theta_classify(p).to_record())
+        equilibria_and_class(p)
+
 
 class TestXStar:
     def test_worked_value(self):
         rep = theta_classify(params(gamma=1.0, h_comp=2.0, k=2.0, d1=0.1, d2=0.05))
-        assert x_star(rep) == pytest.approx(0.8, abs=1e-9)
+        assert rep.x_star == pytest.approx(0.8, abs=1e-9)
         assert plateau_value(rep) == pytest.approx(2.0 * 0.8 - 1.1, abs=1e-9)
 
     def test_guard(self):
         rep = theta_classify(params())  # weak competition, theta1
-        with pytest.raises(NotInTheta2):
-            x_star(rep)
+        assert rep.verdict_roots == THETA1 and rep.x_star is None
+        assert plateau_value(rep) is None
 
     def test_nonpositive_plateau_level(self):
         # d1 = 1 - k: d1_tilde = 0 puts a root of F at 0, so the plateau
         # level k*x_star - d1_tilde is 0
         rep = theta_classify(params(d1=0.5, k=0.5))
         assert rep.verdict_roots == THETA2 and rep.d1_tilde == 0.0
-        with pytest.raises(AssumptionViolated, match="is not positive"):
-            x_star(rep)
+        assert rep.x_star == 0.0
+        assert plateau_value(rep) is None
 
     def test_double_root_returned_once(self):
         # Same a, c as the worked tuple; d2 tuned so b^2 = 4ac exactly.
@@ -253,9 +281,9 @@ class TestXStar:
         p = params(gamma=1.0, h_comp=2.0, k=2.0, d1=0.1, d2=d2)
         rep = theta_classify(p)
         assert len(rep.roots_in_unit_interval) == 1
-        assert x_star(rep) == pytest.approx(math.sqrt(2.2 / 3.0), abs=1e-7)
+        assert rep.x_star == pytest.approx(math.sqrt(2.2 / 3.0), abs=1e-7)
         a, b, c = f_coefficients(p)
-        s = x_star(rep)
+        s = rep.x_star
         assert (a * s + b) * s + c == pytest.approx(0.0, abs=1e-9)
 
 

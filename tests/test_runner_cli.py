@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import selectors
@@ -478,6 +479,19 @@ class TestHalvingBesideMainRun:
         no_child_left()
         assert time.monotonic() - started < 30.0
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no child process without os.fork")
+    def test_interrupted_join_kills_the_child(self):
+        class InterruptedPipe(io.BufferedReader):
+            def read(self, *args):
+                raise KeyboardInterrupt
+
+        pid, pipe = runner._fork(lambda: time.sleep(60.0))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            runner._join((pid, InterruptedPipe(pipe.raw)), "test")
+        no_child_left()
+        assert pipe.closed and time.monotonic() - started < 30.0
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the parent-death signal is Linux's")
     def test_child_ends_with_its_parent(self):
@@ -837,6 +851,22 @@ class TestCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == ""
         assert json.loads((out / "classify.json").read_text())["competition_case"] == "weak"
+
+    def test_closed_form_undefined_tuple_runs(self, tmp_path):
+        # a = gamma*(1 - h_comp*k) is 0 and c underflows to -0.0: the
+        # closed-form verdict is inapplicable, and the run goes ahead
+        cfg = str(config_file(tmp_path, VANISHING))
+        sets = ["--set", "params.d1=0.2500000000000002", "--set", "params.k=0.75",
+                "--set", "params.h_comp=1.3333333333333333", "--set", "params.gamma=1e-310",
+                "--set", "numerics.T=1"]
+        out = tmp_path / "cls"
+        assert main(["classify", "--config", cfg, *sets, "--out", str(out), "--quiet"]) == 0
+        record = json.loads((out / "classify.json").read_text())
+        assert record["a"] == 0.0 and record["verdict_closed_form"] == "inapplicable"
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, *sets, "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "report.json").read_text())["theta"]["verdict_closed_form"] == (
+            "inapplicable")
 
     def test_eigen_curve_file_format(self, tmp_path):
         cfg = config_file(tmp_path, BASE + "\n[eigen]\nlengths = [1.0, 2.0]\n")
