@@ -20,7 +20,6 @@ import numpy as np
 
 from .dynamics import ModelParams, equilibria_and_class, plateau_value, theta_classify
 from .eigenvalue import principal_eigenvalue
-from .errors import SeriesTooShort
 from .kernels import cell_weights
 from .simulator import SimState, TimeSeries
 
@@ -57,13 +56,16 @@ class DiagnosticsConfig:
 
 @dataclass(frozen=True)
 class RegimeReport:
+    """A series too short to judge is UNDECIDED, every number None, with a ``note``."""
+
     regime: str
-    g_inf_est: Optional[float]
-    h_inf_est: Optional[float]
-    trailing_front_rate: float
-    final_mass_u: float
-    peak_mass_u: float
-    final_sup_u: float
+    g_inf_est: Optional[float] = None
+    h_inf_est: Optional[float] = None
+    trailing_front_rate: Optional[float] = None
+    final_mass_u: Optional[float] = None
+    peak_mass_u: Optional[float] = None
+    final_sup_u: Optional[float] = None
+    note: Optional[str] = None
 
 
 def _trailing(t: np.ndarray, T_max: float) -> np.ndarray:
@@ -77,17 +79,22 @@ def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> R
     vanishing: trailing range-growth rate below eps_front, final invader
     mass below eps_mass, and the mass nonincreasing across the window.
     spreading: rate above 10*eps_front with mass away from zero.  Anything
-    else is undecided.  Front limits are reported only for vanishing.
+    else is undecided.  Front limits are reported only for vanishing.  A
+    series with fewer than 10 samples, not covering [0, T_max] or with
+    fewer than 2 in the window is undecided with a note and no numbers.
     """
+    def skipped(why):
+        return RegimeReport(UNDECIDED, note=f"regime detection skipped: {why}")
+
     t = series.t
     if t.size < 10:
-        raise SeriesTooShort(f"need at least 10 samples, got {t.size}")
+        return skipped(f"need at least 10 samples, got {t.size}")
     if t[0] > 1e-9 * max(T_max, 1.0) or t[-1] < T_max - 1e-9 * max(T_max, 1.0):
-        raise SeriesTooShort(f"series [{t[0]}, {t[-1]}] does not cover [0, {T_max}]")
+        return skipped(f"series [{t[0]}, {t[-1]}] does not cover [0, {T_max}]")
 
     sel = _trailing(t, T_max)
     if int(np.count_nonzero(sel)) < 2:
-        raise SeriesTooShort("trailing window holds fewer than 2 samples")
+        return skipped("trailing window holds fewer than 2 samples")
     span = series.h_front[sel] - series.g_front[sel]
     dt_window = t[sel][-1] - t[sel][0]
     rate = float((span[-1] - span[0]) / dt_window) if dt_window > 0 else 0.0
@@ -98,24 +105,16 @@ def detect_regime(series: TimeSeries, T_max: float, tol: DiagnosticsConfig) -> R
     trail_mass = mass[sel]
     nonincreasing = bool(np.all(np.diff(trail_mass) <= 1e-12 * max(peak, 1e-300)))
 
+    regime, g_est, h_est = UNDECIDED, None, None
     if rate < tol.eps_front and final_mass < tol.eps_mass and nonincreasing:
         regime = VANISHING
         g_est, h_est = float(series.g_front[-1]), float(series.h_front[-1])
     elif rate > 10.0 * tol.eps_front and final_mass > tol.eps_mass:
         regime = SPREADING
-        g_est = h_est = None
-    else:
-        regime = UNDECIDED
-        g_est = h_est = None
 
     return RegimeReport(
-        regime=regime,
-        g_inf_est=g_est,
-        h_inf_est=h_est,
-        trailing_front_rate=rate,
-        final_mass_u=final_mass,
-        peak_mass_u=peak,
-        final_sup_u=float(series.sup_u[-1]),
+        regime, g_est, h_est, trailing_front_rate=rate, final_mass_u=final_mass,
+        peak_mass_u=peak, final_sup_u=float(series.sup_u[-1]),
     )
 
 
@@ -185,7 +184,7 @@ def _plateau_scan(state: SimState, level: float) -> dict:
 
 
 def verify_theorems(
-    report: Optional[RegimeReport],
+    report: RegimeReport,
     params: ModelParams,
     final_state: SimState,
     series: TimeSeries,
@@ -203,12 +202,12 @@ def verify_theorems(
     (`plateau_value`), a reported plateau scan.  Spreading runs with k < 1
     must keep both fronts advancing and approach the exclusion or
     coexistence limit at the window centre.  A spreading run with k >= 1,
-    and where ``required`` an undecided one (``report`` None or UNDECIDED),
-    gets instead a failed "theorem_checks" record naming why.
+    and where ``required`` an undecided one, gets instead a failed
+    "theorem_checks" record naming why.
     """
     checks: list[TheoremCheck] = []
     error = None
-    if report is None or report.regime == UNDECIDED:
+    if report.regime == UNDECIDED:
         error = "regime undecided; nothing to verify" if required else None
     elif report.regime == VANISHING:
         g_est, h_est = report.g_inf_est, report.h_inf_est

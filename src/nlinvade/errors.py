@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A type is kept only where some code catches it by type, or where a CLI run
+can print its name (a numerical failure prints as ``numerical failure:
+<type>: <message>``, and a sweep row names it too).  A rejection that only
+ever reaches a user through its message is a ValueError.
+"""
 
 
 class NlinvadeError(Exception):
@@ -6,18 +12,6 @@ class NlinvadeError(Exception):
 
 
 # -- kernels ------------------------------------------------------------
-
-class AsymmetricKernel(NlinvadeError):
-    pass
-
-
-class NegativeDensity(NlinvadeError):
-    pass
-
-
-class ZeroAtOrigin(NlinvadeError):
-    pass
-
 
 class ZeroMass(NlinvadeError):
     pass
@@ -60,10 +54,6 @@ class StabilityViolated(NlinvadeError):
 # -- diagnostics --------------------------------------------------------
 
 class WindowTooSmall(NlinvadeError):
-    pass
-
-
-class SeriesTooShort(NlinvadeError):
     pass
 
 

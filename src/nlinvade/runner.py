@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ScenarioConfig, build_scenario
-from .diagnostics import UNDECIDED, detect_regime, verify_theorems
+from .diagnostics import detect_regime, verify_theorems
 from .dynamics import equilibria_and_class, theta_classify
-from .errors import ConfigInvalid, GridTooLarge, NlinvadeError, SeriesTooShort
+from .errors import ConfigInvalid, GridTooLarge, NlinvadeError
 from .kernels import validate_kernel
 from .output import (
     make_outdir,
@@ -226,15 +226,13 @@ def _diagnose(cfg: ScenarioConfig, report: dict, result, half, check_theorems: b
     ``half`` is what `_runs` returned for the dt-halving run."""
     series = result.series
     final = result.final_state
-    try:
-        regime = detect_regime(series, cfg.numerics.T, cfg.diagnostics)
-    except SeriesTooShort as exc:
-        regime = None
-        report["notes"] = [f"regime detection skipped: {exc}"]
-    report["regime"] = getattr(regime, "regime", UNDECIDED)
+    regime = detect_regime(series, cfg.numerics.T, cfg.diagnostics)
+    if regime.note is not None:
+        report["notes"] = [regime.note]
+    report["regime"] = regime.regime
     report["fronts"] = {"g_front": final.g_front, "h_front": final.h_front}
     for key in ("g_inf_est", "h_inf_est", "trailing_front_rate"):
-        report["fronts"][key] = getattr(regime, key, None)
+        report["fronts"][key] = getattr(regime, key)
 
     audit = report["numerics_audit"]
     audit.update(

@@ -540,7 +540,7 @@ RUN_KEYS = sorted([
     *((sec, key) for sec in ("kernel_u", "kernel_v") for key in ("L0", "sigma")),
     *(("params", f.name) for f in fields(ModelParams)),
 ])
-RUN_VALUES = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300, 1e307]),
+RUN_VALUES = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e300, 1e307]),
                        st.floats(min_value=0.01, max_value=5.0))
 
 
@@ -555,6 +555,9 @@ class TestRunFuzz:
     @example(target=("kernel_u", "L0"), value=1e-320, forms=("uniform", "uniform"))
     @example(target=("kernel_v", "L0"), value=5e-324, forms=("uniform", "triangular"))
     @example(target=("kernel_u", "sigma"), value=1e-310, forms=("truncated_gaussian", "uniform"))
+    # 2 L0**2 underflows to 0, so the cdf is 0/0; (x / sigma) ** 2 overflows
+    @example(target=("kernel_u", "L0"), value=1e-200, forms=("triangular", "uniform"))
+    @example(target=("kernel_v", "sigma"), value=1e-300, forms=("uniform", "truncated_gaussian"))
     @settings(max_examples=150, deadline=None)
     def test_steps_or_fails_at_build(self, target, value, forms):
         """A config either builds a state that takes one step without a

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from nlinvade.errors import (
-    AsymmetricKernel,
-    GridTooLarge,
-    NegativeDensity,
-    ZeroAtOrigin,
-    ZeroMass,
-)
+from nlinvade.errors import GridTooLarge, ZeroMass
 from nlinvade import kernels
 from nlinvade.kernels import (
     DIRECT_MAX_TAPS,
@@ -60,7 +54,7 @@ class TestValidation:
     def test_one_sided_table_is_asymmetric(self):
         xs = np.linspace(0.0, 2.0, 101)
         table = np.column_stack([xs, np.full_like(xs, 0.5)])
-        with pytest.raises(AsymmetricKernel):
+        with pytest.raises(ValueError, match="^tabulated kernel asymmetric by 5.000e-01$"):
             validate_kernel(KernelSpec.tabulated(table), DX)
 
     def test_tabulated_renormalisation_factor(self):
@@ -76,19 +70,19 @@ class TestValidation:
     def test_negative_density_rejected(self):
         table = gaussian_table()
         table[200, 1] = -0.2
-        with pytest.raises(NegativeDensity):
+        with pytest.raises(ValueError, match="^tabulated kernel has negative density samples$"):
             validate_kernel(KernelSpec.tabulated(table), DX)
 
     def test_zero_at_origin_rejected(self):
         xs = np.linspace(-1.0, 1.0, 201)
         ys = np.abs(xs)  # symmetric, vanishes at 0
-        with pytest.raises(ZeroAtOrigin):
+        with pytest.raises(ValueError, match="^tabulated kernel density at the origin is not positive$"):
             validate_kernel(KernelSpec.tabulated(np.column_stack([xs, ys])), DX)
 
     def test_zero_mass_rejected(self):
         xs = np.array([-1e-300, 1e-300])
         ys = np.array([1.0, 1.0])
-        with pytest.raises(ZeroMass):
+        with pytest.raises(ValueError, match="^tabulated kernel mass 2.000e-300 is numerically zero$"):
             validate_kernel(KernelSpec.tabulated(np.column_stack([xs, ys])), DX)
 
     def test_bad_params_rejected(self):
@@ -118,6 +112,25 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="at the origin"):
                 validate_kernel(spec, DX)
+
+    def test_triangular_cdf_scale_must_not_underflow(self):
+        # 2 L0**2 rounds to 0 at L0 = 1.1e-162, and to the least subnormal
+        # at 1.2e-162
+        with pytest.raises(ValueError, match="^kernel form 'triangular' with L0 = 1.1e-162 has cdf"):
+            validate_kernel(KernelSpec.triangular(1.1e-162), DX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = validate_kernel(KernelSpec.triangular(1.2e-162), DX)
+        assert k.cdf(-1.2e-162) == 0.0 and k.cdf(1.2e-162) == 1.0
+
+    def test_narrow_gaussian_stencil_without_warning(self):
+        # (x / sigma) ** 2 overflows away from the origin; the density is 0 there
+        k = gaussian_kernel(sigma=1e-300, L0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stencil = grid_stencil(k, DX)
+            assert k.evaluate(np.array([0.5, -1.0])).tolist() == [0.0, 0.0]
+        assert stencil.masses.sum() == 1.0
 
     def test_near_flat_gaussian_is_valid(self):
         # sigma / L0 = 1e300: the normaliser sigma * sqrt(2 pi) * erf(c * L0)
